@@ -21,6 +21,7 @@ import numpy as np
 from .errors import EmptySweep, InvalidGrid, UnknownRecipe
 from .norms import lq_norm, sobolev_norm_21q
 from .solver import (
+    _require_period,
     apply_operator,
     apply_operator_fd,
     solve_full,
@@ -369,7 +370,13 @@ def transference_check(
     Zero (exactly) for the default cut-off: on integer time frequencies the
     bump collapses to the k == 0 indicator.  The ``cutoff`` hook exists to
     demonstrate that a widened bump breaks the identity.
+
+    Raises
+    ------
+    DomainMismatch
+        If ``params.T`` is not the period of ``domain``.
     """
+    _require_period(domain, params)
     worst = 0.0
     spatial = [range(-(domain.N // 2) + 1, domain.N // 2)] * domain.n
     temporal = range(-(domain.Nt // 2) + 1, domain.Nt // 2)

@@ -7,6 +7,14 @@ exponent ``|f|^q`` is not band-limited; the field is spectrally oversampled
 (factor 2 by default) before quadrature, which bounds the aliasing error
 but does not remove it.
 
+Derivatives and oversampled samples come from real transforms
+(``numpy.fft.rfftn``/``irfftn``) with the half spectrum zero-padded, which
+halves the work and storage of the full complex layout.  A steady norm acts
+on a time-constant field, so it is integrated over the time-mean spatial
+slice alone.  Every square and q-th power is taken of values divided by
+their largest magnitude, which is multiplied back after the root, so the
+norms neither overflow nor underflow anywhere in the double range.
+
 Spatial Lebesgue norms are taken verbatim over the periodic box.  On the
 whole space these exponents encode decay at infinity; a periodic box has no
 infinity, so that meaning is not represented here -- only the formulas are.
@@ -19,19 +27,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 import numpy as np
 
 from .errors import InvalidExponent
-from .spectral import (
-    SpaceTimeField,
-    SpectralField,
-    TorusDomain,
-    embed_spectrum,
-    forward,
-    inverse,
-    spectral_derivative,
-)
+from .spectral import SpaceTimeField, TorusDomain, _refined_derivatives
 
 DEFAULT_REFINEMENT = 2
 
@@ -128,24 +129,82 @@ def _auto_refine(*exponents: float) -> int:
     return DEFAULT_REFINEMENT
 
 
-def _refined(spec: SpectralField, refinement: int) -> SpectralField:
-    if refinement == 1:
-        return spec
-    d = spec.domain
-    return embed_spectrum(spec, d.refine(d.N * refinement, d.Nt * refinement))
+def _squared_magnitude(arrays: Iterable[np.ndarray]) -> tuple[np.ndarray, float]:
+    """Pointwise ``sum |a|^2`` over the components of all arrays, divided by
+    ``scale^2``, and ``scale``, the largest ``|entry|``.
+
+    Arrays are consumed (overwritten in place); the running sum is rescaled
+    whenever a later array raises the scale, so no square overflows and none
+    underflows relative to the largest one.
+    """
+    total, scale = None, 0.0
+    for arr in arrays:
+        top = float(max(arr.max(), -arr.min()))
+        if top > scale:
+            if total is not None:
+                total *= (scale / top) ** 2
+            scale = top
+        if scale > 0.0:
+            arr /= scale
+        np.multiply(arr, arr, out=arr)
+        part = np.sum(arr, axis=0)
+        total = part if total is None else np.add(total, part, out=total)
+    return total, scale
 
 
-def _magnitude(samples: np.ndarray) -> np.ndarray:
-    """Pointwise Euclidean magnitude over the leading component axis."""
-    if samples.shape[0] == 1:
-        return np.abs(samples[0])
-    return np.sqrt(np.sum(samples**2, axis=0))
+def _lq(
+    squares: np.ndarray,
+    scale: float,
+    cell: float,
+    q: float,
+    axes: tuple[int, ...] | None = None,
+) -> float | np.ndarray:
+    """``scale * (cell * sum squares^(q/2))^(1/q)``: the rectangle rule for
+    the Lq norm of a magnitude given by :func:`_squared_magnitude`.
+
+    ``axes`` restricts the sum (and returns an array over the rest).
+    """
+    np.power(squares, q / 2.0, out=squares)
+    return scale * (np.sum(squares, axis=axes) * cell) ** (1.0 / q)
 
 
-def _spacetime_lq(samples: np.ndarray, domain: TorusDomain, q: float) -> float:
-    """((1/T) integral |.|^q dx dt)^(1/q) by the rectangle rule."""
-    g = _magnitude(samples)
-    return float((np.sum(g**q) * domain.cell_volume) ** (1.0 / q))
+def _q_sum(terms: list, q: float) -> float:
+    """``(mean of sum_i terms_i^q)^(1/q)``.
+
+    Each term is a number or an array over time slices, and the mean runs
+    over the slices.  All terms are divided by the largest entry before the
+    power, which is multiplied back after the root.
+    """
+    top = max(float(np.max(term)) for term in terms)
+    if top == 0.0:
+        return 0.0
+    total = np.mean(sum((term / top) ** q for term in terms))
+    return float(top * total ** (1.0 / q))
+
+
+def _cell(samples: np.ndarray, domain: TorusDomain, refinement: int) -> float:
+    """Quadrature weight of one cell of the refined grid: spatial volume,
+    times the 1/T-normalized time step when ``samples`` have a time axis."""
+    cell = (domain.dx / refinement) ** domain.n
+    if samples.ndim == domain.n + 2:
+        cell /= domain.Nt * refinement
+    return cell
+
+
+def _derivative_lq(
+    samples: np.ndarray,
+    domain: TorusDomain,
+    orders: list[tuple[tuple[int, ...], int]],
+    q: float,
+    refinement: int,
+) -> float:
+    """Lq norm of the pointwise Euclidean magnitude over every component of
+    every derivative in ``orders``, by the rectangle rule on the refined grid.
+    """
+    derivatives = _refined_derivatives(samples, domain, orders, refinement)
+    return float(
+        _lq(*_squared_magnitude(derivatives), _cell(samples, domain, refinement), q)
+    )
 
 
 def lq_norm(
@@ -160,8 +219,7 @@ def lq_norm(
     if not 1.0 < q < np.inf:
         raise InvalidExponent(f"exponent must lie in (1, inf), got {q}")
     r = _auto_refine(q) if refinement is None else refinement
-    spec = _refined(forward(f), r)
-    return _spacetime_lq(inverse(spec, check=False).samples, spec.domain, q)
+    return _derivative_lq(f.samples, f.domain, [((0,) * f.domain.n, 0)], q, r)
 
 
 def _multi_indices(n: int, max_order: int) -> list[tuple[int, ...]]:
@@ -182,39 +240,21 @@ def sobolev_norm_21q(
     ||d_t^beta u||_q over beta <= 1.
 
     Both sums include the underived term, so ||u||_q^q enters twice; the
-    duplication is kept deliberately to match the defining display.
+    duplication is kept deliberately to match the defining display.  The
+    term is evaluated once, and all terms share one forward transform.
     """
     if not 1.0 < q < np.inf:
         raise InvalidExponent(f"exponent must lie in (1, inf), got {q}")
     r = _auto_refine(q) if refinement is None else refinement
-    spec = forward(u)
-    zero_alpha = (0,) * u.domain.n
-    total = 0.0
-    for alpha in _multi_indices(u.domain.n, 2):
-        total += _term_lq(spec, alpha, 0, q, r) ** q
-    for beta in (0, 1):
-        total += _term_lq(spec, zero_alpha, beta, q, r) ** q
-    return float(total ** (1.0 / q))
-
-
-def _term_lq(
-    spec: SpectralField, alpha: tuple[int, ...], beta: int, q: float, refinement: int
-) -> float:
-    ds = _refined(spectral_derivative(spec, alpha, beta), refinement)
-    return _spacetime_lq(inverse(ds, check=False).samples, ds.domain, q)
-
-
-def _stack_derivatives(
-    spec: SpectralField, orders: list[tuple[int, ...]], refinement: int
-) -> tuple[np.ndarray, TorusDomain]:
-    """Concatenate all requested spatial derivatives into one component stack."""
-    blocks = []
-    dom = None
-    for alpha in orders:
-        ds = _refined(spectral_derivative(spec, alpha, 0), refinement)
-        dom = ds.domain
-        blocks.append(inverse(ds, check=False).samples)
-    return np.concatenate(blocks, axis=0), dom
+    n = u.domain.n
+    # _multi_indices starts with the underived index
+    orders = [(alpha, 0) for alpha in _multi_indices(n, 2)] + [((0,) * n, 1)]
+    cell = _cell(u.samples, u.domain, r)
+    terms = []
+    for samples in _refined_derivatives(u.samples, u.domain, orders, r):
+        terms.append(_lq(*_squared_magnitude([samples]), cell, q))
+        del samples  # free it before the next inverse transform
+    return _q_sum([terms[0]] + terms, q)
 
 
 def steady_norm(v: SpaceTimeField, kind: NormKind, lam: float) -> float:
@@ -231,8 +271,9 @@ def steady_norm(v: SpaceTimeField, kind: NormKind, lam: float) -> float:
     * 2-d Oseen: the n = 2 Oseen terms plus
       ``|lam| ||grad v_2||_q + |lam| ||v_2||_{2q/(2-q)}``
 
-    Because the field is time-constant, the 1/T-normalized space-time
-    quadrature equals the spatial norm over the box.
+    Because the field is time-constant, the 1/T-normalized space-time norm
+    equals the spatial norm over the box, so every term is integrated over
+    the time-mean spatial slice.
     """
     if kind.tag not in STEADY_TAGS:
         raise ValueError(f"{kind.tag} is not a steady norm family")
@@ -240,15 +281,14 @@ def steady_norm(v: SpaceTimeField, kind: NormKind, lam: float) -> float:
     kind.validate(n, lam)
     if v.components != n:
         raise ValueError(f"steady norms act on {n}-component fields")
+    mean = np.mean(v.samples, axis=-1)
     scale = v.max_abs()
     if scale > 0.0:
-        drift = np.max(
-            np.abs(v.samples - np.mean(v.samples, axis=-1, keepdims=True))
-        )
+        drift = np.max(np.abs(v.samples - mean[..., np.newaxis]))
         if drift > 1e-10 * scale:
             raise ValueError("steady norms require a time-constant field")
     q = kind.q
-    spec = forward(v)
+    zero = (0,) * n
     first = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     second = [
         tuple((j == a) + (j == b) for j in range(n))
@@ -256,15 +296,21 @@ def steady_norm(v: SpaceTimeField, kind: NormKind, lam: float) -> float:
         for b in range(n)
     ]
 
-    def block_norm(orders: list[tuple[int, ...]], exponent: float) -> float:
-        r = _auto_refine(exponent)
-        samples, dom = _stack_derivatives(spec, orders, r)
-        return _spacetime_lq(samples, dom, exponent)
+    def block_norm(
+        orders: list[tuple[int, ...]], exponent: float, samples: np.ndarray = mean
+    ) -> float:
+        return _derivative_lq(
+            samples,
+            v.domain,
+            [(alpha, 0) for alpha in orders],
+            exponent,
+            _auto_refine(exponent),
+        )
 
     hess = block_norm(second, q)
     if kind.tag == NormTag.STEADY_STOKES:
         return (
-            block_norm([(0,) * n], n * q / (n - 2 * q))
+            block_norm([zero], n * q / (n - 2 * q))
             + block_norm(first, n * q / (n - q))
             + hess
         )
@@ -272,36 +318,16 @@ def steady_norm(v: SpaceTimeField, kind: NormKind, lam: float) -> float:
     weight_v = abs(lam) ** (2.0 / m)
     weight_grad = abs(lam) ** (1.0 / m)
     value = (
-        weight_v * block_norm([(0,) * n], m * q / (m - 2 * q))
+        weight_v * block_norm([zero], m * q / (m - 2 * q))
         + weight_grad * block_norm(first, m * q / (m - q))
         + abs(lam) * block_norm([first[0]], q)
         + hess
     )
     if kind.tag == NormTag.STEADY_OSEEN_2D:
-        value += abs(lam) * _component_gradient_lq(spec, first, q)
-        value += abs(lam) * _component_lq(v, 1, 2 * q / (2 - q))
+        v2 = mean[1:2]
+        value += abs(lam) * block_norm(first, q, v2)
+        value += abs(lam) * block_norm([zero], 2 * q / (2 - q), v2)
     return float(value)
-
-
-def _component_gradient_lq(
-    spec: SpectralField, first: list[tuple[int, ...]], q: float
-) -> float:
-    """||grad v_2||_q for the 2-d Oseen family."""
-    r = _auto_refine(q)
-    blocks = []
-    dom = None
-    for alpha in first:
-        ds = _refined(spectral_derivative(spec, alpha, 0), r)
-        dom = ds.domain
-        blocks.append(inverse(ds, check=False).samples[1][np.newaxis])
-    return _spacetime_lq(np.concatenate(blocks, axis=0), dom, q)
-
-
-def _component_lq(v: SpaceTimeField, component: int, exponent: float) -> float:
-    r = _auto_refine(exponent)
-    spec = _refined(forward(v), r)
-    samples = inverse(spec, check=False).samples[component][np.newaxis]
-    return _spacetime_lq(samples, spec.domain, exponent)
 
 
 def pressure_norm(p: SpaceTimeField, q: float, refinement: int | None = None) -> float:
@@ -316,21 +342,12 @@ def pressure_norm(p: SpaceTimeField, q: float, refinement: int | None = None) ->
         raise InvalidExponent("pressure norm applies to scalar fields")
     a = n * q / (n - q)
     r = _auto_refine(a, q) if refinement is None else refinement
-    spec = _refined(forward(p), r)
-    dom = spec.domain
-    samples = inverse(spec, check=False).samples[0]
-    grads = np.stack(
-        [
-            inverse(
-                spectral_derivative(spec, tuple(int(i == j) for i in range(n)), 0),
-                check=False,
-            ).samples[0]
-            for j in range(n)
-        ]
+    first = [(tuple(int(i == j) for i in range(n)), 0) for j in range(n)]
+    derivatives = _refined_derivatives(
+        p.samples, p.domain, [((0,) * n, 0)] + first, r
     )
+    dv = (p.domain.dx / r) ** n
     spatial_axes = tuple(range(n))
-    dv = dom.dx**n
-    slice_a = (np.sum(np.abs(samples) ** a, axis=spatial_axes) * dv) ** (1.0 / a)
-    grad_mag = np.sqrt(np.sum(grads**2, axis=0))
-    slice_g = (np.sum(grad_mag**q, axis=spatial_axes) * dv) ** (1.0 / q)
-    return float((np.mean(slice_a**q + slice_g**q)) ** (1.0 / q))
+    slice_a = _lq(*_squared_magnitude([next(derivatives)]), dv, a, spatial_axes)
+    slice_g = _lq(*_squared_magnitude(derivatives), dv, q, spatial_axes)
+    return _q_sum([slice_a, slice_g], q)

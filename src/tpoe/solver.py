@@ -26,6 +26,7 @@ from .errors import (
 from .spectral import (
     SpaceTimeField,
     SpectralField,
+    TorusDomain,
     forward,
     inverse,
 )
@@ -56,6 +57,14 @@ def _require_vector(f: SpaceTimeField) -> None:
     if f.components != f.domain.n:
         raise DomainMismatch(
             f"expected a {f.domain.n}-component vector field, got {f.components}"
+        )
+
+
+def _require_period(domain: TorusDomain, params: OseenParams) -> None:
+    if params.T != domain.T:
+        raise DomainMismatch(
+            f"parameter period T={params.T!r} differs from the domain's "
+            f"T={domain.T!r}"
         )
 
 
@@ -126,8 +135,11 @@ def solve_time_periodic(
         If the time average of ``f`` exceeds ``tol`` relative to ``max|f|``.
     NonSolenoidal
         If the spectral divergence exceeds ``tol`` relative to ``max|f^|``.
+    DomainMismatch
+        If ``params.T`` is not the period of ``f``'s domain.
     """
     _require_vector(f)
+    _require_period(f.domain, params)
     scale = f.max_abs()
     if scale > 0.0 and time_average(f).max_abs() > tol * scale:
         raise NotPurelyPeriodic(
@@ -270,8 +282,11 @@ def solve_full(
     ------
     IncompatibleMean
         If the data's steady solenoidal part has nonzero spatial mean.
+    DomainMismatch
+        If ``params.T`` is not the period of ``f``'s domain.
     """
     _require_vector(f)
+    _require_period(f.domain, params)
     domain = f.domain
     scale = f.max_abs()
     if scale > 0.0:
@@ -302,6 +317,8 @@ def solve_full(
 
     residual = apply_operator(u, p, params) - f
     residual_norm = residual.max_abs() / (scale if scale > 0.0 else 1.0)
+    # free the solve's spectra: the norm report sets the peak memory
+    del fh, p_spec, g, gs, gp, residual
 
     report = _norm_report(f, u, w, v, p, params, norm_kinds)
     return SolutionBundle(

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -430,3 +430,63 @@ def refine(field: SpaceTimeField, N: int, Nt: int) -> SpaceTimeField:
     """Band-limited interpolation of a field onto a finer grid."""
     fine = field.domain.refine(N, Nt)
     return inverse(embed_spectrum(forward(field), fine))
+
+
+def _refined_derivatives(
+    samples: np.ndarray,
+    domain: TorusDomain,
+    orders: Sequence[tuple[tuple[int, ...], int]],
+    refinement: int,
+) -> Iterator[np.ndarray]:
+    """Real samples of (i*xi)^alpha (i*eta)^beta f on the r-refined grid.
+
+    ``samples`` are real and carry the component axis first, followed either
+    by ``domain.grid_shape`` or, for a field with no time axis, by the
+    spatial grid ``(N,) * n`` alone (then every beta must be 0).  One entry
+    is yielded per ``(alpha, beta)`` in ``orders``, each on the grid with
+    ``refinement`` times as many points per axis; all share one real forward
+    transform, and each costs one real inverse.
+
+    The half spectrum is that of :func:`forward` divided by ``L^n``
+    (numpy's ``norm="forward"``), with the same Nyquist modes zeroed, and it
+    is zero-padded as :func:`embed_spectrum` pads the full one, so every
+    entry equals ``inverse(embed_spectrum(spectral_derivative(forward(f),
+    alpha, beta), fine))`` up to rounding.  Each one-dimensional pass scales
+    by its length, so no intermediate exceeds the samples by more than the
+    longest axis.
+    """
+    axes = tuple(range(1, samples.ndim))
+    has_time = samples.ndim == domain.n + 2
+    sizes = [domain.N] * domain.n + ([domain.Nt] if has_time else [])
+    steps = [2.0 * np.pi / domain.L] * domain.n + [2.0 * np.pi / domain.T]
+    fine_sizes = [refinement * size for size in sizes]
+    # integer modes kept by the truncated grid (Nyquist dropped), their
+    # source positions on the coarse half spectrum and targets on the fine one
+    modes, source, target = [], [], []
+    for axis, size in enumerate(sizes):
+        if axis == len(sizes) - 1:
+            kept = np.arange(size // 2)
+        else:
+            kept = np.fft.fftfreq(size, d=1.0 / size).astype(int)
+            kept = kept[kept != -(size // 2)]
+        modes.append(kept)
+        source.append(kept % size)
+        target.append(kept % fine_sizes[axis])
+    components = np.arange(samples.shape[0])
+    coeff = np.fft.rfftn(samples, axes=axes, norm="forward")
+    coeff = coeff[np.ix_(components, *source)]
+    fine_shape = (samples.shape[0],) + tuple(fine_sizes[:-1]) + (
+        fine_sizes[-1] // 2 + 1,
+    )
+    padded = np.zeros(fine_shape, dtype=complex)
+    where = np.ix_(components, *target)
+    for alpha, beta in orders:
+        factor = np.ones((1,) * samples.ndim, dtype=complex)
+        for axis, order in enumerate((*alpha, beta)):
+            if order:
+                shape = [1] * samples.ndim
+                shape[axis + 1] = len(modes[axis])
+                freq = (1j * steps[axis] * modes[axis]).reshape(shape)
+                factor = factor * freq**order
+        padded[where] = coeff * factor
+        yield np.fft.irfftn(padded, s=fine_sizes, axes=axes, norm="forward")

@@ -5,6 +5,7 @@ import pytest
 
 from tpoe import (
     CutoffSpec,
+    DomainMismatch,
     DualIndex,
     EmptySweep,
     InvalidGrid,
@@ -194,6 +195,10 @@ class TestTransference:
             for T in (TWO_PI, 20 * np.pi):
                 d = dom2(N=16, Nt=16, T=T)
                 assert transference_check(d, params(lam=lam, T=T)) <= 1e-15
+
+    def test_period_mismatch_rejected(self):
+        with pytest.raises(DomainMismatch, match="period"):
+            transference_check(dom2(N=8, Nt=8), params(lam=1.0, T=3.0))
 
     def test_widened_cutoff_breaks_identity_at_first_mode(self):
         d = dom2(N=16, Nt=16)

@@ -8,6 +8,9 @@ interpolation is exact, so agreement is at rounding level while the quadrature
 itself honestly carries its documented aliasing error.
 """
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -16,14 +19,17 @@ from tpoe import (
     InvalidExponent,
     NormKind,
     NormTag,
+    OseenParams,
     SpaceTimeField,
     TorusDomain,
     forward,
     lq_norm,
+    manufactured_case,
     plancherel_norm,
     pressure_norm,
     random_band_limited_field,
     sobolev_norm_21q,
+    solve_full,
     steady_kind_for,
     steady_norm,
 )
@@ -300,3 +306,110 @@ class TestExponentConstraints:
         g = random_band_limited_field(d, 2, rng)
         for q in (1.5, 2.0, 3.0):
             assert lq_norm(f + g, q) <= lq_norm(f, q) + lq_norm(g, q) + 1e-12
+
+
+def mixed_report(n, N, lam, q=1.2, scale=1.0):
+    """Default norm report of the seed-0 ``mixed`` case on an N^n x N grid."""
+    d = TorusDomain(n=n, L=TWO_PI, N=N, T=TWO_PI, Nt=N)
+    pr = OseenParams(lam=lam, T=TWO_PI, q=q)
+    _, _, f = manufactured_case("mixed", d, pr, seed=0)
+    return solve_full(f * scale, pr).norm_report
+
+
+class TestReportValues:
+    # recorded with the full-layout complex quadrature that preceded the
+    # real-transform one; families the benchmark reference does not cover
+    N3_LAM1 = {
+        "lq_data": 1099.2260739593755,
+        "lq_velocity": 48.03784799166206,
+        "sobolev_21q_periodic": 1354.0774405691016,
+        "steady_oseen": 952.6366092351151,
+        "pressure_xp": 100.04944367952024,
+    }
+    CASES = [
+        (2, 16, 1.0, {
+            "lq_data": 194.98942232126444,
+            "lq_velocity": 11.559979157274466,
+            "sobolev_21q_periodic": 184.00794585910688,
+            "steady_oseen_2d": 221.02843607746223,
+            "pressure_xp": 20.554274822718224,
+        }),
+        (3, 12, 1.0, N3_LAM1),
+        (3, 12, 0.0, {
+            "lq_data": 1092.3259612561815,
+            "lq_velocity": N3_LAM1["lq_velocity"],
+            "sobolev_21q_periodic": N3_LAM1["sobolev_21q_periodic"],
+            "steady_stokes": 847.4436011072232,
+            "pressure_xp": N3_LAM1["pressure_xp"],
+        }),
+    ]
+
+    @pytest.mark.parametrize("n, N, lam, expected", CASES)
+    def test_recorded_values(self, n, N, lam, expected):
+        report = mixed_report(n, N, lam)
+        assert set(report) == set(expected)
+        for key, value in expected.items():
+            assert report[key] == pytest.approx(value, rel=1e-12), key
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_homogeneous_at_extreme_scales(self, scale):
+        # no square or q-th power may overflow or underflow
+        base = mixed_report(2, 16, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scaled = mixed_report(2, 16, 1.0, scale=scale)
+        for key, value in base.items():
+            expected = pytest.approx(scale * value, rel=1e-12, abs=0.0)
+            assert scaled[key] == expected, key
+
+
+def record_transforms(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
+    """Wrap numpy's n-d transforms; the list collects (name, input shape)."""
+    calls = []
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        original = getattr(np.fft, name)
+
+        def wrapper(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, wrapper)
+    return calls
+
+
+class TestQuadratureWork:
+    def test_steady_norm_transforms_one_spatial_slice(self, monkeypatch):
+        for d, lam, q in ((dom3(), 0.0, 1.2), (dom2(), 1.0, 1.2)):
+            v = random_band_limited_field(
+                d, d.n, np.random.default_rng(4), solenoidal=True,
+                time_constant=True, zero_spatial_mean=True,
+            )
+            kind = steady_kind_for(d.n, lam, q)
+            calls = record_transforms(monkeypatch)
+            steady_norm(v, kind, lam)
+            monkeypatch.undo()
+            assert calls
+            # components first, then the n spatial axes and no time axis
+            assert all(len(shape) == d.n + 1 for _, shape in calls), calls
+
+    def test_sobolev_shares_one_forward_transform(self, monkeypatch):
+        d = dom3(12, 12)
+        u = random_band_limited_field(d, 3, np.random.default_rng(6))
+        calls = record_transforms(monkeypatch)
+        sobolev_norm_21q(u, 1.2)
+        names = [name for name, _ in calls]
+        assert names.count("fftn") + names.count("rfftn") == 1
+        # 10 spatial orders |alpha| <= 2 and d_t; the underived term once
+        assert names.count("ifftn") + names.count("irfftn") == 11
+
+    def test_report_allocation_bounded_by_input_size(self):
+        d = TorusDomain(n=3, L=TWO_PI, N=16, T=TWO_PI, Nt=16)
+        pr = OseenParams(lam=0.0, T=TWO_PI, q=1.2)
+        _, _, f = manufactured_case("mixed", d, pr, seed=0)
+        tracemalloc.start()
+        try:
+            solve_full(f, pr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 96 * f.samples.nbytes

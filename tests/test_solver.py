@@ -188,6 +188,12 @@ class TestSolveTimePeriodic:
             back = solve_time_periodic(apply_operator(w, p_zero, pr), pr)
             assert (back - w).max_abs() <= 1e-10 * w.max_abs()
 
+    def test_period_mismatch_rejected(self):
+        d = dom2(8, 8)
+        _, _, f = manufactured_case("single-mode", d, params(lam=1.0))
+        with pytest.raises(DomainMismatch, match="period"):
+            solve_time_periodic(f, params(lam=1.0, T=3.0))
+
 
 class TestSolveSteady:
     def test_stokes_closed_form(self):
@@ -352,6 +358,12 @@ class TestSolveFull:
         samples[1] = 1.0
         with pytest.raises(IncompatibleMean):
             solve_full(SpaceTimeField(d, samples), params())
+
+    def test_period_mismatch_rejected(self):
+        d = dom2(8, 8)
+        _, _, f = manufactured_case("single-mode", d, params(lam=1.0))
+        with pytest.raises(DomainMismatch, match="period"):
+            solve_full(f, params(lam=1.0, T=3.0))
 
     def test_norm_report_autoselection(self):
         d3 = TorusDomain(n=3, L=TWO_PI, N=16, T=TWO_PI, Nt=16)

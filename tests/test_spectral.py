@@ -10,6 +10,7 @@ from tpoe import (
     SpaceTimeField,
     SpectralField,
     TorusDomain,
+    embed_spectrum,
     forward,
     inverse,
     lq_norm,
@@ -18,6 +19,7 @@ from tpoe import (
     refine,
     spectral_derivative,
 )
+from tpoe.spectral import _refined_derivatives
 
 TWO_PI = 2.0 * np.pi
 
@@ -220,3 +222,47 @@ class TestRefine:
             solenoidal=True, purely_periodic=True,
         )
         assert (refine(f_c, 32, 32) - f_f).max_abs() <= 1e-12
+
+
+class TestRefinedDerivatives:
+    # the real-transform path of the norm quadrature against the full
+    # complex layout: forward, spectral_derivative, embed_spectrum, inverse
+    ORDERS = [((0, 0), 0), ((1, 0), 0), ((1, 1), 0), ((0, 2), 0), ((0, 0), 1)]
+
+    def full_layout(self, f, refinement):
+        d = f.domain
+        fine = d.refine(refinement * d.N, refinement * d.Nt)
+        spec = forward(f)
+        return [
+            inverse(
+                embed_spectrum(spectral_derivative(spec, alpha, beta), fine),
+                check=False,
+            ).samples
+            for alpha, beta in self.ORDERS
+        ]
+
+    @pytest.mark.parametrize("refinement", [1, 2, 3])
+    def test_matches_full_layout(self, refinement):
+        # unfiltered samples populate the Nyquist modes, which both drop
+        d = dom2(N=12, Nt=8, L=3.0, T=5.0)
+        rng = np.random.default_rng(11)
+        f = SpaceTimeField(d, rng.standard_normal((2,) + d.grid_shape))
+        got = _refined_derivatives(f.samples, d, self.ORDERS, refinement)
+        for samples, expected in zip(got, self.full_layout(f, refinement)):
+            assert samples.shape == expected.shape
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(samples - expected)) <= 1e-12 * scale
+
+    def test_spatial_slice_matches_every_time_slice(self):
+        d = dom2(N=12, Nt=8, L=3.0, T=5.0)
+        spatial = np.random.default_rng(12).standard_normal((2, d.N, d.N))
+        f = SpaceTimeField(
+            d, np.repeat(spatial[..., np.newaxis], d.Nt, axis=-1)
+        )
+        orders = self.ORDERS[:4]  # no time derivative without a time axis
+        got = _refined_derivatives(spatial, d, orders, 2)
+        for samples, expected in zip(got, self.full_layout(f, 2)):
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(samples[..., np.newaxis] - expected)) <= (
+                1e-12 * scale
+            )
