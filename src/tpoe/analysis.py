@@ -18,17 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySweep, InvalidGrid, UnknownRecipe
+from .errors import DomainMismatch, EmptySweep, InvalidGrid, UnknownRecipe
 from .norms import lq_norm, sobolev_norm_21q
 from .solver import (
     _require_period,
     apply_operator,
     apply_operator_fd,
+    project_solenoidal,
     solve_full,
     solve_time_periodic,
 )
 from .spectral import (
-    DualIndex,
     SpaceTimeField,
     SpectralField,
     TorusDomain,
@@ -38,9 +38,8 @@ from .symbols import (
     DEFAULT_CUTOFF,
     CutoffSpec,
     OseenParams,
-    evaluate_M,
     evaluate_m,
-    phi_embed,
+    time_periodic_multiplier_grid,
 )
 
 GENERATOR_NAME = "numpy-pcg64"
@@ -82,16 +81,18 @@ def random_band_limited_field(
         raise ValueError(f"k_max must be in [1, Nt/2), got {k_max}")
     if purely_periodic and time_constant:
         raise ValueError("a field cannot be both purely periodic and steady")
+    if solenoidal and components != n:
+        raise ValueError("solenoidal projection needs a vector field")
 
     band_shape = (components,) + (2 * m_max + 1,) * n + (2 * k_max + 1,)
+    index = [np.arange(-m_max, m_max + 1) % domain.N] * n
+    index += [np.arange(-k_max, k_max + 1) % domain.Nt]
     for _ in range(16):
         draws = rng.standard_normal(band_shape + (2,))
         band = draws[..., 0] + 1j * draws[..., 1]
         flipped = np.conj(np.flip(band, axis=tuple(range(1, band.ndim))))
         band = 0.5 * (band + flipped)
 
-        spatial = [np.arange(-m_max, m_max + 1)] * n
-        k_index = np.arange(-k_max, k_max + 1)
         if purely_periodic:
             band[..., k_max] = 0.0
         if time_constant:
@@ -101,24 +102,13 @@ def random_band_limited_field(
         if zero_spatial_mean:
             center = (slice(None),) + (m_max,) * n + (slice(None),)
             band[center] = 0.0
-        if solenoidal:
-            if components != n:
-                raise ValueError("solenoidal projection needs a vector field")
-            xi = np.meshgrid(
-                *[2.0 * np.pi / domain.L * m for m in spatial],
-                np.zeros(2 * k_max + 1),
-                indexing="ij",
-            )[:n]
-            xi_sq = sum(x**2 for x in xi)
-            dot = sum(xi[j] * band[j] for j in range(n))
-            scale = np.where(xi_sq == 0.0, 0.0, dot / np.where(xi_sq == 0.0, 1.0, xi_sq))
-            for j in range(n):
-                band[j] = band[j] - xi[j] * scale
 
         coeff = np.zeros((components,) + domain.grid_shape, dtype=complex)
-        index = [m % domain.N for m in spatial] + [k_index % domain.Nt]
         coeff[np.ix_(np.arange(components), *index)] = band
-        field = inverse(SpectralField(domain, coeff))
+        spec = SpectralField(domain, coeff)
+        if solenoidal:
+            spec = project_solenoidal(spec)
+        field = inverse(spec)
         scale_phys = field.max_abs()
         if scale_phys > 1e-12:
             return field * (1.0 / scale_phys)
@@ -132,7 +122,7 @@ def random_band_limited_field(
 RECIPES = ("zero", "single-mode", "random", "mixed")
 
 # random recipes populate a fixed band so that a given (recipe, seed) denotes
-# one continuum field at every resolution that resolves it (N, Nt >= 12)
+# one continuum field at every resolution that resolves it (N, Nt >= 10)
 RECIPE_BAND = 4
 
 
@@ -158,6 +148,14 @@ def manufactured_case(
     spatial-constant modes, matching the recovery gauge.  The random recipes
     draw on the fixed band ``RECIPE_BAND`` independent of the grid, so the
     same seed denotes the same continuum field across resolutions.
+
+    Raises
+    ------
+    UnknownRecipe
+        If ``recipe_id`` is not in the catalog.
+    DomainMismatch
+        If a random recipe's band does not fit the grid: it needs
+        ``N // 2 > RECIPE_BAND`` and ``Nt // 2 > RECIPE_BAND``.
     """
     n = domain.n
     if recipe_id == "zero":
@@ -172,6 +170,15 @@ def manufactured_case(
         u = SpaceTimeField(domain, samples)
         p = SpaceTimeField.zeros(domain, 1)
         return u, p, apply_operator(u, p, params)
+    if recipe_id not in RECIPES:
+        raise UnknownRecipe(f"no manufactured recipe named {recipe_id!r}; "
+                            f"known: {', '.join(RECIPES)}")
+    if min(domain.N, domain.Nt) // 2 <= RECIPE_BAND:
+        raise DomainMismatch(
+            f"recipe {recipe_id!r} draws on the band |m|, |k| <= {RECIPE_BAND}, "
+            f"which needs N, Nt >= {2 * RECIPE_BAND + 2}; "
+            f"got N={domain.N}, Nt={domain.Nt}"
+        )
     rng = np.random.default_rng(seed)
     band = {"m_max": RECIPE_BAND, "k_max": RECIPE_BAND}
     if recipe_id == "random":
@@ -182,21 +189,18 @@ def manufactured_case(
             domain, 1, rng, zero_spatial_mean=True, **band
         )
         return u, p, apply_operator(u, p, params)
-    if recipe_id == "mixed":
-        v = random_band_limited_field(
-            domain, n, rng, solenoidal=True, time_constant=True,
-            zero_spatial_mean=True, **band,
-        )
-        w = random_band_limited_field(
-            domain, n, rng, solenoidal=True, purely_periodic=True, **band
-        )
-        p = random_band_limited_field(
-            domain, 1, rng, zero_spatial_mean=True, **band
-        )
-        u = v + w
-        return u, p, apply_operator(u, p, params)
-    raise UnknownRecipe(f"no manufactured recipe named {recipe_id!r}; "
-                        f"known: {', '.join(RECIPES)}")
+    v = random_band_limited_field(
+        domain, n, rng, solenoidal=True, time_constant=True,
+        zero_spatial_mean=True, **band,
+    )
+    w = random_band_limited_field(
+        domain, n, rng, solenoidal=True, purely_periodic=True, **band
+    )
+    p = random_band_limited_field(
+        domain, 1, rng, zero_spatial_mean=True, **band
+    )
+    u = v + w
+    return u, p, apply_operator(u, p, params)
 
 
 def roundtrip_verify(
@@ -307,9 +311,7 @@ def _mixed_partial(
     n = points.shape[0] - 1
 
     def evaluate(shifted: np.ndarray) -> np.ndarray:
-        return np.asarray(
-            evaluate_m(shifted[:n], shifted[n], params, cutoff), dtype=complex
-        )
+        return evaluate_m(shifted[:n], shifted[n], params, cutoff)
 
     if not active:
         return evaluate(points)
@@ -365,11 +367,13 @@ def transference_check(
     params: OseenParams,
     cutoff: CutoffSpec = DEFAULT_CUTOFF,
 ) -> float:
-    """Max deviation |M(m, k) - m(Phi(m, k))| over the full dual grid.
+    """Max deviation |M(m, k) - m(Phi(m, k))| over the dual grid.
 
-    Zero (exactly) for the default cut-off: on integer time frequencies the
-    bump collapses to the k == 0 indicator.  The ``cutoff`` hook exists to
-    demonstrate that a widened bump breaks the identity.
+    The dual-group embedding Phi is the grid's own frequency arrays, so both
+    sides are evaluated over the whole grid at once; unmatched Nyquist modes
+    are left out.  Zero (exactly) for the default cut-off: on integer time
+    frequencies the bump collapses to the k == 0 indicator.  The ``cutoff``
+    hook exists to demonstrate that a widened bump breaks the identity.
 
     Raises
     ------
@@ -377,17 +381,9 @@ def transference_check(
         If ``params.T`` is not the period of ``domain``.
     """
     _require_period(domain, params)
-    worst = 0.0
-    spatial = [range(-(domain.N // 2) + 1, domain.N // 2)] * domain.n
-    temporal = range(-(domain.Nt // 2) + 1, domain.Nt // 2)
-    for m in itertools.product(*spatial):
-        for k in temporal:
-            idx = DualIndex(m=m, k=k)
-            lhs = evaluate_M(idx, params, domain)
-            xi, eta = phi_embed(idx, domain)
-            rhs = evaluate_m(xi, eta, params, cutoff)
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    lhs = time_periodic_multiplier_grid(domain, params)
+    rhs = evaluate_m(domain.xi_grids(), domain.eta_grid(), params, cutoff)
+    return float(np.max(np.abs(lhs - rhs)[domain.nyquist_mask()]))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,8 @@ from .spectral import (
 )
 from .symbols import (
     OseenParams,
+    _denominator,
+    _quotient,
     steady_symbol_grid,
     time_periodic_multiplier_grid,
 )
@@ -79,6 +81,11 @@ def fluctuation(f: SpaceTimeField) -> SpaceTimeField:
     return f - time_average(f)
 
 
+def _xi_dot(xi, coefficients: np.ndarray) -> np.ndarray:
+    """The contraction xi . c over the component axis of ``coefficients``."""
+    return sum(x * c for x, c in zip(xi, coefficients))
+
+
 def project_solenoidal(spec: SpectralField) -> SpectralField:
     """Spectral Helmholtz projection: remove xi (xi . c)/|xi|^2 mode-wise.
 
@@ -89,10 +96,7 @@ def project_solenoidal(spec: SpectralField) -> SpectralField:
         raise DomainMismatch("Helmholtz projection acts on vector fields")
     xi = domain.xi_grids()
     xi_sq = domain.xi_squared_grid()
-    dot = np.zeros(spec.coefficients.shape[1:], dtype=complex)
-    for j in range(domain.n):
-        dot += xi[j] * spec.coefficients[j]
-    scale = np.where(xi_sq == 0.0, 0.0, dot / np.where(xi_sq == 0.0, 1.0, xi_sq))
+    scale = _quotient(_xi_dot(xi, spec.coefficients), xi_sq, xi_sq == 0.0)
     out = spec.coefficients.copy()
     for j in range(domain.n):
         out[j] -= xi[j] * scale
@@ -107,11 +111,7 @@ def apply_helmholtz(f: SpaceTimeField) -> SpaceTimeField:
 
 def divergence_defect(spec: SpectralField) -> float:
     """max over modes of |xi . c(xi, k)|, the spectral divergence size."""
-    domain = spec.domain
-    xi = domain.xi_grids()
-    dot = np.zeros(spec.coefficients.shape[1:], dtype=complex)
-    for j in range(domain.n):
-        dot += xi[j] * spec.coefficients[j]
+    dot = _xi_dot(spec.domain.xi_grids(), spec.coefficients)
     return float(np.max(np.abs(dot)))
 
 
@@ -188,13 +188,9 @@ def solve_steady(
 def _pressure_coefficients(spec: SpectralField) -> np.ndarray:
     """-i (xi . f^)/|xi|^2 with the zero covector at xi = 0."""
     domain = spec.domain
-    xi = domain.xi_grids()
     xi_sq = domain.xi_squared_grid()
-    dot = np.zeros(spec.coefficients.shape[1:], dtype=complex)
-    for j in range(domain.n):
-        dot += xi[j] * spec.coefficients[j]
-    safe = np.where(xi_sq == 0.0, 1.0, xi_sq)
-    return np.where(xi_sq == 0.0, 0.0 + 0.0j, -1j * dot / safe)[np.newaxis]
+    dot = _xi_dot(domain.xi_grids(), spec.coefficients)
+    return _quotient(-1j * dot, xi_sq, xi_sq == 0.0)[np.newaxis]
 
 
 def recover_pressure(f: SpaceTimeField) -> SpaceTimeField:
@@ -221,8 +217,7 @@ def apply_operator(
     uh = forward(u).coefficients
     ph = forward(p).coefficients[0]
     xi = domain.xi_grids()
-    eta = domain.eta_grid()
-    symbol = 1j * eta + domain.xi_squared_grid() - 1j * params.lam * xi[0]
+    symbol = _denominator(xi, domain.eta_grid(), params.lam)
     out = np.empty_like(uh)
     for j in range(domain.n):
         out[j] = symbol * uh[j] + 1j * xi[j] * ph

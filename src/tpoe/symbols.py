@@ -1,10 +1,12 @@
-"""Pointwise evaluation of the Fourier symbols of the solver pipeline.
+"""The Fourier symbols of the solver pipeline, as arrays over (xi, eta).
 
-All functions here are pure and accept either scalars or numpy arrays for
-the frequency arguments.  The time-periodic multiplier on the dual grid and
-its Euclidean counterpart share the same denominator arithmetic, so their
-agreement at integer time frequencies is exact, not approximate: on integers
-the cut-off bump collapses to the k == 0 indicator.
+Every symbol is one array function over broadcastable frequency arrays,
+with scalars as its 0-d case.  ``_denominator`` is the one arithmetic path
+for |xi|^2 + i*(eta - lam*xi_1): the time-periodic multiplier M on the dual
+grid, its Euclidean counterpart m, the steady inverse (eta = 0) and the
+forward operator in ``solver.apply_operator`` all call it.  So M and m agree
+exactly, not approximately, at integer time frequencies: there the cut-off
+bump collapses to the k == 0 indicator.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMode
-from .spectral import DualIndex, TorusDomain
+from .spectral import TorusDomain
 
 
 @dataclass(frozen=True)
@@ -88,34 +89,20 @@ def cutoff_chi(eta, spec: CutoffSpec = DEFAULT_CUTOFF):
     return out
 
 
-def _denominator(xi: np.ndarray, eta, lam: float):
-    """|xi|^2 + i*(eta - lam*xi_1); the single shared arithmetic path."""
-    xi_sq = np.sum(xi**2, axis=0)
+def _denominator(xi, eta, lam: float):
+    """|xi|^2 + i*(eta - lam*xi_1); the single shared arithmetic path.
+
+    ``xi`` is a sequence of n broadcastable components (an ``(n, ...)``
+    array counts as one); ``eta`` broadcasts against them.
+    """
+    xi_sq = sum(x * x for x in xi)
     return xi_sq + 1j * (eta - lam * xi[0])
 
 
-def phi_embed(
-    idx: DualIndex, domain: TorusDomain
-) -> tuple[tuple[float, ...], float]:
-    """Dual-group embedding of a grid point into Euclidean frequencies.
-
-    The spatial frequency xi = (2*pi/L)*m passes through unchanged; the
-    integer time index maps to eta = (2*pi/T)*k exactly.
-    """
-    return idx.frequencies(domain)
-
-
-def evaluate_M(idx: DualIndex, params: OseenParams, domain: TorusDomain) -> complex:
-    """Solution multiplier on the dual grid.
-
-    Returns 0 on the whole steady stratum k == 0 (exact integer test) and
-    ``1 / (|xi|^2 + i*((2*pi/T)*k - lam*xi_1))`` otherwise, with
-    ``xi = (2*pi/L)*m``.
-    """
-    if idx.k == 0:
-        return 0.0 + 0.0j
-    xi, eta = phi_embed(idx, domain)
-    return complex(1.0 / _denominator(np.asarray(xi, dtype=float), eta, params.lam))
+def _quotient(numerator, denom, annihilated):
+    """numerator / denom, and exactly 0 wherever ``annihilated`` holds."""
+    safe = np.where(annihilated, 1.0, denom)
+    return np.where(annihilated, 0.0 + 0.0j, numerator / safe)
 
 
 def evaluate_m(
@@ -127,86 +114,38 @@ def evaluate_m(
     numerator vanishes on a neighborhood of the denominator's only zero, so
     the value is finite (and smooth) everywhere.
 
-    ``xi`` has the n components along its first axis; scalar and array
-    arguments are both accepted.
+    ``xi`` is a sequence of n broadcastable components (an ``(n, ...)``
+    array counts as one) and ``eta`` broadcasts against them; scalar
+    arguments give a complex scalar.
     """
-    xi = np.asarray(xi, dtype=float)
     eta_arr = np.asarray(eta, dtype=float)
     weight = 1.0 - np.asarray(cutoff_chi(params.T / (2.0 * np.pi) * eta_arr, cutoff))
-    denom = _denominator(xi, eta_arr, params.lam)
-    safe = np.where(weight == 0.0, 1.0, denom)
-    out = np.where(weight == 0.0, 0.0 + 0.0j, weight / safe)
+    out = _quotient(weight, _denominator(xi, eta_arr, params.lam), weight == 0.0)
     if out.ndim == 0:
         return complex(out)
     return out
 
 
-def helmholtz_symbol(xi) -> np.ndarray:
-    """Projector matrix I - xi (x) xi / |xi|^2 onto the plane normal to xi.
-
-    Returns the identity at xi = 0: the spatial-constant mode is trivially
-    solenoidal.
-    """
-    xi = np.asarray(xi, dtype=float)
-    n = len(xi)
-    xi_sq = float(np.dot(xi, xi))
-    if xi_sq == 0.0:
-        return np.eye(n)
-    return np.eye(n) - np.outer(xi, xi) / xi_sq
-
-
-def steady_symbol(xi, lam: float) -> complex:
-    """Mode inverse 1 / (|xi|^2 - i*lam*xi_1) of the steady drift operator.
-
-    Raises
-    ------
-    SingularMode
-        At xi = 0, where the steady operator has no inverse.
-    """
-    xi = np.asarray(xi, dtype=float)
-    xi_sq = float(np.dot(xi, xi))
-    if xi_sq == 0.0:
-        raise SingularMode("steady operator is not invertible on the zero mode")
-    return complex(1.0 / (xi_sq - 1j * lam * xi[0]))
-
-
-def pressure_symbol(xi) -> np.ndarray:
-    """Covector -i*xi/|xi|^2 mapping forcing to the pressure coefficient.
-
-    Returns the zero covector at xi = 0 (mean-free pressure gauge).
-    """
-    xi = np.asarray(xi, dtype=float)
-    xi_sq = float(np.dot(xi, xi))
-    if xi_sq == 0.0:
-        return np.zeros(len(xi), dtype=complex)
-    return -1j * xi / xi_sq
-
-
 def time_periodic_multiplier_grid(
     domain: TorusDomain, params: OseenParams
 ) -> np.ndarray:
-    """Vectorized solution multiplier over the full dual grid.
+    """Solution multiplier over the full dual grid, broadcastable over
+    ``domain.grid_shape``.
 
-    Broadcastable over ``domain.grid_shape``; same formula as
-    :func:`evaluate_M` mode by mode.
+    0 on the whole steady stratum k == 0 (exact integer test) and
+    ``1 / (|xi|^2 + i*((2*pi/T)*k - lam*xi_1))`` otherwise, with
+    ``xi = (2*pi/L)*m``.
     """
-    xi = domain.xi_grids()
-    eta = domain.eta_grid()
-    xi_sq = domain.xi_squared_grid()
-    k = domain.time_mode_grid()
-    denom = xi_sq + 1j * (eta - params.lam * xi[0])
-    safe = np.where(k == 0, 1.0, denom)
-    return np.where(k == 0, 0.0 + 0.0j, 1.0 / safe)
+    denom = _denominator(domain.xi_grids(), domain.eta_grid(), params.lam)
+    return _quotient(1.0, denom, domain.time_mode_grid() == 0)
 
 
 def steady_symbol_grid(domain: TorusDomain, lam: float) -> np.ndarray:
-    """Vectorized steady inverse over the spatial dual grid (zero mode -> 0).
+    """Steady inverse 1 / (|xi|^2 - i*lam*xi_1) over the spatial dual grid.
 
-    The caller is responsible for rejecting data with content on the zero
-    mode; this grid silently annihilates it.
+    The zero mode, where the steady operator has no inverse, maps to 0: the
+    caller is responsible for rejecting data with content on it; this grid
+    silently annihilates it.
     """
-    xi = domain.xi_grids()
-    xi_sq = domain.xi_squared_grid()
-    denom = xi_sq - 1j * lam * xi[0]
-    safe = np.where(xi_sq == 0.0, 1.0, denom)
-    return np.where(xi_sq == 0.0, 0.0 + 0.0j, 1.0 / safe)
+    denom = _denominator(domain.xi_grids(), 0.0, lam)
+    return _quotient(1.0, denom, denom.real == 0.0)  # real part is |xi|^2

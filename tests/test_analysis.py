@@ -16,14 +16,12 @@ from tpoe import (
     apply_operator,
     constant_sweep,
     convergence_study,
-    evaluate_M,
     evaluate_m,
     fit_log_trend,
     forward,
     lq_norm,
     manufactured_case,
     marcinkiewicz_scan,
-    phi_embed,
     random_band_limited_field,
     roundtrip_verify,
     sobolev_norm_21q,
@@ -40,6 +38,7 @@ from tpoe.analysis import (
     write_sweep_csv,
 )
 from tpoe.solver import divergence_defect
+from tpoe.symbols import time_periodic_multiplier_grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -191,10 +190,13 @@ class TestMarcinkiewiczScan:
 
 class TestTransference:
     def test_identity_is_exact(self):
-        for lam in (0.0, 1.0, 10.0):
-            for T in (TWO_PI, 20 * np.pi):
-                d = dom2(N=16, Nt=16, T=T)
-                assert transference_check(d, params(lam=lam, T=T)) <= 1e-15
+        boxes = [(TWO_PI, T, (0.0, 1.0, 10.0)) for T in (TWO_PI, 20 * np.pi)]
+        boxes.append((3.0, 5.0, (0.0, 2.0, -2.5)))
+        for n in (2, 3):
+            for L, T, lams in boxes:
+                d = TorusDomain(n=n, L=L, N=16, T=T, Nt=16)
+                for lam in lams:
+                    assert transference_check(d, params(lam=lam, T=T)) == 0.0
 
     def test_period_mismatch_rejected(self):
         with pytest.raises(DomainMismatch, match="period"):
@@ -206,11 +208,11 @@ class TestTransference:
         wide = CutoffSpec(inner=2.0, outer=4.0)
         deviation = transference_check(d, pr, cutoff=wide)
         assert deviation > 0.1
-        idx = DualIndex((0, 0), 1)
-        xi, eta = phi_embed(idx, d)
+        xi, eta = DualIndex((0, 0), 1).frequencies(d)
         assert evaluate_m(xi, eta, pr, wide) == 0.0
-        assert abs(evaluate_M(idx, pr, d)) > 0.1
-        assert deviation >= abs(evaluate_M(idx, pr, d)) - 1e-15
+        first = time_periodic_multiplier_grid(d, pr)[0, 0, 1]
+        assert abs(first) > 0.1
+        assert deviation >= abs(first) - 1e-15
 
 
 class TestManufactured:

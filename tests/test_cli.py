@@ -213,3 +213,32 @@ class TestAnalysisCommands:
         outdir = run_dir_of(path, ["resolutions=16x16,32x32"])
         lines = (outdir / "convergence.csv").read_text().splitlines()
         assert len(lines) == 3
+
+
+class TestRecipeBand:
+    @pytest.mark.parametrize(
+        "subcommand, overrides",
+        [
+            ("solve", ["N=8", "Nt=8"]),
+            ("solve", ["N=16", "Nt=8"]),
+            ("convergence", ["resolutions=8x8,16x16"]),
+        ],
+    )
+    def test_grid_below_the_band_is_config_error(
+        self, config_file, capsys, subcommand, overrides
+    ):
+        path = config_file()  # recipe = mixed
+        argv = [subcommand, "--config", path]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "DomainMismatch"
+        assert record["exit_code"] == EXIT_CONFIG
+        error_file = run_dir_of(path, overrides) / "error.json"
+        assert json.loads(error_file.read_text()) == record
+
+    def test_smallest_grid_holding_the_band_solves(self, config_file):
+        path = config_file()
+        argv = ["solve", "--config", path, "--set", "N=10", "--set", "Nt=10"]
+        assert main(argv) == EXIT_OK

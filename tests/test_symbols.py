@@ -1,4 +1,8 @@
-"""Tests for the multiplier, projector, and cut-off symbol evaluations."""
+"""Tests for the multiplier, projector, and cut-off symbol evaluations.
+
+The projector and pressure symbols are read off the solver's spectral
+functions at single modes; the multiplier and steady symbols off their grids.
+"""
 
 import itertools
 
@@ -9,16 +13,13 @@ from tpoe import (
     CutoffSpec,
     DualIndex,
     OseenParams,
-    SingularMode,
+    SpectralField,
     TorusDomain,
     cutoff_chi,
-    evaluate_M,
     evaluate_m,
-    helmholtz_symbol,
-    phi_embed,
-    pressure_symbol,
-    steady_symbol,
 )
+from tpoe.solver import _pressure_coefficients, project_solenoidal
+from tpoe.symbols import steady_symbol_grid, time_periodic_multiplier_grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -29,6 +30,41 @@ def params(lam=0.0, T=TWO_PI, q=2.0):
 
 def dom(n=3, N=8, Nt=8, L=TWO_PI, T=TWO_PI):
     return TorusDomain(n=n, L=L, N=N, T=T, Nt=Nt)
+
+
+def position(d, m, k=0):
+    """Grid position of the dual index (m, k)."""
+    return tuple(mj % d.N for mj in m) + (k % d.Nt,)
+
+
+def multiplier_at(d, p, m, k):
+    """Solution multiplier at one dual-grid point, read off the grid."""
+    return time_periodic_multiplier_grid(d, p)[position(d, m, k)]
+
+
+def single_mode(d, m, j, k=1):
+    """Spectrum with one unit coefficient: component j at the mode (m, k)."""
+    coeff = np.zeros((d.n,) + d.grid_shape, dtype=complex)
+    coeff[(j,) + position(d, m, k)] = 1.0
+    return SpectralField(d, coeff)
+
+
+def projector_at(d, m):
+    """Matrix of ``project_solenoidal`` at spatial mode m, column j = P e_j."""
+    pos = (slice(None),) + position(d, m, 1)
+    return np.stack(
+        [project_solenoidal(single_mode(d, m, j)).coefficients[pos]
+         for j in range(d.n)],
+        axis=1,
+    )
+
+
+def pressure_covector_at(d, m):
+    """Pressure coefficient of each unit forcing e_j at spatial mode m."""
+    return np.array([
+        _pressure_coefficients(single_mode(d, m, j))[(0,) + position(d, m, 1)]
+        for j in range(d.n)
+    ])
 
 
 class TestCutoff:
@@ -80,21 +116,21 @@ class TestTimePeriodicMultiplier:
     def test_steady_stratum_annihilated(self):
         d = dom()
         for m in ((0, 0, 0), (1, 2, 3), (-2, 1, 0)):
-            assert evaluate_M(DualIndex(m, 0), params(lam=2.5), d) == 0.0
+            assert multiplier_at(d, params(lam=2.5), m, 0) == 0.0
 
     def test_pure_time_mode(self):
-        value = evaluate_M(DualIndex((0, 0, 0), 1), params(lam=4.0), dom())
+        value = multiplier_at(dom(), params(lam=4.0), (0, 0, 0), 1)
         assert value == pytest.approx(-1j, abs=1e-15)
 
     def test_oseen_cancellation(self):
-        value = evaluate_M(DualIndex((1, 0, 0), 1), params(lam=1.0), dom())
+        value = multiplier_at(dom(), params(lam=1.0), (1, 0, 0), 1)
         assert value == pytest.approx(1.0 + 0.0j, abs=1e-15)
 
     def test_finite_everywhere(self):
         d = dom(n=2, N=8, Nt=8)
         p = params(lam=10.0, T=20 * np.pi)
         values = [
-            evaluate_M(DualIndex((m1, m2), k), p, d)
+            multiplier_at(d, p, (m1, m2), k)
             for m1 in range(-3, 4)
             for m2 in range(-3, 4)
             for k in range(-3, 4)
@@ -106,7 +142,7 @@ class TestTimePeriodicMultiplier:
         p = params(lam=1.0)
         best, best_idx = 0.0, None
         for m1, m2, k in itertools.product(range(-3, 4), repeat=3):
-            mag = abs(evaluate_M(DualIndex((m1, m2), k), p, d))
+            mag = abs(multiplier_at(d, p, (m1, m2), k))
             if mag > best:
                 best, best_idx = mag, (m1, m2, k)
         assert np.isfinite(best) and best > 0.0
@@ -116,8 +152,8 @@ class TestTimePeriodicMultiplier:
         d = dom(n=2, N=8, Nt=8)
         p = params(lam=3.0, T=5.0)
         for m1, m2, k in itertools.product(range(-3, 4), repeat=3):
-            lhs = evaluate_M(DualIndex((-m1, -m2), -k), p, d)
-            rhs = np.conj(evaluate_M(DualIndex((m1, m2), k), p, d))
+            lhs = multiplier_at(d, p, (-m1, -m2), -k)
+            rhs = np.conj(multiplier_at(d, p, (m1, m2), k))
             assert lhs == pytest.approx(rhs, abs=1e-15)
 
 
@@ -161,8 +197,8 @@ class TestEuclideanMultiplier:
 class TestTransferenceIdentity:
     def test_embedding_values(self):
         d = dom(n=2, N=8, Nt=8, T=TWO_PI)
-        assert phi_embed(DualIndex((0, 0), 0), d)[1] == 0.0
-        assert phi_embed(DualIndex((0, 0), 3), d)[1] == pytest.approx(3.0, abs=0)
+        assert DualIndex((0, 0), 0).frequencies(d)[1] == 0.0
+        assert DualIndex((0, 0), 3).frequencies(d)[1] == pytest.approx(3.0, abs=0)
 
     def test_exact_identity_on_dual_grid(self):
         # chi collapses to the k == 0 indicator on integers, and the two
@@ -170,33 +206,37 @@ class TestTransferenceIdentity:
         d = dom(n=2, N=8, Nt=8, L=4.0, T=3.0)
         p = params(lam=2.0, T=3.0)
         for m1, m2, k in itertools.product(range(-3, 4), repeat=3):
-            idx = DualIndex((m1, m2), k)
-            xi, eta = phi_embed(idx, d)
-            assert evaluate_M(idx, p, d) == evaluate_m(xi, eta, p)
+            xi, eta = DualIndex((m1, m2), k).frequencies(d)
+            assert multiplier_at(d, p, (m1, m2), k) == evaluate_m(xi, eta, p)
 
 
 class TestHelmholtzSymbol:
     def test_axis_vector(self):
         np.testing.assert_allclose(
-            helmholtz_symbol((1.0, 0.0, 0.0)), np.diag([0.0, 1.0, 1.0]), atol=0
+            projector_at(dom(), (1, 0, 0)), np.diag([0.0, 1.0, 1.0]), atol=0
         )
 
     def test_zero_convention(self):
-        np.testing.assert_allclose(helmholtz_symbol((0.0, 0.0)), np.eye(2), atol=0)
+        np.testing.assert_allclose(
+            projector_at(dom(n=2), (0, 0)), np.eye(2), atol=0
+        )
 
     def test_diagonal_vector(self):
         expected = np.array(
             [[0.5, -0.5, 0.0], [-0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]
         )
         np.testing.assert_allclose(
-            helmholtz_symbol((1.0, 1.0, 0.0)), expected, atol=1e-15
+            projector_at(dom(), (1, 1, 0)), expected, atol=1e-15
         )
 
     def test_idempotent_and_annihilates(self):
+        # a box side L != 2*pi makes every nonzero xi non-integer
+        d = dom(N=16, Nt=4, L=3.0)
         rng = np.random.default_rng(1)
         for _ in range(25):
-            xi = rng.standard_normal(3) * 4
-            P = helmholtz_symbol(xi)
+            m = tuple(rng.integers(-7, 8, size=3))
+            xi = 2.0 * np.pi / d.L * np.array(m)
+            P = projector_at(d, m)
             assert np.max(np.abs(P @ P - P)) <= 1e-14
             assert np.max(np.abs(P @ xi)) <= 1e-14 * np.linalg.norm(xi)
             assert np.max(np.abs(P - P.T)) <= 1e-15
@@ -204,28 +244,30 @@ class TestHelmholtzSymbol:
 
 class TestSteadySymbol:
     def test_stokes_unit_mode(self):
-        assert steady_symbol((1.0, 0.0, 0.0), 0.0) == 1.0 + 0.0j
+        assert steady_symbol_grid(dom(), 0.0)[position(dom(), (1, 0, 0))] == 1.0 + 0.0j
 
     def test_oseen_unit_mode(self):
-        assert steady_symbol((1.0, 0.0, 0.0), 1.0) == pytest.approx(
-            (1.0 + 1.0j) / 2.0, abs=1e-16
-        )
+        value = steady_symbol_grid(dom(), 1.0)[position(dom(), (1, 0, 0))]
+        assert value == pytest.approx((1.0 + 1.0j) / 2.0, abs=1e-16)
 
-    def test_zero_mode_raises(self):
-        with pytest.raises(SingularMode):
-            steady_symbol((0.0, 0.0, 0.0), 1.0)
+    def test_zero_mode_annihilated(self):
+        # the steady operator has no inverse on the zero mode; the grid
+        # maps it to 0 and leaves rejecting such data to the caller
+        assert steady_symbol_grid(dom(), 1.0)[position(dom(), (0, 0, 0))] == 0.0
 
 
 class TestPressureSymbol:
     def test_axis_vector(self):
         np.testing.assert_allclose(
-            pressure_symbol((1.0, 0.0, 0.0)), [-1j, 0.0, 0.0], atol=0
+            pressure_covector_at(dom(), (1, 0, 0)), [-1j, 0.0, 0.0], atol=0
         )
 
     def test_zero_gauge(self):
-        np.testing.assert_allclose(pressure_symbol((0.0, 0.0)), [0.0, 0.0], atol=0)
+        np.testing.assert_allclose(
+            pressure_covector_at(dom(n=2), (0, 0)), [0.0, 0.0], atol=0
+        )
 
     def test_scaling(self):
         np.testing.assert_allclose(
-            pressure_symbol((0.0, 2.0, 0.0)), [0.0, -0.5j, 0.0], atol=0
+            pressure_covector_at(dom(), (0, 2, 0)), [0.0, -0.5j, 0.0], atol=0
         )
