@@ -230,12 +230,7 @@ def _cmd_solve(config: dict, outdir: Path) -> None:
     extra = _common_header(config)
     extra["source"] = source
     if truth is not None:
-        u_true, p_true = truth
-        scale = max(u_true.max_abs(), p_true.max_abs(), 1e-300)
-        extra["recovery_error"] = (
-            max((bundle.u - u_true).max_abs(), (bundle.p - p_true).max_abs())
-            / scale
-        )
+        extra["recovery_error"] = analysis._recovery_error(bundle, *truth)
     save_bundle(bundle, outdir, params, extra=extra)
 
 

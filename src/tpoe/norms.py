@@ -216,8 +216,7 @@ def lq_norm(
     oversampled x2 unless ``q`` is an even integer (where the rectangle rule
     is exact for band-limited fields).
     """
-    if not 1.0 < q < np.inf:
-        raise InvalidExponent(f"exponent must lie in (1, inf), got {q}")
+    NormKind(NormTag.LQ, q).validate(f.domain.n)
     r = _auto_refine(q) if refinement is None else refinement
     return _derivative_lq(f.samples, f.domain, [((0,) * f.domain.n, 0)], q, r)
 
@@ -243,10 +242,9 @@ def sobolev_norm_21q(
     duplication is kept deliberately to match the defining display.  The
     term is evaluated once, and all terms share one forward transform.
     """
-    if not 1.0 < q < np.inf:
-        raise InvalidExponent(f"exponent must lie in (1, inf), got {q}")
-    r = _auto_refine(q) if refinement is None else refinement
     n = u.domain.n
+    NormKind(NormTag.SOBOLEV_21Q, q).validate(n)
+    r = _auto_refine(q) if refinement is None else refinement
     # _multi_indices starts with the underived index
     orders = [(alpha, 0) for alpha in _multi_indices(n, 2)] + [((0,) * n, 1)]
     cell = _cell(u.samples, u.domain, r)

@@ -70,6 +70,24 @@ def _require_period(domain: TorusDomain, params: OseenParams) -> None:
         )
 
 
+def _require_compatible_mean(f: SpaceTimeField, tol: float) -> None:
+    """Reject data whose spatial mean exceeds ``tol`` relative to max|f|:
+    the constant mode is not in the range of the operator on the torus."""
+    scale = f.max_abs()
+    mean = np.mean(f.samples, axis=tuple(range(1, f.samples.ndim)))
+    if scale > 0.0 and np.max(np.abs(mean)) > tol * scale:
+        raise IncompatibleMean(
+            "steady part of the data has a nonzero spatial mean; "
+            "no torus solution exists"
+        )
+
+
+def _require_velocity_pressure(u: SpaceTimeField, p: SpaceTimeField) -> None:
+    _require_vector(u)
+    if not p.is_scalar or p.domain != u.domain:
+        raise DomainMismatch("pressure must be a scalar on the same domain")
+
+
 def time_average(f: SpaceTimeField) -> SpaceTimeField:
     """Projection onto time-constant fields: the mean over one period."""
     mean = np.mean(f.samples, axis=-1, keepdims=True)
@@ -147,11 +165,8 @@ def solve_time_periodic(
         )
     spec = forward(f)
     _check_solenoidal(spec, tol)
-    spec = project_solenoidal(spec)
-    multiplier = time_periodic_multiplier_grid(f.domain, params)
-    return inverse(
-        SpectralField(f.domain, spec.coefficients * multiplier), check=False
-    )
+    spec = project_solenoidal(spec)  # rebind: free the unprojected spectrum
+    return _periodic_part(spec, params)
 
 
 def solve_steady(
@@ -169,20 +184,27 @@ def solve_steady(
     """
     _require_vector(f)
     scale = f.max_abs()
-    if scale > 0.0:
-        if (f - time_average(f)).max_abs() > tol * scale:
-            raise ValueError("steady solve requires a time-constant field")
-        mean = np.mean(f.samples, axis=tuple(range(1, f.samples.ndim)))
-        if np.max(np.abs(mean)) > tol * scale:
-            raise IncompatibleMean(
-                "steady data has a nonzero spatial mean; no torus inverse exists"
-            )
+    if scale > 0.0 and (f - time_average(f)).max_abs() > tol * scale:
+        raise ValueError("steady solve requires a time-constant field")
+    _require_compatible_mean(f, tol)
     spec = forward(f)
     _check_solenoidal(spec, tol)
-    domain = f.domain
-    coeff = spec.coefficients * (domain.time_mode_grid() == 0)
+    return _steady_part(spec, lam)
+
+
+def _steady_part(g: SpectralField, lam: float) -> SpaceTimeField:
+    """The steady symbol applied to the k == 0 modes of ``g``, inverted."""
+    domain = g.domain
+    coeff = g.coefficients * (domain.time_mode_grid() == 0)
     coeff *= steady_symbol_grid(domain, lam)
     return inverse(SpectralField(domain, coeff), check=False)
+
+
+def _periodic_part(g: SpectralField, params: OseenParams) -> SpaceTimeField:
+    """The time-periodic multiplier applied to ``g``, inverted; the
+    multiplier is exactly 0 on k == 0, so the steady modes drop out."""
+    multiplier = time_periodic_multiplier_grid(g.domain, params)
+    return inverse(SpectralField(g.domain, g.coefficients * multiplier), check=False)
 
 
 def _pressure_coefficients(spec: SpectralField) -> np.ndarray:
@@ -200,19 +222,19 @@ def recover_pressure(f: SpaceTimeField) -> SpaceTimeField:
     on each time slice (in particular zero space-time mean).
     """
     _require_vector(f)
-    spec = forward(f)
-    return inverse(SpectralField(f.domain, _pressure_coefficients(spec)), check=False)
+    return _pressure_part(forward(f))
+
+
+def _pressure_part(fh: SpectralField) -> SpaceTimeField:
+    """The pressure whose gradient is the gradient part of ``fh``."""
+    return inverse(SpectralField(fh.domain, _pressure_coefficients(fh)), check=False)
 
 
 def apply_operator(
     u: SpaceTimeField, p: SpaceTimeField, params: OseenParams
 ) -> SpaceTimeField:
     """Forward operator du/dt - Lap(u) - lam*d1(u) + grad(p), spectrally."""
-    _require_vector(u)
-    if not p.is_scalar:
-        raise DomainMismatch("pressure must be scalar")
-    if p.domain != u.domain:
-        raise DomainMismatch("velocity and pressure domains differ")
+    _require_velocity_pressure(u, p)
     domain = u.domain
     uh = forward(u).coefficients
     ph = forward(p).coefficients[0]
@@ -232,9 +254,7 @@ def apply_operator_fd(
     Independent of the spectral path; used as a cross-check oracle for
     residuals.  All differences wrap periodically.
     """
-    _require_vector(u)
-    if not p.is_scalar or p.domain != u.domain:
-        raise DomainMismatch("pressure must be a scalar on the same domain")
+    _require_velocity_pressure(u, p)
     domain = u.domain
     s = u.samples
     dx, dt = domain.dx, domain.dt
@@ -269,9 +289,13 @@ def solve_full(
     Pipeline: Helmholtz projection first, then the time-average split; the
     steady stratum is inverted by the steady symbol, the oscillating part by
     the time-periodic multiplier, and the gradient part determines the
-    pressure.  The report contains every norm applicable to
-    ``(n, lam, q)``; pass ``norm_kinds`` to request specific ones instead
-    (invalid requests raise ``InvalidExponent``).
+    pressure.  The report contains ``lq_data`` (the Lq norm of ``f``) and
+    every norm applicable to ``(n, lam, q)``: ``lq_velocity`` of u,
+    ``sobolev_21q_periodic`` of w, the steady family's tag (for example
+    ``steady_stokes``) of v and ``pressure_xp`` of p.  Pass ``norm_kinds``
+    to request specific ones instead; they are reported under the same
+    names, without ``lq_data`` (invalid requests raise
+    ``InvalidExponent``).
 
     Raises
     ------
@@ -282,38 +306,18 @@ def solve_full(
     """
     _require_vector(f)
     _require_period(f.domain, params)
-    domain = f.domain
-    scale = f.max_abs()
-    if scale > 0.0:
-        mean = np.mean(f.samples, axis=tuple(range(1, f.samples.ndim)))
-        if np.max(np.abs(mean)) > tol * scale:
-            raise IncompatibleMean(
-                "steady part of the data has a nonzero spatial mean; "
-                "no torus solution exists"
-            )
-
+    _require_compatible_mean(f, tol)
     fh = forward(f)
-    p_spec = SpectralField(domain, _pressure_coefficients(fh))
+    p = _pressure_part(fh)
     g = project_solenoidal(fh)
-    steady_mask = domain.time_mode_grid() == 0
-    gs = g.coefficients * steady_mask
-    gp = g.coefficients * ~steady_mask
-
-    v = inverse(
-        SpectralField(domain, gs * steady_symbol_grid(domain, params.lam)),
-        check=False,
-    )
-    w = inverse(
-        SpectralField(domain, gp * time_periodic_multiplier_grid(domain, params)),
-        check=False,
-    )
-    p = inverse(p_spec, check=False)
+    del fh  # at most two spectra are held at once
+    v = _steady_part(g, params.lam)
+    w = _periodic_part(g, params)
+    del g
     u = v + w
-
-    residual = apply_operator(u, p, params) - f
-    residual_norm = residual.max_abs() / (scale if scale > 0.0 else 1.0)
-    # free the solve's spectra: the norm report sets the peak memory
-    del fh, p_spec, g, gs, gp, residual
+    scale = f.max_abs()
+    residual = (apply_operator(u, p, params) - f).max_abs()
+    residual_norm = residual / (scale if scale > 0.0 else 1.0)
 
     report = _norm_report(f, u, w, v, p, params, norm_kinds)
     return SolutionBundle(
@@ -330,42 +334,27 @@ def _norm_report(
     params: OseenParams,
     norm_kinds: list[norms.NormKind] | None,
 ) -> dict[str, float]:
-    n = f.domain.n
-    q = params.q
-    if norm_kinds is not None:
-        report: dict[str, float] = {}
-        for kind in norm_kinds:
-            kind.validate(n, params.lam)
-            report[kind.tag.value] = _norm_value(kind, f, u, w, v, p, params)
-        return report
-
-    report = {
-        "lq_data": norms.lq_norm(f, q),
-        "lq_velocity": norms.lq_norm(u, q),
-        "sobolev_21q_periodic": norms.sobolev_norm_21q(w, q),
-    }
-    steady = norms.steady_kind_for(n, params.lam, q)
-    if steady is not None:
-        report[steady.tag.value] = norms.steady_norm(v, steady, params.lam)
-    if q < n:
-        report["pressure_xp"] = norms.pressure_norm(p, q)
+    n, lam, q = f.domain.n, params.lam, params.q
+    report: dict[str, float] = {}
+    if norm_kinds is None:
+        report["lq_data"] = norms.lq_norm(f, q)
+        norm_kinds = [
+            norms.NormKind(norms.NormTag.LQ, q),
+            norms.NormKind(norms.NormTag.SOBOLEV_21Q, q),
+        ]
+        steady = norms.steady_kind_for(n, lam, q)
+        if steady is not None:
+            norm_kinds.append(steady)
+        if q < n:
+            norm_kinds.append(norms.NormKind(norms.NormTag.PRESSURE_XP, q))
+    # each norm function validates its kind against (n, lam)
+    for kind in norm_kinds:
+        if kind.tag == norms.NormTag.LQ:
+            report["lq_velocity"] = norms.lq_norm(u, kind.q)
+        elif kind.tag == norms.NormTag.SOBOLEV_21Q:
+            report["sobolev_21q_periodic"] = norms.sobolev_norm_21q(w, kind.q)
+        elif kind.tag == norms.NormTag.PRESSURE_XP:
+            report["pressure_xp"] = norms.pressure_norm(p, kind.q)
+        else:
+            report[kind.tag.value] = norms.steady_norm(v, kind, lam)
     return report
-
-
-def _norm_value(
-    kind: norms.NormKind,
-    f: SpaceTimeField,
-    u: SpaceTimeField,
-    w: SpaceTimeField,
-    v: SpaceTimeField,
-    p: SpaceTimeField,
-    params: OseenParams,
-) -> float:
-    tag = kind.tag
-    if tag == norms.NormTag.LQ:
-        return norms.lq_norm(u, kind.q)
-    if tag == norms.NormTag.SOBOLEV_21Q:
-        return norms.sobolev_norm_21q(w, kind.q)
-    if tag == norms.NormTag.PRESSURE_XP:
-        return norms.pressure_norm(p, kind.q)
-    return norms.steady_norm(v, kind, params.lam)

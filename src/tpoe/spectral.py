@@ -170,20 +170,21 @@ class DualIndex(NamedTuple):
         return xi, eta
 
 
-def _check_samples(domain: TorusDomain, samples: np.ndarray) -> np.ndarray:
+def _check_layout(domain: TorusDomain, arr: np.ndarray, what: str) -> None:
+    """Reject ``arr`` (samples or coefficients, named by ``what``) unless it
+    is finite with shape ``(components,) + domain.grid_shape``."""
     expected = domain.grid_shape
-    if samples.ndim != domain.n + 2 or samples.shape[1:] != expected:
+    if arr.ndim != domain.n + 2 or arr.shape[1:] != expected:
         raise DomainMismatch(
-            f"samples shape {samples.shape} does not match "
+            f"{what} shape {arr.shape} does not match "
             f"(components, {', '.join(map(str, expected))})"
         )
-    if samples.shape[0] not in (1, domain.n):
+    if arr.shape[0] not in (1, domain.n):
         raise DomainMismatch(
-            f"field must have 1 or {domain.n} components, got {samples.shape[0]}"
+            f"field must have 1 or {domain.n} components, got {arr.shape[0]}"
         )
-    if not np.all(np.isfinite(samples)):
-        raise DomainMismatch("samples contain non-finite values")
-    return samples
+    if not np.all(np.isfinite(arr)):
+        raise DomainMismatch(f"{what} contain non-finite values")
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,7 @@ class SpaceTimeField:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.samples, dtype=float)
-        _check_samples(self.domain, arr)
+        _check_layout(self.domain, arr, "samples")
         object.__setattr__(self, "samples", arr)
 
     @classmethod
@@ -223,12 +224,6 @@ class SpaceTimeField:
     @property
     def is_scalar(self) -> bool:
         return self.components == 1
-
-    @property
-    def scalar_samples(self) -> np.ndarray:
-        if not self.is_scalar:
-            raise DomainMismatch("field is not scalar")
-        return self.samples[0]
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.samples)))
@@ -269,18 +264,7 @@ class SpectralField:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.coefficients, dtype=complex)
-        expected = self.domain.grid_shape
-        if arr.ndim != self.domain.n + 2 or arr.shape[1:] != expected:
-            raise DomainMismatch(
-                f"coefficients shape {arr.shape} does not match "
-                f"(components, {', '.join(map(str, expected))})"
-            )
-        if arr.shape[0] not in (1, self.domain.n):
-            raise DomainMismatch(
-                f"field must have 1 or {self.domain.n} components, got {arr.shape[0]}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise DomainMismatch("coefficients contain non-finite values")
+        _check_layout(self.domain, arr, "coefficients")
         object.__setattr__(self, "coefficients", arr)
 
     @property

@@ -363,39 +363,27 @@ class TestReportValues:
             assert scaled[key] == expected, key
 
 
-def record_transforms(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
-    """Wrap numpy's n-d transforms; the list collects (name, input shape)."""
-    calls = []
-    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
-        original = getattr(np.fft, name)
-
-        def wrapper(a, *args, _name=name, _original=original, **kwargs):
-            calls.append((_name, np.shape(a)))
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, wrapper)
-    return calls
-
-
 class TestQuadratureWork:
-    def test_steady_norm_transforms_one_spatial_slice(self, monkeypatch):
+    def test_steady_norm_transforms_one_spatial_slice(
+        self, monkeypatch, record_transforms
+    ):
         for d, lam, q in ((dom3(), 0.0, 1.2), (dom2(), 1.0, 1.2)):
             v = random_band_limited_field(
                 d, d.n, np.random.default_rng(4), solenoidal=True,
                 time_constant=True, zero_spatial_mean=True,
             )
             kind = steady_kind_for(d.n, lam, q)
-            calls = record_transforms(monkeypatch)
+            calls = record_transforms()
             steady_norm(v, kind, lam)
             monkeypatch.undo()
             assert calls
             # components first, then the n spatial axes and no time axis
             assert all(len(shape) == d.n + 1 for _, shape in calls), calls
 
-    def test_sobolev_shares_one_forward_transform(self, monkeypatch):
+    def test_sobolev_shares_one_forward_transform(self, record_transforms):
         d = dom3(12, 12)
         u = random_band_limited_field(d, 3, np.random.default_rng(6))
-        calls = record_transforms(monkeypatch)
+        calls = record_transforms()
         sobolev_norm_21q(u, 1.2)
         names = [name for name, _ in calls]
         assert names.count("fftn") + names.count("rfftn") == 1

@@ -352,6 +352,36 @@ class TestSolveFull:
         u_spec = forward(bundle.u)
         assert divergence_defect(u_spec) <= 1e-10 * u_spec.max_abs()
 
+    def test_strata_match_public_solvers(self):
+        for n in (2, 3):
+            N = 12 if n == 3 else 16
+            d = TorusDomain(n=n, L=3.0, N=N, T=5.0, Nt=12)
+            for lam in (0.0, 1.0, -2.5):
+                pr = OseenParams(lam=lam, T=5.0, q=2.0)
+                _, _, f = manufactured_case("mixed", d, pr, seed=5)
+                bundle = solve_full(f, pr, norm_kinds=[])
+                g = apply_helmholtz(f)
+                for got, expected in (
+                    (bundle.v, solve_steady(time_average(g), lam)),
+                    (bundle.w, solve_time_periodic(fluctuation(g), pr)),
+                    (bundle.p, recover_pressure(f)),
+                ):
+                    scale = expected.max_abs()
+                    assert scale > 0.0
+                    assert (got - expected).max_abs() <= 1e-12 * scale, (n, lam)
+
+    def test_transform_count(self, record_transforms):
+        d = dom2(16, 16)
+        pr = params(lam=1.0)
+        _, _, f = manufactured_case("mixed", d, pr, seed=0)
+        calls = record_transforms()
+        solve_full(f, pr, norm_kinds=[])
+        names = [name for name, _ in calls]
+        # forward f; inverse v, w, p; residual: forward u, p and one inverse
+        assert names.count("fftn") == 3, names
+        assert names.count("ifftn") == 4, names
+        assert len(names) == 7, names
+
     def test_incompatible_mean_rejected(self):
         d = dom2(16, 16)
         samples = np.zeros((2,) + d.grid_shape)
@@ -380,6 +410,25 @@ class TestSolveFull:
         report = solve_full(f2, pr2).norm_report
         assert "pressure_xp" not in report
         assert not any(key.startswith("steady") for key in report)
+
+    def test_explicit_norm_kinds_match_default_report(self):
+        for n, lam, q in ((3, 0.0, 1.2), (3, 2.0, 1.8), (2, 1.0, 1.2)):
+            N = 12 if n == 3 else 16
+            d = TorusDomain(n=n, L=TWO_PI, N=N, T=TWO_PI, Nt=N)
+            pr = OseenParams(lam=lam, T=TWO_PI, q=q)
+            _, _, f = manufactured_case("mixed", d, pr, seed=0)
+            kinds = []
+            for tag in NormTag:
+                try:
+                    NormKind(tag, q).validate(n, lam)
+                except InvalidExponent:
+                    continue
+                kinds.append(NormKind(tag, q))
+            default = solve_full(f, pr).norm_report
+            explicit = solve_full(f, pr, norm_kinds=kinds).norm_report
+            expected = {k: v for k, v in default.items() if k != "lq_data"}
+            assert list(explicit) == list(expected), (n, lam, q)
+            assert explicit == expected, (n, lam, q)
 
     def test_explicit_invalid_norm_request_raises(self):
         d = dom2(16, 16)

@@ -136,6 +136,14 @@ class TestTransform:
             SpaceTimeField(d, np.zeros((3, 16, 16, 16)))
         with pytest.raises(DomainMismatch):
             SpaceTimeField.scalar(d, np.full(d.grid_shape, np.nan))
+        with pytest.raises(DomainMismatch, match="coefficients shape"):
+            SpectralField(d, np.zeros((2, 16, 16, 8), dtype=complex))
+        with pytest.raises(DomainMismatch, match="components"):
+            SpectralField(d, np.zeros((3, 16, 16, 16), dtype=complex))
+        coeff = np.zeros((1,) + d.grid_shape, dtype=complex)
+        coeff[0, 1, 0, 0] = complex(np.inf, 0.0)
+        with pytest.raises(DomainMismatch, match="coefficients contain non-finite"):
+            SpectralField(d, coeff)
 
 
 class TestDerivative:
