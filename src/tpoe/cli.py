@@ -4,20 +4,23 @@ Usage::
 
     tpoe <subcommand> --config <path> [--set key=value]...
 
-Subcommands: solve, roundtrip, marcinkiewicz, transference, sweep,
-convergence.  The config is a flat ``key = value`` text file (see SCHEMA);
-``--set`` overrides individual keys.  Outputs land in a run directory named
-by the hash of the resolved config plus the seed, so identical runs are
-byte-identical and sweep provenance survives.
+Subcommands (RUNNERS): solve, roundtrip, marcinkiewicz, transference,
+sweep, convergence.  The config is a flat ``key = value`` text file (see
+SCHEMA; ``#`` starts a comment, an empty value leaves ``recipe`` or
+``input`` unset); ``--set`` overrides individual keys.  Outputs land in a
+run directory named by the hash of the resolved config plus the seed, so
+identical runs are byte-identical and sweep provenance survives.
 
-Exit codes: 0 ok, 2 config error, 3 precondition violation
-(IncompatibleMean, NonSolenoidal, NotPurelyPeriodic), 4 I/O failure,
-5 internal error.
+Exit codes (``_EXIT_CODES``): 0 ok, 2 config error, 3 precondition
+violation (IncompatibleMean, NonSolenoidal, NotPurelyPeriodic), 4 I/O
+failure, 5 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -36,10 +39,9 @@ from .errors import (
     NonSolenoidal,
     NotPurelyPeriodic,
     SnapshotFormatError,
-    TpoeError,
     UnknownRecipe,
 )
-from .snapshot import load_field, save_bundle
+from .snapshot import _write_json, load_field, save_bundle
 from .spectral import TorusDomain
 from .symbols import OseenParams
 
@@ -49,14 +51,17 @@ EXIT_PRECONDITION = 3
 EXIT_IO = 4
 EXIT_INTERNAL = 5
 
-SUBCOMMANDS = (
-    "solve",
-    "roundtrip",
-    "marcinkiewicz",
-    "transference",
-    "sweep",
-    "convergence",
-)
+# exit code -> exception classes; anything else is EXIT_INTERNAL
+_EXIT_CODES = {
+    EXIT_PRECONDITION: (IncompatibleMean, NonSolenoidal, NotPurelyPeriodic),
+    EXIT_CONFIG: (
+        ConfigError, EmptySweep, InvalidGrid, InvalidExponent, UnknownRecipe,
+        DomainMismatch,
+    ),
+    EXIT_IO: (SnapshotFormatError, OSError),
+}
+
+_DOMAIN_KEYS = ("n", "L", "N", "T", "Nt")
 
 TWO_PI = 2.0 * np.pi
 
@@ -117,8 +122,8 @@ def parse_config(path: str, overrides: list[str]) -> dict:
     if not config_path.is_file():
         raise ConfigError(f"config file not found: {path}")
     for lineno, line in enumerate(config_path.read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
@@ -134,7 +139,9 @@ def parse_config(path: str, overrides: list[str]) -> dict:
     for key, value in raw.items():
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
-        parser, _ = SCHEMA[key]
+        parser, default = SCHEMA[key]
+        if default is None and not value:
+            continue
         try:
             config[key] = parser(value)
         except (TypeError, ValueError) as exc:
@@ -172,10 +179,7 @@ def run_directory(config: dict) -> Path:
 
 def _domain(config: dict) -> TorusDomain:
     try:
-        return TorusDomain(
-            n=config["n"], L=config["L"], N=config["N"],
-            T=config["T"], Nt=config["Nt"],
-        )
+        return TorusDomain(**{key: config[key] for key in _DOMAIN_KEYS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -187,23 +191,23 @@ def _params(config: dict) -> OseenParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+def _write_csv(path: Path, header, rows) -> None:
+    # csv writes floats with repr, so every value round-trips exactly
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _common_header(config: dict) -> dict:
+def _common_header(config: dict, **fields) -> dict:
     return {
         "schema_version": 1,
         "generator": analysis.GENERATOR_NAME,
         "seed": config["seed"],
-        "domain": {
-            "n": config["n"], "L": config["L"], "N": config["N"],
-            "T": config["T"], "Nt": config["Nt"],
-        },
+        "domain": {key: config[key] for key in _DOMAIN_KEYS},
         "lambda": config["lambda"],
         "q": config["q"],
+        **fields,
     }
 
 
@@ -227,26 +231,27 @@ def _cmd_solve(config: dict, outdir: Path) -> None:
         source = {"recipe": recipe}
 
     bundle = solver.solve_full(f, params, tol=config["tol"])
-    extra = _common_header(config)
-    extra["source"] = source
+    extra = _common_header(config, source=source)
     if truth is not None:
         extra["recovery_error"] = analysis._recovery_error(bundle, *truth)
     save_bundle(bundle, outdir, params, extra=extra)
 
 
 def _cmd_roundtrip(config: dict, outdir: Path) -> None:
+    if config["ensemble"] < 1:
+        raise ConfigError("ensemble must contain at least one field")
     worst = analysis.roundtrip_verify(
         _domain(config), _params(config), config["ensemble"], config["seed"]
     )
-    payload = _common_header(config)
-    payload.update({"ensemble": config["ensemble"], "worst_relative_error": worst})
+    payload = _common_header(
+        config, ensemble=config["ensemble"], worst_relative_error=worst
+    )
     _write_json(outdir / "roundtrip.json", payload)
 
 
 def _cmd_transference(config: dict, outdir: Path) -> None:
     deviation = analysis.transference_check(_domain(config), _params(config))
-    payload = _common_header(config)
-    payload.update({"max_deviation": deviation})
+    payload = _common_header(config, max_deviation=deviation)
     _write_json(outdir / "transference.json", payload)
 
 
@@ -263,12 +268,28 @@ def _scan_grid(config: dict) -> analysis.ScanGrid:
 
 def _cmd_marcinkiewicz(config: dict, outdir: Path) -> None:
     report = analysis.marcinkiewicz_scan(_params(config), _scan_grid(config))
-    analysis.write_marcinkiewicz_csv(
-        report, outdir / "marcinkiewicz.csv", outdir / "marcinkiewicz_grid.json"
+    _write_csv(
+        outdir / "marcinkiewicz.csv",
+        ("eps_bits", "sup_value"),
+        sorted(report.per_epsilon.items()),
+    )
+    _write_json(
+        outdir / "marcinkiewicz_grid.json",
+        {
+            "grid_spec": report.grid_spec,
+            "overall": report.overall,
+            "lambda": report.params.lam,
+            "T": report.params.T,
+            "q": report.params.q,
+            "cutoff": dataclasses.asdict(report.cutoff),
+            "generator": analysis.GENERATOR_NAME,
+        },
     )
 
 
 def _cmd_sweep(config: dict, outdir: Path) -> None:
+    for T in config["periods"]:  # reject a bad period or q before any work
+        _params({**config, "T": T})
     records = analysis.constant_sweep(
         _domain(config),
         config["q"],
@@ -278,14 +299,20 @@ def _cmd_sweep(config: dict, outdir: Path) -> None:
         config["seed"],
         scan_grid=_scan_grid(config),
     )
-    analysis.write_sweep_csv(records, outdir / "sweep.csv")
+    _write_csv(
+        outdir / "sweep.csv",
+        ("lambda", "T", "q", "N", "Nt", "statistic", "value", "seed"),
+        map(dataclasses.astuple, records),
+    )
     fit = analysis.fit_log_trend(records)
-    payload = _common_header(config)
-    payload.update({"fit": fit})
-    _write_json(outdir / "sweep_fit.json", payload)
+    _write_json(outdir / "sweep_fit.json", _common_header(config, fit=fit))
 
 
 def _cmd_convergence(config: dict, outdir: Path) -> None:
+    if len(config["resolutions"]) < 2:
+        raise ConfigError("convergence study needs at least two resolutions")
+    for N, Nt in config["resolutions"]:  # reject a bad grid before any work
+        _domain({**config, "N": N, "Nt": Nt})
     rows = analysis.convergence_study(
         config["recipe"] or "single-mode",
         _domain(config),
@@ -293,7 +320,11 @@ def _cmd_convergence(config: dict, outdir: Path) -> None:
         config["resolutions"],
         seed=config["seed"],
     )
-    analysis.write_convergence_csv(rows, outdir / "convergence.csv")
+    _write_csv(
+        outdir / "convergence.csv",
+        ("N", "Nt", "residual", "recovery_error", "fd_residual"),
+        map(dataclasses.astuple, rows),
+    )
 
 
 RUNNERS = {
@@ -307,22 +338,9 @@ RUNNERS = {
 
 
 def _classify(exc: Exception) -> int:
-    if isinstance(exc, (IncompatibleMean, NonSolenoidal, NotPurelyPeriodic)):
-        return EXIT_PRECONDITION
-    if isinstance(
-        exc,
-        (
-            ConfigError,
-            EmptySweep,
-            InvalidGrid,
-            InvalidExponent,
-            UnknownRecipe,
-            DomainMismatch,
-        ),
-    ):
-        return EXIT_CONFIG
-    if isinstance(exc, (OSError, SnapshotFormatError)):
-        return EXIT_IO
+    for code, kinds in _EXIT_CODES.items():
+        if isinstance(exc, kinds):
+            return code
     return EXIT_INTERNAL
 
 
@@ -347,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Time-periodic Stokes/Oseen spectral solver and verifier",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the run config")
         p.add_argument(
@@ -375,16 +393,10 @@ def main(argv: list[str] | None = None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "config.resolved.txt").write_text(_canonical_lines(config))
         RUNNERS[args.subcommand](config, outdir)
-    except TpoeError as exc:
+    except Exception as exc:
         code = _classify(exc)
         _emit_error(exc, code, outdir)
         return code
-    except OSError as exc:
-        _emit_error(exc, EXIT_IO, outdir)
-        return EXIT_IO
-    except Exception as exc:  # pragma: no cover - defensive
-        _emit_error(exc, EXIT_INTERNAL, outdir)
-        return EXIT_INTERNAL
     return EXIT_OK
 
 

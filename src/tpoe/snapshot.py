@@ -13,6 +13,7 @@ produce identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -27,17 +28,16 @@ MAGIC = b"TPOE-FIELD v1\n"
 DTYPE = "<f8"
 
 
+def _write_json(path, payload: dict) -> None:
+    """The one JSON file layout: sorted keys, indent 2, trailing newline."""
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def save_field(field: SpaceTimeField, path) -> None:
-    domain = field.domain
-    meta = {
-        "n": domain.n,
-        "L": domain.L,
-        "N": domain.N,
-        "T": domain.T,
-        "Nt": domain.Nt,
-        "components": field.components,
-        "dtype": DTYPE,
-    }
+    meta = dataclasses.asdict(field.domain)
+    meta.update(components=field.components, dtype=DTYPE)
     payload = np.ascontiguousarray(field.samples, dtype=DTYPE).tobytes()
     with open(path, "wb") as handle:
         handle.write(MAGIC)
@@ -102,6 +102,4 @@ def save_bundle(
     }
     if extra:
         summary.update(extra)
-    with open(directory / "summary.json", "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(directory / "summary.json", summary)

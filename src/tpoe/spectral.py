@@ -34,6 +34,9 @@ import numpy as np
 
 from .errors import DomainMismatch, NonHermitian
 
+# relative tolerance of ``inverse``'s conjugate-symmetry and Nyquist checks
+_HERMITIAN_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class TorusDomain:
@@ -316,9 +319,7 @@ def forward(field: SpaceTimeField) -> SpectralField:
     return SpectralField(domain, coeff)
 
 
-def inverse(
-    spec: SpectralField, tol: float = 1e-12, check: bool = True
-) -> SpaceTimeField:
+def inverse(spec: SpectralField, check: bool = True) -> SpaceTimeField:
     """Inverse transform back to real samples.
 
     ``check=False`` skips the symmetry validation; internal pipeline steps
@@ -330,18 +331,18 @@ def inverse(
     ------
     NonHermitian
         If the coefficients violate conjugate symmetry (relative to the
-        largest coefficient) or populate Nyquist modes beyond ``tol``.
+        largest coefficient) or populate Nyquist modes beyond 1e-12 of it.
     """
     domain = spec.domain
     scale = spec.max_abs()
     if check and scale > 0.0:
-        if spec.hermitian_defect() > tol * scale:
+        if spec.hermitian_defect() > _HERMITIAN_TOL * scale:
             raise NonHermitian(
                 "coefficients are not conjugate-symmetric; "
                 "a real inverse does not exist"
             )
         nyquist = np.max(np.abs(spec.coefficients * ~domain.nyquist_mask()))
-        if nyquist > tol * scale:
+        if nyquist > _HERMITIAN_TOL * scale:
             raise NonHermitian("Nyquist modes must vanish on the truncated grid")
     out = np.fft.ifftn(spec.coefficients, axes=_transform_axes(domain))
     out *= domain.Nt / domain.dx**domain.n

@@ -33,10 +33,8 @@ from tpoe.analysis import (
     MARCINKIEWICZ_STATISTIC,
     RATIO_STATISTIC,
     _mixed_partial,
-    write_convergence_csv,
-    write_marcinkiewicz_csv,
-    write_sweep_csv,
 )
+from tpoe.cli import EXIT_OK, main, parse_config, run_directory
 from tpoe.solver import divergence_defect
 from tpoe.symbols import time_periodic_multiplier_grid
 
@@ -362,38 +360,45 @@ class TestConvergence:
             )
 
 
+def run_cli(tmp_path, subcommand, **settings):
+    """Run one ``tpoe`` subcommand on a config of ``settings`` (n=2 on the
+    2*pi torus, seed 0) and return its run directory."""
+    settings = {"n": 2, "N": 16, "Nt": 16, "seed": 0, **settings}
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    assert main([subcommand, "--config", str(config)]) == EXIT_OK
+    return run_directory(parse_config(str(config), []))
+
+
 class TestCsvOutputs:
     def test_sweep_csv_deterministic(self, tmp_path):
-        grid = ScanGrid(n=2, shells=6, directions=2, seed=0)
-        records = constant_sweep(
-            dom2(16, 16), 2.0, [0.0], [TWO_PI], 2, 0, scan_grid=grid
-        )
-        p1 = tmp_path / "a.csv"
-        p2 = tmp_path / "b.csv"
-        write_sweep_csv(records, p1)
-        write_sweep_csv(records, p2)
+        sweep = {"q": 2.0, "lambdas": 0.0, "periods": repr(TWO_PI),
+                 "ensemble": 2, "shells": 6, "directions": 2}
+        p1 = run_cli(tmp_path, "sweep", output_dir=tmp_path / "a", **sweep)
+        p2 = run_cli(tmp_path, "sweep", output_dir=tmp_path / "b", **sweep)
+        p1, p2 = p1 / "sweep.csv", p2 / "sweep.csv"
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
         assert header == "lambda,T,q,N,Nt,statistic,value,seed"
 
     def test_marcinkiewicz_csv(self, tmp_path):
-        report = marcinkiewicz_scan(
-            params(), ScanGrid(n=2, shells=4, directions=2, seed=0)
+        outdir = run_cli(
+            tmp_path, "marcinkiewicz", output_dir=tmp_path, shells=4,
+            directions=2,
         )
-        csv_path = tmp_path / "scan.csv"
-        json_path = tmp_path / "grid.json"
-        write_marcinkiewicz_csv(report, csv_path, json_path)
+        csv_path = outdir / "marcinkiewicz.csv"
+        json_path = outdir / "marcinkiewicz_grid.json"
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "eps_bits,sup_value"
         assert len(lines) == 1 + 2**3
         assert "radial_min" in json_path.read_text()
 
     def test_convergence_csv(self, tmp_path):
-        rows = convergence_study(
-            "single-mode", dom2(16, 16), params(), [(16, 16), (32, 32)]
+        outdir = run_cli(
+            tmp_path, "convergence", output_dir=tmp_path,
+            recipe="single-mode", resolutions="16x16,32x32",
         )
-        path = tmp_path / "conv.csv"
-        write_convergence_csv(rows, path)
+        path = outdir / "convergence.csv"
         lines = path.read_text().splitlines()
         assert lines[0] == "N,Nt,residual,recovery_error,fd_residual"
         assert len(lines) == 3

@@ -1,6 +1,8 @@
 """End-to-end tests of the batch command-line front door."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +10,30 @@ import pytest
 from tpoe import SpaceTimeField, TorusDomain, save_field
 from tpoe.cli import (
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
     EXIT_PRECONDITION,
+    SCHEMA,
     main,
     parse_config,
     run_directory,
 )
+from tpoe.errors import (
+    ConfigError,
+    DomainMismatch,
+    EmptySweep,
+    IncompatibleMean,
+    InvalidExponent,
+    InvalidGrid,
+    NonHermitian,
+    NonSolenoidal,
+    NotPurelyPeriodic,
+    SnapshotFormatError,
+    UnknownRecipe,
+)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 BASE_CONFIG = """
 # demo configuration
@@ -88,6 +107,82 @@ class TestConfigParsing:
         assert main(["solve", "--config", path]) == 5
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "RuntimeError"
+
+    def test_readme_config_block_runs_verbatim(self, tmp_path):
+        block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+        assert "output_dir = runs\n" in block
+        path = tmp_path / "readme.cfg"
+        path.write_text(
+            block.replace("output_dir = runs\n", f"output_dir = {tmp_path}\n")
+        )
+        defaults = {key: default for key, (_, default) in SCHEMA.items()}
+        defaults["output_dir"] = str(tmp_path)
+        assert parse_config(str(path), []) == defaults
+        assert main(["solve", "--config", str(path)]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "subcommand, overrides, message",
+        [
+            ("convergence", ["resolutions=15x16,32x32"], "N must be even"),
+            ("convergence", ["resolutions=16x16"], "at least two resolutions"),
+            ("sweep", ["periods=-1"], "period T must be positive"),
+            ("sweep", ["q=0.5"], "exponent q must lie in (1, inf)"),
+            ("roundtrip", ["ensemble=0"], "at least one field"),
+        ],
+        ids=["odd-N", "one-resolution", "negative-period", "sweep-q", "no-ensemble"],
+    )
+    def test_unrunnable_config_is_config_error(
+        self, config_file, capsys, subcommand, overrides, message
+    ):
+        path = config_file()
+        argv = [subcommand, "--config", path]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert record["exit_code"] == EXIT_CONFIG
+        assert message in record["message"]
+        error_file = run_dir_of(path, overrides) / "error.json"
+        assert json.loads(error_file.read_text()) == record
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (IncompatibleMean, EXIT_PRECONDITION),
+            (NonSolenoidal, EXIT_PRECONDITION),
+            (NotPurelyPeriodic, EXIT_PRECONDITION),
+            (ConfigError, EXIT_CONFIG),
+            (EmptySweep, EXIT_CONFIG),
+            (InvalidGrid, EXIT_CONFIG),
+            (InvalidExponent, EXIT_CONFIG),
+            (UnknownRecipe, EXIT_CONFIG),
+            (DomainMismatch, EXIT_CONFIG),
+            (SnapshotFormatError, EXIT_IO),
+            (OSError, EXIT_IO),
+            (NonHermitian, EXIT_INTERNAL),
+            (RuntimeError, EXIT_INTERNAL),
+        ],
+    )
+    def test_exception_maps_to_exit_code(
+        self, config_file, capsys, monkeypatch, error, code
+    ):
+        import tpoe.cli as cli_module
+
+        def fail(config, outdir):
+            raise error("synthetic")
+
+        monkeypatch.setitem(cli_module.RUNNERS, "solve", fail)
+        path = config_file()
+        assert main(["solve", "--config", path]) == code
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {
+            "error": error.__name__, "message": "synthetic", "exit_code": code,
+        }
+        error_file = run_dir_of(path) / "error.json"
+        assert json.loads(error_file.read_text()) == record
 
 
 class TestSolveCommand:
@@ -199,6 +294,8 @@ class TestAnalysisCommands:
         )
         first = (outdir / "sweep.csv").read_bytes()
         first_fit = (outdir / "sweep_fit.json").read_bytes()
+        header = first.decode().splitlines()[0]
+        assert header == "lambda,T,q,N,Nt,statistic,value,seed"
         assert main(["sweep", "--config", path]) == EXIT_OK
         assert (outdir / "sweep.csv").read_bytes() == first
         assert (outdir / "sweep_fit.json").read_bytes() == first_fit
@@ -212,6 +309,7 @@ class TestAnalysisCommands:
         assert main(["convergence", "--config", path]) == EXIT_OK
         outdir = run_dir_of(path, ["resolutions=16x16,32x32"])
         lines = (outdir / "convergence.csv").read_text().splitlines()
+        assert lines[0] == "N,Nt,residual,recovery_error,fd_residual"
         assert len(lines) == 3
 
 
