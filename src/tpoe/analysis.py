@@ -16,23 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainMismatch, EmptySweep, InvalidGrid, UnknownRecipe
+from .errors import DomainMismatch, EmptySweep, InvalidGrid, NonHermitian, UnknownRecipe
 from .norms import lq_norm, sobolev_norm_21q
 from .solver import (
     SolutionBundle,
+    _project,
     _require_period,
     apply_operator,
     apply_operator_fd,
-    project_solenoidal,
     solve_full,
     solve_time_periodic,
 )
-from .spectral import (
-    SpaceTimeField,
-    SpectralField,
-    TorusDomain,
-    inverse,
-)
+from .spectral import _HERMITIAN_TOL, SpaceTimeField, TorusDomain, _irfft
 from .symbols import (
     DEFAULT_CUTOFF,
     CutoffSpec,
@@ -84,29 +79,31 @@ def random_band_limited_field(
         raise ValueError("solenoidal projection needs a vector field")
 
     band_shape = (components,) + (2 * m_max + 1,) * n + (2 * k_max + 1,)
-    index = [np.arange(-m_max, m_max + 1) % domain.N] * n
-    index += [np.arange(-k_max, k_max + 1) % domain.Nt]
+    modes = np.arange(-m_max, m_max + 1)
     draws = rng.standard_normal(band_shape + (2,))
     band = draws[..., 0] + 1j * draws[..., 1]
-    flipped = np.conj(np.flip(band, axis=tuple(range(1, band.ndim))))
-    band = 0.5 * (band + flipped)
+    band_axes = tuple(range(1, band.ndim))
+    band = 0.5 * (band + np.conj(np.flip(band, axis=band_axes)))
 
     if purely_periodic:
         band[..., k_max] = 0.0
     if time_constant:
-        keep = np.zeros(2 * k_max + 1, dtype=bool)
-        keep[k_max] = True
-        band *= keep
+        band[..., np.arange(2 * k_max + 1) != k_max] = 0.0
     if zero_spatial_mean:
         center = (slice(None),) + (m_max,) * n + (slice(None),)
         band[center] = 0.0
 
-    coeff = np.zeros((components,) + domain.grid_shape, dtype=complex)
-    coeff[np.ix_(np.arange(components), *index)] = band
-    spec = SpectralField(domain, coeff)
     if solenoidal:
-        spec = project_solenoidal(spec)
-    field = inverse(spec)
+        xi = [domain._axis_view(2.0 * np.pi / domain.L * modes, j) for j in range(n)]
+        _project(xi, band)
+    defect = np.max(np.abs(band - np.conj(np.flip(band, axis=band_axes))))
+    if defect > _HERMITIAN_TOL * np.max(np.abs(band)):
+        raise NonHermitian("band coefficients are not conjugate-symmetric")
+    # the k >= 0 half of the band on the half spectrum (forward's / L^n)
+    half = np.zeros((components,) + (domain.N,) * n + (domain.Nt // 2 + 1,), complex)
+    index = [np.arange(components)] + [modes % domain.N] * n
+    half[np.ix_(*index, np.arange(k_max + 1))] = band[..., k_max:] / domain.L**n
+    field = SpaceTimeField(domain, _irfft(half))
     # every accepted flag combination keeps band modes with m != 0 (and a
     # divergence-free direction of each), so the draw vanishes with
     # probability zero
@@ -254,8 +251,8 @@ class ScanGrid:
             raise InvalidGrid("scan grid needs at least one radial shell")
         if self.directions < 0:
             raise InvalidGrid("direction count must be non-negative")
-        if not 0.0 < self.radial_min < self.radial_max:
-            raise InvalidGrid("need 0 < radial_min < radial_max")
+        if not 0.0 < self.radial_min < self.radial_max < np.inf:
+            raise InvalidGrid("need 0 < radial_min < radial_max < inf")
 
     def points(self) -> np.ndarray:
         """All evaluation points, shape (n + 1, P)."""
@@ -337,7 +334,6 @@ def marcinkiewicz_scan(
         raise InvalidGrid("scan grid is empty")
     dim = grid.n + 1
     per_eps: dict[str, float] = {}
-    overall = 0.0
     for eps in itertools.product((0, 1), repeat=dim):
         deriv = _mixed_partial(points, eps, params, cutoff)
         weight = np.ones(points.shape[1])
@@ -346,11 +342,10 @@ def marcinkiewicz_scan(
                 weight = weight * points[i]
         sup = float(np.max(np.abs(weight * deriv)))
         per_eps["".join(map(str, eps))] = sup
-        overall = max(overall, sup)
     return MarcinkiewiczReport(
         per_epsilon=per_eps,
         grid_spec=grid.describe(),
-        overall=overall,
+        overall=float(np.max(list(per_eps.values()))),  # NaN propagates
         params=params,
         cutoff=cutoff,
     )

@@ -288,8 +288,11 @@ def _cmd_marcinkiewicz(config: dict, outdir: Path) -> None:
 
 
 def _cmd_sweep(config: dict, outdir: Path) -> None:
-    for T in config["periods"]:  # reject a bad period or q before any work
+    # reject a bad period, q or drift before any work
+    for T in config["periods"]:
         _params({**config, "T": T})
+    for lam in config["lambdas"]:
+        _params({**config, "lambda": lam})
     records = analysis.constant_sweep(
         _domain(config),
         config["q"],

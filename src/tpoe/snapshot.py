@@ -29,9 +29,10 @@ DTYPE = "<f8"
 
 
 def _write_json(path, payload: dict) -> None:
-    """The one JSON file layout: sorted keys, indent 2, trailing newline."""
+    """The one JSON file layout: sorted keys, indent 2, trailing newline;
+    a non-finite value raises ``ValueError`` instead of writing invalid JSON."""
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
 
 

@@ -27,16 +27,12 @@ from .spectral import (
     SpaceTimeField,
     SpectralField,
     TorusDomain,
+    _irfft,
+    _rfft,
     forward,
     inverse,
 )
-from .symbols import (
-    OseenParams,
-    _denominator,
-    _quotient,
-    steady_symbol_grid,
-    time_periodic_multiplier_grid,
-)
+from .symbols import OseenParams, _denominator, _quotient
 
 DEFAULT_TOL = 1e-10
 
@@ -104,6 +100,21 @@ def _xi_dot(xi, coefficients: np.ndarray) -> np.ndarray:
     return sum(x * c for x, c in zip(xi, coefficients))
 
 
+def _potential(xi, coefficients: np.ndarray) -> np.ndarray:
+    """(xi . c)/|xi|^2 mode-wise (0 at xi = 0) on any layout ``xi``
+    broadcasts against; the gradient part of c is xi times it."""
+    xi_sq = sum(x * x for x in xi)
+    return _quotient(_xi_dot(xi, coefficients), xi_sq, xi_sq == 0.0)
+
+
+def _project(xi, coefficients: np.ndarray) -> np.ndarray:
+    """Remove the gradient part of ``coefficients``, in place."""
+    potential = _potential(xi, coefficients)
+    for j, x in enumerate(xi):
+        coefficients[j] -= x * potential
+    return coefficients
+
+
 def project_solenoidal(spec: SpectralField) -> SpectralField:
     """Spectral Helmholtz projection: remove xi (xi . c)/|xi|^2 mode-wise.
 
@@ -112,13 +123,8 @@ def project_solenoidal(spec: SpectralField) -> SpectralField:
     domain = spec.domain
     if spec.components != domain.n:
         raise DomainMismatch("Helmholtz projection acts on vector fields")
-    xi = domain.xi_grids()
-    xi_sq = domain.xi_squared_grid()
-    scale = _quotient(_xi_dot(xi, spec.coefficients), xi_sq, xi_sq == 0.0)
-    out = spec.coefficients.copy()
-    for j in range(domain.n):
-        out[j] -= xi[j] * scale
-    return SpectralField(domain, out)
+    coeff = _project(domain.xi_grids(), spec.coefficients.copy())
+    return SpectralField(domain, coeff)
 
 
 def apply_helmholtz(f: SpaceTimeField) -> SpaceTimeField:
@@ -133,13 +139,37 @@ def divergence_defect(spec: SpectralField) -> float:
     return float(np.max(np.abs(dot)))
 
 
-def _check_solenoidal(spec: SpectralField, tol: float) -> None:
-    scale = spec.max_abs()
-    if scale > 0.0 and divergence_defect(spec) > tol * scale:
+def _check_solenoidal(xi, coefficients: np.ndarray, tol: float) -> None:
+    scale = float(np.max(np.abs(coefficients)))
+    defect = float(np.max(np.abs(_xi_dot(xi, coefficients))))
+    if scale > 0.0 and defect > tol * scale:
         raise NonSolenoidal(
             "input is not divergence-free within tolerance "
-            f"(defect {divergence_defect(spec):.3e}, scale {scale:.3e})"
+            f"(defect {defect:.3e}, scale {scale:.3e})"
         )
+
+
+def _half_symbol(domain: TorusDomain, lam: float) -> np.ndarray:
+    """|xi|^2 + i*(eta - lam*xi_1) over the half spectrum, k = 0 .. Nt/2."""
+    eta = 2.0 * np.pi / domain.T * np.arange(domain.Nt // 2 + 1)
+    return _denominator(domain.xi_grids(), domain._axis_view(eta, domain.n), lam)
+
+
+def _invert(gh: np.ndarray, domain: TorusDomain, lam: float) -> np.ndarray:
+    """The half spectrum ``gh`` divided by the operator's symbol, in place:
+    the steady inverse on k == 0 and the time-periodic multiplier elsewhere.
+    Only the mode (xi, k) = (0, 0), which has no inverse, is annihilated."""
+    denom = _half_symbol(domain, lam)
+    denom.flat[0] = 1.0  # the mode (xi, k) = (0, 0), zeroed below
+    gh /= denom
+    gh[(slice(None),) + (0,) * (domain.n + 1)] = 0.0
+    return gh
+
+
+def _steady_slice(uh: np.ndarray, domain: TorusDomain) -> SpaceTimeField:
+    """The time-constant field of the k == 0 slice of the half spectrum ``uh``."""
+    spatial = _irfft(uh[..., : domain.N // 2 + 1, 0])[..., np.newaxis]
+    return SpaceTimeField(domain, np.repeat(spatial, domain.Nt, axis=-1))
 
 
 def solve_time_periodic(
@@ -163,10 +193,12 @@ def solve_time_periodic(
         raise NotPurelyPeriodic(
             "data has nonzero time average; only the oscillating part is invertible"
         )
-    spec = forward(f)
-    _check_solenoidal(spec, tol)
-    spec = project_solenoidal(spec)  # rebind: free the unprojected spectrum
-    return _periodic_part(spec, params)
+    xi = f.domain.xi_grids()
+    gh = _rfft(f.samples)
+    _check_solenoidal(xi, gh, tol)
+    gh[..., 0] = 0.0  # the multiplier vanishes on the steady stratum
+    uh = _invert(_project(xi, gh), f.domain, params.lam)
+    return SpaceTimeField(f.domain, _irfft(uh))
 
 
 def solve_steady(
@@ -187,32 +219,14 @@ def solve_steady(
     if scale > 0.0 and (f - time_average(f)).max_abs() > tol * scale:
         raise ValueError("steady solve requires a time-constant field")
     _require_compatible_mean(f, tol)
-    spec = forward(f)
-    _check_solenoidal(spec, tol)
-    return _steady_part(spec, lam)
+    gh = _rfft(f.samples)
+    _check_solenoidal(f.domain.xi_grids(), gh, tol)
+    return _steady_slice(_invert(gh, f.domain, lam), f.domain)
 
 
-def _steady_part(g: SpectralField, lam: float) -> SpaceTimeField:
-    """The steady symbol applied to the k == 0 modes of ``g``, inverted."""
-    domain = g.domain
-    coeff = g.coefficients * (domain.time_mode_grid() == 0)
-    coeff *= steady_symbol_grid(domain, lam)
-    return inverse(SpectralField(domain, coeff), check=False)
-
-
-def _periodic_part(g: SpectralField, params: OseenParams) -> SpaceTimeField:
-    """The time-periodic multiplier applied to ``g``, inverted; the
-    multiplier is exactly 0 on k == 0, so the steady modes drop out."""
-    multiplier = time_periodic_multiplier_grid(g.domain, params)
-    return inverse(SpectralField(g.domain, g.coefficients * multiplier), check=False)
-
-
-def _pressure_coefficients(spec: SpectralField) -> np.ndarray:
+def _pressure_coefficients(xi, coefficients: np.ndarray) -> np.ndarray:
     """-i (xi . f^)/|xi|^2 with the zero covector at xi = 0."""
-    domain = spec.domain
-    xi_sq = domain.xi_squared_grid()
-    dot = _xi_dot(domain.xi_grids(), spec.coefficients)
-    return _quotient(-1j * dot, xi_sq, xi_sq == 0.0)[np.newaxis]
+    return -1j * _potential(xi, coefficients)[np.newaxis]
 
 
 def recover_pressure(f: SpaceTimeField) -> SpaceTimeField:
@@ -222,12 +236,8 @@ def recover_pressure(f: SpaceTimeField) -> SpaceTimeField:
     on each time slice (in particular zero space-time mean).
     """
     _require_vector(f)
-    return _pressure_part(forward(f))
-
-
-def _pressure_part(fh: SpectralField) -> SpaceTimeField:
-    """The pressure whose gradient is the gradient part of ``fh``."""
-    return inverse(SpectralField(fh.domain, _pressure_coefficients(fh)), check=False)
+    ph = _pressure_coefficients(f.domain.xi_grids(), _rfft(f.samples))
+    return SpaceTimeField(f.domain, _irfft(ph))
 
 
 def apply_operator(
@@ -236,14 +246,12 @@ def apply_operator(
     """Forward operator du/dt - Lap(u) - lam*d1(u) + grad(p), spectrally."""
     _require_velocity_pressure(u, p)
     domain = u.domain
-    uh = forward(u).coefficients
-    ph = forward(p).coefficients[0]
+    uph = _rfft(np.concatenate([u.samples, p.samples]))
     xi = domain.xi_grids()
-    symbol = _denominator(xi, domain.eta_grid(), params.lam)
-    out = np.empty_like(uh)
+    symbol = _half_symbol(domain, params.lam)
     for j in range(domain.n):
-        out[j] = symbol * uh[j] + 1j * xi[j] * ph
-    return inverse(SpectralField(domain, out), check=False)
+        uph[j] = symbol * uph[j] + 1j * xi[j] * uph[-1]
+    return SpaceTimeField(domain, _irfft(uph[:-1]))
 
 
 def apply_operator_fd(
@@ -286,11 +294,12 @@ def solve_full(
 ) -> SolutionBundle:
     """Full solve of the momentum system for arbitrary vector data.
 
-    Pipeline: Helmholtz projection first, then the time-average split; the
-    steady stratum is inverted by the steady symbol, the oscillating part by
-    the time-periodic multiplier, and the gradient part determines the
-    pressure.  The report contains ``lq_data`` (the Lq norm of ``f``) and
-    every norm applicable to ``(n, lam, q)``: ``lq_velocity`` of u,
+    Pipeline, on the half spectrum of ``f``: the gradient part determines
+    the pressure, and one quotient by the operator's symbol inverts the
+    Helmholtz projection (the steady symbol on k == 0, the time-periodic
+    multiplier elsewhere); v is the k == 0 slice of u, and w = u - v.  The
+    report contains ``lq_data`` (the Lq norm of ``f``) and every norm
+    applicable to ``(n, lam, q)``: ``lq_velocity`` of u,
     ``sobolev_21q_periodic`` of w, the steady family's tag (for example
     ``steady_stokes``) of v and ``pressure_xp`` of p.  Pass ``norm_kinds``
     to request specific ones instead; they are reported under the same
@@ -307,14 +316,15 @@ def solve_full(
     _require_vector(f)
     _require_period(f.domain, params)
     _require_compatible_mean(f, tol)
-    fh = forward(f)
-    p = _pressure_part(fh)
-    g = project_solenoidal(fh)
-    del fh  # at most two spectra are held at once
-    v = _steady_part(g, params.lam)
-    w = _periodic_part(g, params)
-    del g
-    u = v + w
+    domain = f.domain
+    xi = domain.xi_grids()
+    fh = _rfft(f.samples)
+    p = SpaceTimeField(domain, _irfft(_pressure_coefficients(xi, fh)))
+    uh = _invert(_project(xi, fh), domain, params.lam)  # in place on fh
+    u = SpaceTimeField(domain, _irfft(uh))
+    v = _steady_slice(uh, domain)
+    del fh, uh
+    w = u - v
     scale = f.max_abs()
     residual = (apply_operator(u, p, params) - f).max_abs()
     residual_norm = residual / (scale if scale > 0.0 else 1.0)

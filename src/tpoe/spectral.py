@@ -22,6 +22,15 @@ reads ``||f||_2^2 = (1/L^n) * sum |F|^2`` where the left side is the
 Unmatched Nyquist modes (any index component equal to ``-N/2`` or ``-Nt/2``)
 are zeroed on the forward transform so that real fields round-trip exactly;
 band-limited fields never populate them.
+
+Half spectra
+------------
+Internally the solver, the forward operator, the norms and the random fields
+work on half spectra of real samples (``_rfft``/``_irfft``, numpy's
+``rfftn``/``irfftn`` with ``norm="forward"``): the coefficients are those of
+:func:`forward` divided by ``L^n``, kept only for ``k >= 0`` on the last
+axis, with the Nyquist modes dropped.  The public full layout above is kept
+for ``SpectralField``, ``forward`` and ``inverse``.
 """
 
 from __future__ import annotations
@@ -69,10 +78,10 @@ class TorusDomain:
             raise ValueError(f"N must be even and >= 4, got {self.N}")
         if self.Nt < 4 or self.Nt % 2 != 0:
             raise ValueError(f"Nt must be even and >= 4, got {self.Nt}")
-        if not self.L > 0:
-            raise ValueError(f"box side L must be positive, got {self.L}")
-        if not self.T > 0:
-            raise ValueError(f"period T must be positive, got {self.T}")
+        if not 0 < self.L < np.inf:
+            raise ValueError(f"box side L must be positive and finite, got {self.L}")
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"period T must be positive and finite, got {self.T}")
 
     # -- grid geometry -----------------------------------------------------
 
@@ -137,13 +146,6 @@ class TorusDomain:
     def time_mode_grid(self) -> np.ndarray:
         """Broadcastable array of the integer time index k."""
         return self._axis_view(self.time_modes(), self.n)
-
-    def xi_squared_grid(self) -> np.ndarray:
-        """Broadcastable |xi|^2 over the dual grid."""
-        out = np.zeros((1,) * (self.n + 1))
-        for xi in self.xi_grids():
-            out = out + xi**2
-        return out
 
     def nyquist_mask(self) -> np.ndarray:
         """Boolean grid, True on modes kept by the truncated dual grid."""
@@ -302,10 +304,6 @@ class SpectralField:
         return self.coefficients[(slice(None),) + pos]
 
 
-def _transform_axes(domain: TorusDomain) -> tuple[int, ...]:
-    return tuple(range(1, domain.n + 2))
-
-
 def forward(field: SpaceTimeField) -> SpectralField:
     """Forward group transform; see module docstring for the normalization.
 
@@ -313,7 +311,7 @@ def forward(field: SpaceTimeField) -> SpectralField:
     truncated-grid invariants.
     """
     domain = field.domain
-    coeff = np.fft.fftn(field.samples, axes=_transform_axes(domain))
+    coeff = np.fft.fftn(field.samples, axes=tuple(range(1, domain.n + 2)))
     coeff *= domain.dx**domain.n / domain.Nt
     coeff *= domain.nyquist_mask()
     return SpectralField(domain, coeff)
@@ -344,7 +342,7 @@ def inverse(spec: SpectralField, check: bool = True) -> SpaceTimeField:
         nyquist = np.max(np.abs(spec.coefficients * ~domain.nyquist_mask()))
         if nyquist > _HERMITIAN_TOL * scale:
             raise NonHermitian("Nyquist modes must vanish on the truncated grid")
-    out = np.fft.ifftn(spec.coefficients, axes=_transform_axes(domain))
+    out = np.fft.ifftn(spec.coefficients, axes=tuple(range(1, domain.n + 2)))
     out *= domain.Nt / domain.dx**domain.n
     return SpaceTimeField(domain, out.real)
 
@@ -417,6 +415,28 @@ def refine(field: SpaceTimeField, N: int, Nt: int) -> SpaceTimeField:
     return inverse(embed_spectrum(forward(field), fine))
 
 
+def _rfft(samples: np.ndarray) -> np.ndarray:
+    """Half spectrum (see the module docstring) of real ``samples``: the
+    component axis, then a domain's ``grid_shape`` or, with no time axis,
+    its spatial grid alone.  The last axis is halved, and the Nyquist index
+    ``size // 2`` of every axis is zeroed."""
+    axes = tuple(range(1, samples.ndim))
+    coeff = np.fft.rfftn(samples, axes=axes, norm="forward")
+    for axis, size in zip(axes, samples.shape[1:]):
+        coeff[(slice(None),) * axis + (size // 2,)] = 0.0
+    return coeff
+
+
+def _irfft(coeff: np.ndarray) -> np.ndarray:
+    """Real samples of a half spectrum laid out as :func:`_rfft` returns
+    it; every grid size is even, so the halved axis has ``2 * (len - 1)``
+    points."""
+    sizes = coeff.shape[1:-1] + (2 * (coeff.shape[-1] - 1),)
+    return np.fft.irfftn(
+        coeff, s=sizes, axes=tuple(range(1, coeff.ndim)), norm="forward"
+    )
+
+
 def _refined_derivatives(
     samples: np.ndarray,
     domain: TorusDomain,
@@ -432,46 +452,30 @@ def _refined_derivatives(
     ``refinement`` times as many points per axis; all share one real forward
     transform, and each costs one real inverse.
 
-    The half spectrum is that of :func:`forward` divided by ``L^n``
-    (numpy's ``norm="forward"``), with the same Nyquist modes zeroed, and it
-    is zero-padded as :func:`embed_spectrum` pads the full one, so every
-    entry equals ``inverse(embed_spectrum(spectral_derivative(forward(f),
-    alpha, beta), fine))`` up to rounding.  Each one-dimensional pass scales
-    by its length, so no intermediate exceeds the samples by more than the
-    longest axis.
+    The half spectrum of :func:`_rfft` is zero-padded as
+    :func:`embed_spectrum` pads the full one, so every entry equals
+    ``inverse(embed_spectrum(spectral_derivative(forward(f), alpha, beta),
+    fine))`` up to rounding.  Each one-dimensional pass scales by its
+    length, so no intermediate exceeds the samples by more than the longest
+    axis.
     """
-    axes = tuple(range(1, samples.ndim))
-    has_time = samples.ndim == domain.n + 2
-    sizes = [domain.N] * domain.n + ([domain.Nt] if has_time else [])
+    sizes = samples.shape[1:]
     steps = [2.0 * np.pi / domain.L] * domain.n + [2.0 * np.pi / domain.T]
-    fine_sizes = [refinement * size for size in sizes]
-    # integer modes kept by the truncated grid (Nyquist dropped), their
-    # source positions on the coarse half spectrum and targets on the fine one
-    modes, source, target = [], [], []
-    for axis, size in enumerate(sizes):
-        if axis == len(sizes) - 1:
-            kept = np.arange(size // 2)
-        else:
-            kept = np.fft.fftfreq(size, d=1.0 / size).astype(int)
-            kept = kept[kept != -(size // 2)]
-        modes.append(kept)
-        source.append(kept % size)
-        target.append(kept % fine_sizes[axis])
+    # integer modes of the coarse half spectrum (its Nyquist modes are zero)
+    # and their positions on the fine one
+    modes = [np.fft.fftfreq(size, d=1.0 / size).astype(int) for size in sizes[:-1]]
+    modes.append(np.arange(sizes[-1] // 2 + 1))
+    fine = [refinement * size for size in sizes]
     components = np.arange(samples.shape[0])
-    coeff = np.fft.rfftn(samples, axes=axes, norm="forward")
-    coeff = coeff[np.ix_(components, *source)]
-    fine_shape = (samples.shape[0],) + tuple(fine_sizes[:-1]) + (
-        fine_sizes[-1] // 2 + 1,
-    )
+    where = np.ix_(components, *(m % size for m, size in zip(modes, fine)))
+    freqs = np.ix_(*(1j * step * m for step, m in zip(steps, modes)))
+    coeff = _rfft(samples)
+    fine_shape = (len(components),) + tuple(fine[:-1]) + (fine[-1] // 2 + 1,)
     padded = np.zeros(fine_shape, dtype=complex)
-    where = np.ix_(components, *target)
     for alpha, beta in orders:
-        factor = np.ones((1,) * samples.ndim, dtype=complex)
-        for axis, order in enumerate((*alpha, beta)):
+        factor = 1.0
+        for freq, order in zip(freqs, (*alpha, beta)):
             if order:
-                shape = [1] * samples.ndim
-                shape[axis + 1] = len(modes[axis])
-                freq = (1j * steps[axis] * modes[axis]).reshape(shape)
                 factor = factor * freq**order
         padded[where] = coeff * factor
-        yield np.fft.irfftn(padded, s=fine_sizes, axes=axes, norm="forward")
+        yield _irfft(padded)

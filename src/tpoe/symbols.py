@@ -28,8 +28,10 @@ class OseenParams:
     q: float
 
     def __post_init__(self) -> None:
-        if not self.T > 0:
-            raise ValueError(f"period T must be positive, got {self.T}")
+        if not np.isfinite(self.lam):
+            raise ValueError(f"drift lam must be finite, got {self.lam}")
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"period T must be positive and finite, got {self.T}")
         if not 1.0 < self.q < np.inf:
             raise ValueError(f"exponent q must lie in (1, inf), got {self.q}")
 
@@ -52,9 +54,9 @@ class CutoffSpec:
     outer: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.inner < self.outer:
+        if not 0.0 < self.inner < self.outer < np.inf:
             raise ValueError(
-                f"need 0 < inner < outer, got ({self.inner}, {self.outer})"
+                f"need 0 < inner < outer < inf, got ({self.inner}, {self.outer})"
             )
 
 

@@ -9,6 +9,7 @@ from tpoe import (
     DualIndex,
     EmptySweep,
     InvalidGrid,
+    NonHermitian,
     OseenParams,
     ScanGrid,
     TorusDomain,
@@ -112,6 +113,43 @@ def _dm_deta(xi, eta, pr):
     if w == 0.0 and wp == 0.0:
         return 0.0
     return wp / d - 1j * w / d**2
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: TorusDomain(n=2, L=np.inf, N=16, T=TWO_PI, Nt=16), ValueError),
+            (lambda: TorusDomain(n=2, L=TWO_PI, N=16, T=np.nan, Nt=16), ValueError),
+            (lambda: OseenParams(lam=np.inf, T=TWO_PI, q=2.0), ValueError),
+            (lambda: OseenParams(lam=np.nan, T=TWO_PI, q=2.0), ValueError),
+            (lambda: OseenParams(lam=0.0, T=np.inf, q=2.0), ValueError),
+            (lambda: CutoffSpec(inner=0.5, outer=np.inf), ValueError),
+            (lambda: ScanGrid(n=2, radial_max=np.inf), InvalidGrid),
+            (lambda: ScanGrid(n=2, radial_min=np.nan), InvalidGrid),
+        ],
+        ids=[
+            "L-inf", "T-nan", "lam-inf", "lam-nan", "params-T-inf",
+            "cutoff-outer-inf", "radial-max-inf", "radial-min-nan",
+        ],
+    )
+    def test_rejected_where_built(self, build, error):
+        with pytest.raises(error):
+            build()
+
+    def test_scan_overall_propagates_nan(self, monkeypatch):
+        import tpoe.analysis as analysis_module
+
+        real = analysis_module._mixed_partial
+
+        def spoiled(points, eps, pr, cutoff):
+            out = real(points, eps, pr, cutoff)
+            return out * np.nan if all(eps) else out  # the last pattern only
+
+        monkeypatch.setattr(analysis_module, "_mixed_partial", spoiled)
+        report = marcinkiewicz_scan(params(lam=1.0), ScanGrid(n=2, shells=4))
+        assert np.isnan(report.per_epsilon["111"])
+        assert np.isnan(report.overall)
 
 
 class TestMarcinkiewiczScan:
@@ -249,6 +287,27 @@ class TestManufactured:
     def test_unknown_recipe(self):
         with pytest.raises(UnknownRecipe):
             manufactured_case("nonsense", dom2(16, 16), params())
+
+    def test_transform_count(self, record_transforms):
+        d = dom2(16, 16)
+        calls = record_transforms()
+        manufactured_case("mixed", d, params(lam=1.0), seed=0)
+        names = [name for name, _ in calls]
+        # one inverse per random field (v, w, p), then the operator's pair
+        assert names == ["irfftn"] * 3 + ["rfftn", "irfftn"], names
+
+    def test_band_symmetry_is_checked(self, monkeypatch):
+        import tpoe.analysis as analysis_module
+
+        def lopsided(xi, band):
+            band[(0,) * band.ndim] += 1.0j  # one corner mode, not its mirror
+            return band
+
+        monkeypatch.setattr(analysis_module, "_project", lopsided)
+        with pytest.raises(NonHermitian):
+            random_band_limited_field(
+                dom2(16, 16), 2, np.random.default_rng(0), solenoidal=True
+            )
 
     def test_deterministic(self):
         d = dom2(16, 16)

@@ -340,3 +340,38 @@ class TestRecipeBand:
         path = config_file()
         argv = ["solve", "--config", path, "--set", "N=10", "--set", "Nt=10"]
         assert main(argv) == EXIT_OK
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize(
+        "subcommand, overrides, error, message",
+        [
+            ("transference", ["lambda=inf"], "ConfigError", "lam must be finite"),
+            ("marcinkiewicz", ["radial_max=inf"], "InvalidGrid", "radial_max < inf"),
+            ("solve", ["lambda=nan"], "ConfigError", "lam must be finite"),
+            ("sweep", ["lambdas=0,inf"], "ConfigError", "lam must be finite"),
+            ("roundtrip", ["T=inf"], "ConfigError", "T must be positive and finite"),
+            ("convergence", ["L=nan"], "ConfigError", "L must be positive and finite"),
+        ],
+        ids=[
+            "transference", "marcinkiewicz", "solve", "sweep", "roundtrip",
+            "convergence",
+        ],
+    )
+    def test_non_finite_value_is_config_error(
+        self, config_file, capsys, subcommand, overrides, error, message
+    ):
+        path = config_file()
+        argv = [subcommand, "--config", path]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == error
+        assert record["exit_code"] == EXIT_CONFIG
+        assert message in record["message"]
+        outdir = run_dir_of(path, overrides)
+        assert json.loads((outdir / "error.json").read_text()) == record
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "config.resolved.txt", "error.json"
+        ]

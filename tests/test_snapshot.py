@@ -68,3 +68,10 @@ def test_malformed_header_rejected(tmp_path):
     path.write_bytes(b"TPOE-FIELD v1\n{\"n\": 2}\n")
     with pytest.raises(SnapshotFormatError):
         load_field(path)
+
+
+def test_json_writer_rejects_non_finite_values(tmp_path):
+    from tpoe.snapshot import _write_json
+
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "bad.json", {"max_deviation": float("nan")})

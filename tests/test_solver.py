@@ -1,5 +1,7 @@
 """Tests for projections, mode-wise solves, pressure recovery, solve_full."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,18 @@ class TestApplyOperator:
                 SpaceTimeField.zeros(d, 1), SpaceTimeField.zeros(d, 1), params()
             )
 
+    def test_transform_count(self, record_transforms):
+        d = dom2(16, 16)
+        u = rand_field(d, seed=1, solenoidal=True)
+        p = rand_field(d, components=1, seed=2)
+        calls = record_transforms()
+        apply_operator(u, p, params(lam=1.0))
+        # one forward of the stacked (u, p), one inverse of the velocity
+        assert calls == [
+            ("rfftn", (3,) + d.grid_shape),
+            ("irfftn", (2, 16, 16, 9)),
+        ]
+
 
 class TestSolveFull:
     def test_purely_periodic_solenoidal_data(self):
@@ -377,10 +391,25 @@ class TestSolveFull:
         calls = record_transforms()
         solve_full(f, pr, norm_kinds=[])
         names = [name for name, _ in calls]
-        # forward f; inverse v, w, p; residual: forward u, p and one inverse
-        assert names.count("fftn") == 3, names
-        assert names.count("ifftn") == 4, names
-        assert len(names) == 7, names
+        # forward f; inverse u, p and the spatial-only v; residual: forward
+        # of the stacked (u, p) and one inverse
+        assert names.count("rfftn") == 2, names
+        assert names.count("irfftn") == 4, names
+        assert len(names) == 6, names
+        spatial = [shape for _, shape in calls if len(shape) == d.n + 1]
+        assert spatial == [(d.n, d.N, d.N // 2 + 1)], calls
+
+    def test_allocation_bounded_by_input_size(self):
+        d = TorusDomain(n=3, L=3.0, N=16, T=5.0, Nt=16)
+        pr = OseenParams(lam=-2.5, T=5.0, q=2.0)
+        _, _, f = manufactured_case("mixed", d, pr, seed=0)
+        tracemalloc.start()
+        try:
+            solve_full(f, pr, norm_kinds=[])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * f.samples.nbytes
 
     def test_incompatible_mean_rejected(self):
         d = dom2(16, 16)

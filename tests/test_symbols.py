@@ -62,7 +62,9 @@ def projector_at(d, m):
 def pressure_covector_at(d, m):
     """Pressure coefficient of each unit forcing e_j at spatial mode m."""
     return np.array([
-        _pressure_coefficients(single_mode(d, m, j))[(0,) + position(d, m, 1)]
+        _pressure_coefficients(d.xi_grids(), single_mode(d, m, j).coefficients)[
+            (0,) + position(d, m, 1)
+        ]
         for j in range(d.n)
     ])
 
