@@ -27,7 +27,9 @@ from .solver import (
     solve_full,
     solve_time_periodic,
 )
-from .spectral import _HERMITIAN_TOL, SpaceTimeField, TorusDomain, _irfft
+from .spectral import (
+    _HERMITIAN_TOL, SpaceTimeField, SpectralField, TorusDomain, inverse,
+)
 from .symbols import (
     DEFAULT_CUTOFF,
     CutoffSpec,
@@ -99,11 +101,11 @@ def random_band_limited_field(
     defect = np.max(np.abs(band - np.conj(np.flip(band, axis=band_axes))))
     if defect > _HERMITIAN_TOL * np.max(np.abs(band)):
         raise NonHermitian("band coefficients are not conjugate-symmetric")
-    # the k >= 0 half of the band on the half spectrum (forward's / L^n)
-    half = np.zeros((components,) + (domain.N,) * n + (domain.Nt // 2 + 1,), complex)
+    # the k >= 0 half of the band is the half spectrum
+    spec = SpectralField.zeros(domain, components)
     index = [np.arange(components)] + [modes % domain.N] * n
-    half[np.ix_(*index, np.arange(k_max + 1))] = band[..., k_max:] / domain.L**n
-    field = SpaceTimeField(domain, _irfft(half))
+    spec.coefficients[np.ix_(*index, np.arange(k_max + 1))] = band[..., k_max:]
+    field = inverse(spec, check=False)
     # every accepted flag combination keeps band modes with m != 0 (and a
     # divergence-free direction of each), so the draw vanishes with
     # probability zero
@@ -359,10 +361,12 @@ def transference_check(
     """Max deviation |M(m, k) - m(Phi(m, k))| over the dual grid.
 
     The dual-group embedding Phi is the grid's own frequency arrays, so both
-    sides are evaluated over the whole grid at once; unmatched Nyquist modes
-    are left out.  Zero (exactly) for the default cut-off: on integer time
-    frequencies the bump collapses to the k == 0 indicator.  The ``cutoff``
-    hook exists to demonstrate that a widened bump breaks the identity.
+    sides are evaluated over the whole half grid k = 0 .. Nt/2 at once (on
+    k < 0 both are the conjugates of their values at (-m, -k)); unmatched
+    Nyquist modes are left out.  Zero (exactly) for the default cut-off: on
+    integer time frequencies the bump collapses to the k == 0 indicator.
+    The ``cutoff`` hook exists to demonstrate that a widened bump breaks
+    the identity.
 
     Raises
     ------

@@ -152,8 +152,8 @@ def parse_config(path: str, overrides: list[str]) -> dict:
         raise ConfigError(
             f"unsupported schema_version {config['schema_version']}; expected 1"
         )
-    if not config["tol"] > 0:
-        raise ConfigError("tol must be positive")
+    if not 0 < config["tol"] < np.inf:
+        raise ConfigError("tol must be positive and finite")
     return config
 
 

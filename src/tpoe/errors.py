@@ -13,10 +13,6 @@ class NonHermitian(TpoeError):
     """Spectral coefficients of a would-be real field violate conjugate symmetry."""
 
 
-class SingularMode(TpoeError):
-    """A symbol was requested at a frequency where it has no inverse."""
-
-
 class NotPurelyPeriodic(TpoeError):
     """Input carries time-mean content beyond tolerance."""
 

@@ -7,9 +7,9 @@ exponent ``|f|^q`` is not band-limited; the field is spectrally oversampled
 (factor 2 by default) before quadrature, which bounds the aliasing error
 but does not remove it.
 
-Derivatives and oversampled samples come from real transforms
-(``numpy.fft.rfftn``/``irfftn``) with the half spectrum zero-padded, which
-halves the work and storage of the full complex layout.  A steady norm acts
+Derivatives and oversampled samples come from the spectral module's real
+transform pair (``numpy.fft.rfftn``/``irfftn``) with the half spectrum
+zero-padded.  A steady norm acts
 on a time-constant field, so it is integrated over the time-mean spatial
 slice alone.  Every square and q-th power is taken of values divided by
 their largest magnitude, which is multiplied back after the root, so the

@@ -149,17 +149,11 @@ def _check_solenoidal(xi, coefficients: np.ndarray, tol: float) -> None:
         )
 
 
-def _half_symbol(domain: TorusDomain, lam: float) -> np.ndarray:
-    """|xi|^2 + i*(eta - lam*xi_1) over the half spectrum, k = 0 .. Nt/2."""
-    eta = 2.0 * np.pi / domain.T * np.arange(domain.Nt // 2 + 1)
-    return _denominator(domain.xi_grids(), domain._axis_view(eta, domain.n), lam)
-
-
 def _invert(gh: np.ndarray, domain: TorusDomain, lam: float) -> np.ndarray:
     """The half spectrum ``gh`` divided by the operator's symbol, in place:
     the steady inverse on k == 0 and the time-periodic multiplier elsewhere.
     Only the mode (xi, k) = (0, 0), which has no inverse, is annihilated."""
-    denom = _half_symbol(domain, lam)
+    denom = _denominator(domain.xi_grids(), domain.eta_grid(), lam)
     denom.flat[0] = 1.0  # the mode (xi, k) = (0, 0), zeroed below
     gh /= denom
     gh[(slice(None),) + (0,) * (domain.n + 1)] = 0.0
@@ -248,7 +242,7 @@ def apply_operator(
     domain = u.domain
     uph = _rfft(np.concatenate([u.samples, p.samples]))
     xi = domain.xi_grids()
-    symbol = _half_symbol(domain, params.lam)
+    symbol = _denominator(xi, domain.eta_grid(), params.lam)
     for j in range(domain.n):
         uph[j] = symbol * uph[j] + 1j * xi[j] * uph[-1]
     return SpaceTimeField(domain, _irfft(uph[:-1]))

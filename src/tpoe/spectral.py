@@ -3,34 +3,26 @@
 The computational domain is a periodic box of side ``L`` in ``n`` spatial
 dimensions crossed with a time circle of period ``T``, sampled on a uniform
 ``N^n x Nt`` grid.  Dual frequencies are ``xi_j = (2*pi/L)*m_j`` for integer
-``m_j in [-N/2, N/2)`` and ``eta = (2*pi/T)*k`` for integer
-``k in [-Nt/2, Nt/2)``.
+``m_j in [-N/2, N/2)`` and ``eta = (2*pi/T)*k`` for integer ``k``.
 
-Transform normalization
------------------------
-The forward transform integrates with the Lebesgue measure in space and the
-mean (``1/T``-weighted) measure in time::
+Normalization
+-------------
+Coefficients are space-time means (numpy's ``rfftn`` with
+``norm="forward"``)::
 
-    F(m, k) = (1/Nt) * sum_t (L/N)^n * sum_x f(x, t) * exp(-i xi.x - i eta t)
+    F(m, k) = (1/(N^n Nt)) * sum_(x, t) f(x, t) * exp(-i xi.x - i eta t)
 
-so the ``(0, 0)`` coefficient equals the space-time mean of ``f`` times
-``L^n``.  The inverse carries the reciprocal weights (``1/L^n`` per spatial
-mode, unit weight per time mode).  With this convention Parseval's identity
-reads ``||f||_2^2 = (1/L^n) * sum |F|^2`` where the left side is the
-``1/T``-time-normalized L2 norm.
+so ``F(0, 0)`` is the space-time mean of ``f``.  Samples are real, so
+``F(-m, -k) == conj(F(m, k))`` and only the half spectrum ``k = 0 .. Nt/2``
+is kept, on ``domain.spectral_shape``; the Nyquist modes (any index
+component equal to ``N/2`` or ``k = Nt/2``) are dropped, so band-limited
+fields round-trip exactly.  With the ``1/T``-time-normalized L2 norm,
+Parseval's identity reads::
 
-Unmatched Nyquist modes (any index component equal to ``-N/2`` or ``-Nt/2``)
-are zeroed on the forward transform so that real fields round-trip exactly;
-band-limited fields never populate them.
+    ||f||_2^2 = L^n * (sum_(k = 0) |F|^2 + 2 * sum_(k > 0) |F|^2)
 
-Half spectra
-------------
-Internally the solver, the forward operator, the norms and the random fields
-work on half spectra of real samples (``_rfft``/``_irfft``, numpy's
-``rfftn``/``irfftn`` with ``norm="forward"``): the coefficients are those of
-:func:`forward` divided by ``L^n``, kept only for ``k >= 0`` on the last
-axis, with the Nyquist modes dropped.  The public full layout above is kept
-for ``SpectralField``, ``forward`` and ``inverse``.
+``_rfft``/``_irfft`` are the one transform pair; :func:`forward` and
+:func:`inverse` validate around them.
 """
 
 from __future__ import annotations
@@ -91,6 +83,11 @@ class TorusDomain:
         return (self.N,) * self.n + (self.Nt,)
 
     @property
+    def spectral_shape(self) -> tuple[int, ...]:
+        """Shape of one scalar component's half spectrum, k = 0 .. Nt/2."""
+        return (self.N,) * self.n + (self.Nt // 2 + 1,)
+
+    @property
     def dx(self) -> float:
         return self.L / self.N
 
@@ -123,11 +120,11 @@ class TorusDomain:
         return np.fft.fftfreq(self.N, d=1.0 / self.N)
 
     def time_modes(self) -> np.ndarray:
-        """Integer temporal frequencies in FFT order."""
-        return np.fft.fftfreq(self.Nt, d=1.0 / self.Nt)
+        """Integer temporal frequencies of the half spectrum: 0..Nt/2."""
+        return np.arange(self.Nt // 2 + 1)
 
     def _axis_view(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """Reshape a 1-d mode array to broadcast along ``axis`` of grid_shape."""
+        """Reshape a 1-d mode array to broadcast along ``axis`` of spectral_shape."""
         shape = [1] * (self.n + 1)
         shape[axis] = len(values)
         return values.reshape(shape)
@@ -148,11 +145,11 @@ class TorusDomain:
         return self._axis_view(self.time_modes(), self.n)
 
     def nyquist_mask(self) -> np.ndarray:
-        """Boolean grid, True on modes kept by the truncated dual grid."""
-        keep = np.ones(self.grid_shape, dtype=bool)
+        """Boolean grid of spectral_shape, True on modes the truncated grid keeps."""
+        keep = np.ones(self.spectral_shape, dtype=bool)
         for j in range(self.n):
             keep &= self._axis_view(np.abs(self.spatial_modes()) != self.N // 2, j)
-        keep &= self._axis_view(np.abs(self.time_modes()) != self.Nt // 2, self.n)
+        keep &= self._axis_view(self.time_modes() != self.Nt // 2, self.n)
         return keep
 
     def refine(self, N: int, Nt: int) -> "TorusDomain":
@@ -175,10 +172,11 @@ class DualIndex(NamedTuple):
         return xi, eta
 
 
-def _check_layout(domain: TorusDomain, arr: np.ndarray, what: str) -> None:
+def _check_layout(
+    domain: TorusDomain, arr: np.ndarray, expected: tuple[int, ...], what: str
+) -> None:
     """Reject ``arr`` (samples or coefficients, named by ``what``) unless it
-    is finite with shape ``(components,) + domain.grid_shape``."""
-    expected = domain.grid_shape
+    is finite with shape ``(components,) + expected``."""
     if arr.ndim != domain.n + 2 or arr.shape[1:] != expected:
         raise DomainMismatch(
             f"{what} shape {arr.shape} does not match "
@@ -205,7 +203,7 @@ class SpaceTimeField:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.samples, dtype=float)
-        _check_layout(self.domain, arr, "samples")
+        _check_layout(self.domain, arr, self.domain.grid_shape, "samples")
         object.__setattr__(self, "samples", arr)
 
     @classmethod
@@ -257,11 +255,13 @@ class SpaceTimeField:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex coefficients on the truncated dual grid, same layout as samples.
+    """Half-spectrum coefficients of a real field: ``(components,) +
+    domain.spectral_shape``, time modes k = 0 .. Nt/2, normalized as in the
+    module docstring.
 
-    When the field represents a real ``SpaceTimeField`` the coefficients are
-    conjugate-symmetric, ``coeff(-m, -k) == conj(coeff(m, k))``, and the
-    Nyquist rows vanish identically.
+    The modes with k < 0 are implied by ``coeff(-m, -k) == conj(coeff(m,
+    k))``, so the k == 0 plane is conjugate-symmetric in m, and the Nyquist
+    rows vanish identically.
     """
 
     domain: TorusDomain
@@ -269,7 +269,7 @@ class SpectralField:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.coefficients, dtype=complex)
-        _check_layout(self.domain, arr, "coefficients")
+        _check_layout(self.domain, arr, self.domain.spectral_shape, "coefficients")
         object.__setattr__(self, "coefficients", arr)
 
     @property
@@ -278,30 +278,31 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, domain: TorusDomain, components: int) -> "SpectralField":
-        return cls(domain, np.zeros((components,) + domain.grid_shape, dtype=complex))
-
-    def _conjugate_flip(self) -> np.ndarray:
-        """conj(coeff(-m, -k)) rearranged onto the (m, k) layout."""
-        c = self.coefficients
-        for axis in range(1, c.ndim):
-            c = np.roll(np.flip(c, axis=axis), 1, axis=axis)
-        return np.conj(c)
+        shape = (components,) + domain.spectral_shape
+        return cls(domain, np.zeros(shape, dtype=complex))
 
     def hermitian_defect(self) -> float:
-        """Max deviation from conjugate symmetry (absolute)."""
-        return float(np.max(np.abs(self.coefficients - self._conjugate_flip())))
+        """Max deviation from conjugate symmetry (absolute) on the k == 0
+        plane, the only self-conjugate plane of the half spectrum."""
+        plane = flipped = self.coefficients[..., 0]
+        for axis in range(1, plane.ndim):
+            flipped = np.roll(np.flip(flipped, axis=axis), 1, axis=axis)
+        return float(np.max(np.abs(plane - np.conj(flipped))))
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coefficients)))
 
     def get(self, index: DualIndex) -> np.ndarray:
-        """Coefficient vector at one dual-grid point (length = components)."""
-        if len(index.m) != self.domain.n:
+        """Coefficient vector at one dual-grid point (length = components);
+        for k < 0 the conjugate of the entry at (-m, -k)."""
+        domain = self.domain
+        if len(index.m) != domain.n:
             raise DomainMismatch("dual index dimension mismatch")
-        pos = tuple(mj % self.domain.N for mj in index.m) + (
-            index.k % self.domain.Nt,
-        )
-        return self.coefficients[(slice(None),) + pos]
+        k = (index.k + domain.Nt // 2) % domain.Nt - domain.Nt // 2
+        sign = -1 if k < 0 else 1
+        pos = tuple(sign * mj % domain.N for mj in index.m) + (sign * k,)
+        entry = self.coefficients[(slice(None),) + pos]
+        return np.conj(entry) if k < 0 else entry
 
 
 def forward(field: SpaceTimeField) -> SpectralField:
@@ -310,11 +311,7 @@ def forward(field: SpaceTimeField) -> SpectralField:
     Nyquist modes are zeroed so that the result always satisfies the
     truncated-grid invariants.
     """
-    domain = field.domain
-    coeff = np.fft.fftn(field.samples, axes=tuple(range(1, domain.n + 2)))
-    coeff *= domain.dx**domain.n / domain.Nt
-    coeff *= domain.nyquist_mask()
-    return SpectralField(domain, coeff)
+    return SpectralField(field.domain, _rfft(field.samples))
 
 
 def inverse(spec: SpectralField, check: bool = True) -> SpaceTimeField:
@@ -328,8 +325,9 @@ def inverse(spec: SpectralField, check: bool = True) -> SpaceTimeField:
     Raises
     ------
     NonHermitian
-        If the coefficients violate conjugate symmetry (relative to the
-        largest coefficient) or populate Nyquist modes beyond 1e-12 of it.
+        If the k == 0 plane violates conjugate symmetry (relative to the
+        largest coefficient) or the coefficients populate Nyquist modes
+        beyond 1e-12 of it.
     """
     domain = spec.domain
     scale = spec.max_abs()
@@ -342,9 +340,7 @@ def inverse(spec: SpectralField, check: bool = True) -> SpaceTimeField:
         nyquist = np.max(np.abs(spec.coefficients * ~domain.nyquist_mask()))
         if nyquist > _HERMITIAN_TOL * scale:
             raise NonHermitian("Nyquist modes must vanish on the truncated grid")
-    out = np.fft.ifftn(spec.coefficients, axes=tuple(range(1, domain.n + 2)))
-    out *= domain.Nt / domain.dx**domain.n
-    return SpaceTimeField(domain, out.real)
+    return SpaceTimeField(domain, _irfft(spec.coefficients))
 
 
 def spectral_derivative(
@@ -375,12 +371,16 @@ def spectral_derivative(
 
 
 def plancherel_norm(spec: SpectralField) -> float:
-    """Discrete L2 norm computed from coefficients: sqrt(sum|F|^2 / L^n).
+    """Discrete L2 norm computed from coefficients by Parseval's identity
+    (module docstring): the k > 0 modes count twice, for their k < 0
+    conjugates.
 
     Equals the 1/T-time-normalized L2 norm of the represented field.
     """
-    total = float(np.sum(np.abs(spec.coefficients) ** 2))
-    return float(np.sqrt(total / spec.domain.L**spec.domain.n))
+    domain = spec.domain
+    weight = np.where(domain.time_mode_grid() > 0, 2.0, 1.0)
+    total = float(np.sum(weight * np.abs(spec.coefficients) ** 2))
+    return float(np.sqrt(domain.L**domain.n * total))
 
 
 def embed_spectrum(spec: SpectralField, fine: TorusDomain) -> SpectralField:
@@ -398,7 +398,7 @@ def embed_spectrum(spec: SpectralField, fine: TorusDomain) -> SpectralField:
         or fine.Nt < coarse.Nt
     ):
         raise DomainMismatch("target grid must refine the source torus")
-    out = np.zeros((spec.components,) + fine.grid_shape, dtype=complex)
+    out = np.zeros((spec.components,) + fine.spectral_shape, dtype=complex)
     index: list[np.ndarray] = []
     for axis_modes, size in [(coarse.spatial_modes(), fine.N)] * coarse.n + [
         (coarse.time_modes(), fine.Nt)
@@ -452,8 +452,8 @@ def _refined_derivatives(
     ``refinement`` times as many points per axis; all share one real forward
     transform, and each costs one real inverse.
 
-    The half spectrum of :func:`_rfft` is zero-padded as
-    :func:`embed_spectrum` pads the full one, so every entry equals
+    The half spectrum is zero-padded as :func:`embed_spectrum` pads a
+    ``SpectralField``, so every entry equals
     ``inverse(embed_spectrum(spectral_derivative(forward(f), alpha, beta),
     fine))`` up to rounding.  Each one-dimensional pass scales by its
     length, so no intermediate exceeds the samples by more than the longest

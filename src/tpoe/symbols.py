@@ -1,12 +1,14 @@
 """The Fourier symbols of the solver pipeline, as arrays over (xi, eta).
 
 Every symbol is one array function over broadcastable frequency arrays,
-with scalars as its 0-d case.  ``_denominator`` is the one arithmetic path
-for |xi|^2 + i*(eta - lam*xi_1): the time-periodic multiplier M on the dual
-grid, its Euclidean counterpart m, the steady inverse (eta = 0) and the
-forward operator in ``solver.apply_operator`` all call it.  So M and m agree
-exactly, not approximately, at integer time frequencies: there the cut-off
-bump collapses to the k == 0 indicator.
+with scalars as its 0-d case; on the dual grid the arrays are those of
+``TorusDomain``, so they span the half spectrum k = 0 .. Nt/2 that
+``SpectralField`` holds.  ``_denominator`` is the one arithmetic path for
+|xi|^2 + i*(eta - lam*xi_1): the time-periodic multiplier M on the dual
+grid, its Euclidean counterpart m, and the solver's quotient and forward
+operator all call it.  So M and m agree exactly, not approximately, at
+integer time frequencies: there the cut-off bump collapses to the k == 0
+indicator.
 """
 
 from __future__ import annotations
@@ -131,8 +133,8 @@ def evaluate_m(
 def time_periodic_multiplier_grid(
     domain: TorusDomain, params: OseenParams
 ) -> np.ndarray:
-    """Solution multiplier over the full dual grid, broadcastable over
-    ``domain.grid_shape``.
+    """Solution multiplier over the dual grid, of ``domain.spectral_shape``
+    (k = 0 .. Nt/2; M(-m, -k) is the conjugate of M(m, k)).
 
     0 on the whole steady stratum k == 0 (exact integer test) and
     ``1 / (|xi|^2 + i*((2*pi/T)*k - lam*xi_1))`` otherwise, with
@@ -140,14 +142,3 @@ def time_periodic_multiplier_grid(
     """
     denom = _denominator(domain.xi_grids(), domain.eta_grid(), params.lam)
     return _quotient(1.0, denom, domain.time_mode_grid() == 0)
-
-
-def steady_symbol_grid(domain: TorusDomain, lam: float) -> np.ndarray:
-    """Steady inverse 1 / (|xi|^2 - i*lam*xi_1) over the spatial dual grid.
-
-    The zero mode, where the steady operator has no inverse, maps to 0: the
-    caller is responsible for rejecting data with content on it; this grid
-    silently annihilates it.
-    """
-    denom = _denominator(domain.xi_grids(), 0.0, lam)
-    return _quotient(1.0, denom, denom.real == 0.0)  # real part is |xi|^2

@@ -352,10 +352,11 @@ class TestNonFiniteParameters:
             ("sweep", ["lambdas=0,inf"], "ConfigError", "lam must be finite"),
             ("roundtrip", ["T=inf"], "ConfigError", "T must be positive and finite"),
             ("convergence", ["L=nan"], "ConfigError", "L must be positive and finite"),
+            ("solve", ["tol=inf"], "ConfigError", "tol must be positive and finite"),
         ],
         ids=[
             "transference", "marcinkiewicz", "solve", "sweep", "roundtrip",
-            "convergence",
+            "convergence", "solve-tol",
         ],
     )
     def test_non_finite_value_is_config_error(
@@ -370,7 +371,13 @@ class TestNonFiniteParameters:
         assert record["error"] == error
         assert record["exit_code"] == EXIT_CONFIG
         assert message in record["message"]
-        outdir = run_dir_of(path, overrides)
+        try:
+            outdir = run_dir_of(path, overrides)
+        except ConfigError as exc:
+            # rejected while parsing, before any run directory exists
+            assert str(exc) == record["message"]
+            assert not (Path(path).parent / "out").exists()
+            return
         assert json.loads((outdir / "error.json").read_text()) == record
         assert sorted(p.name for p in outdir.iterdir()) == [
             "config.resolved.txt", "error.json"

@@ -7,9 +7,11 @@ from tpoe import (
     DomainMismatch,
     DualIndex,
     NonHermitian,
+    OseenParams,
     SpaceTimeField,
     SpectralField,
     TorusDomain,
+    apply_helmholtz,
     embed_spectrum,
     forward,
     inverse,
@@ -18,6 +20,7 @@ from tpoe import (
     random_band_limited_field,
     refine,
     spectral_derivative,
+    transference_check,
 )
 from tpoe.spectral import _refined_derivatives
 
@@ -44,7 +47,8 @@ class TestTorusDomain:
     def test_mode_ranges(self):
         d = dom2(N=8, Nt=8)
         assert sorted(d.spatial_modes()) == list(range(-4, 4))
-        assert sorted(d.time_modes()) == list(range(-4, 4))
+        assert list(d.time_modes()) == list(range(0, 5))
+        assert d.spectral_shape == (8, 8, 5)
 
     def test_dual_index_frequencies(self):
         d = TorusDomain(n=2, L=4.0, N=8, T=3.0, Nt=8)
@@ -62,19 +66,19 @@ class TestTransform:
         field = SpaceTimeField.scalar(d, np.full(d.grid_shape, c))
         spec = forward(field)
         zero = spec.get(DualIndex((0, 0), 0))[0]
-        assert zero == pytest.approx(c * d.L**2, rel=1e-13)
+        assert zero == pytest.approx(c, rel=1e-13)
         rest = spec.coefficients.copy()
         rest[0, 0, 0, 0] = 0.0
         assert np.max(np.abs(rest)) < 1e-12 * abs(zero)
 
     def test_cosine_splits_into_two_modes(self):
-        # Euler's formula under the volume-weighted normalization:
-        # modulus c/2 * L^n at m = +-e1, k = 0
+        # Euler's formula under the mean normalization:
+        # modulus c/2 at m = +-e1, k = 0
         d = dom2()
         c = 2.0
         x1 = d.meshgrid()[0]
         spec = forward(SpaceTimeField.scalar(d, c * np.cos(x1)))
-        expected = c / 2.0 * d.L**2
+        expected = c / 2.0
         for m in ((1, 0), (-1, 0)):
             assert abs(spec.get(DualIndex(m, 0))[0]) == pytest.approx(
                 expected, rel=1e-13
@@ -82,6 +86,16 @@ class TestTransform:
         spec.coefficients[0, 1, 0, 0] = 0.0
         spec.coefficients[0, -1, 0, 0] = 0.0
         assert np.max(np.abs(spec.coefficients)) < 1e-12 * expected
+
+    def test_negative_time_mode_reads_conjugate(self):
+        # sin(x1 + t) = (e^{i(x1 + t)} - e^{-i(x1 + t)}) / 2i: the half
+        # spectrum holds -i/2 at (e1, 1), and (-e1, -1) reads its conjugate
+        d = dom2(N=16, Nt=16)
+        x1, _, t = d.meshgrid()
+        spec = forward(SpaceTimeField.scalar(d, np.sin(x1 + t)))
+        assert spec.get(DualIndex((1, 0), 1))[0] == pytest.approx(-0.5j, abs=1e-15)
+        assert spec.get(DualIndex((-1, 0), -1))[0] == pytest.approx(0.5j, abs=1e-15)
+        assert abs(spec.get(DualIndex((1, 0), -1))[0]) <= 1e-15
 
     def test_roundtrip_random_band_limited(self):
         d = dom2()
@@ -116,14 +130,14 @@ class TestTransform:
 
     def test_non_hermitian_input_rejected(self):
         d = dom2(N=16, Nt=16)
-        coeff = np.zeros((1,) + d.grid_shape, dtype=complex)
+        coeff = np.zeros((1,) + d.spectral_shape, dtype=complex)
         coeff[0, 1, 0, 0] = 1.0 + 2.0j  # no conjugate partner
         with pytest.raises(NonHermitian):
             inverse(SpectralField(d, coeff))
 
     def test_nyquist_content_rejected(self):
         d = dom2(N=16, Nt=16)
-        coeff = np.zeros((1,) + d.grid_shape, dtype=complex)
+        coeff = np.zeros((1,) + d.spectral_shape, dtype=complex)
         coeff[0, 8, 0, 0] = 1.0  # spatial Nyquist row is self-conjugate
         with pytest.raises(NonHermitian, match="Nyquist"):
             inverse(SpectralField(d, coeff))
@@ -137,10 +151,10 @@ class TestTransform:
         with pytest.raises(DomainMismatch):
             SpaceTimeField.scalar(d, np.full(d.grid_shape, np.nan))
         with pytest.raises(DomainMismatch, match="coefficients shape"):
-            SpectralField(d, np.zeros((2, 16, 16, 8), dtype=complex))
+            SpectralField(d, np.zeros((2,) + d.grid_shape, dtype=complex))
         with pytest.raises(DomainMismatch, match="components"):
-            SpectralField(d, np.zeros((3, 16, 16, 16), dtype=complex))
-        coeff = np.zeros((1,) + d.grid_shape, dtype=complex)
+            SpectralField(d, np.zeros((3,) + d.spectral_shape, dtype=complex))
+        coeff = np.zeros((1,) + d.spectral_shape, dtype=complex)
         coeff[0, 1, 0, 0] = complex(np.inf, 0.0)
         with pytest.raises(DomainMismatch, match="coefficients contain non-finite"):
             SpectralField(d, coeff)
@@ -197,10 +211,11 @@ class TestDerivative:
 
 
 class TestPlancherel:
-    def test_matches_quadrature_l2(self):
-        d = dom2()
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_quadrature_l2(self, n):
+        d = TorusDomain(n=n, L=3.0, N=16, T=5.0, Nt=16)
         for seed in range(3):
-            f = random_band_limited_field(d, 2, np.random.default_rng(seed))
+            f = random_band_limited_field(d, n, np.random.default_rng(seed))
             spectral = plancherel_norm(forward(f))
             physical = lq_norm(f, 2.0)
             assert spectral == pytest.approx(physical, rel=1e-12)
@@ -232,12 +247,33 @@ class TestRefine:
         assert (refine(f_c, 32, 32) - f_f).max_abs() <= 1e-12
 
 
+class TestSingleBackend:
+    def test_forward_and_inverse_make_one_real_transform(self, record_transforms):
+        d = dom2(N=16, Nt=16)
+        f = random_band_limited_field(d, 2, np.random.default_rng(1))
+        calls = record_transforms()
+        inverse(forward(f))
+        assert calls == [
+            ("rfftn", (2,) + d.grid_shape), ("irfftn", (2,) + d.spectral_shape)
+        ]
+
+    def test_no_complex_transform(self, record_transforms):
+        d = dom2(N=16, Nt=16)
+        calls = record_transforms()
+        f = random_band_limited_field(d, 2, np.random.default_rng(2))
+        refine(f, 32, 32)
+        apply_helmholtz(f)
+        assert transference_check(d, OseenParams(lam=1.0, T=d.T, q=2.0)) == 0.0
+        names = [name for name, _ in calls]
+        assert names == ["irfftn"] + ["rfftn", "irfftn"] * 2, names
+
+
 class TestRefinedDerivatives:
-    # the real-transform path of the norm quadrature against the full
-    # complex layout: forward, spectral_derivative, embed_spectrum, inverse
+    # the shape-driven path of the norm quadrature against the public
+    # calculus: forward, spectral_derivative, embed_spectrum, inverse
     ORDERS = [((0, 0), 0), ((1, 0), 0), ((1, 1), 0), ((0, 2), 0), ((0, 0), 1)]
 
-    def full_layout(self, f, refinement):
+    def public_calculus(self, f, refinement):
         d = f.domain
         fine = d.refine(refinement * d.N, refinement * d.Nt)
         spec = forward(f)
@@ -256,7 +292,7 @@ class TestRefinedDerivatives:
         rng = np.random.default_rng(11)
         f = SpaceTimeField(d, rng.standard_normal((2,) + d.grid_shape))
         got = _refined_derivatives(f.samples, d, self.ORDERS, refinement)
-        for samples, expected in zip(got, self.full_layout(f, refinement)):
+        for samples, expected in zip(got, self.public_calculus(f, refinement)):
             assert samples.shape == expected.shape
             scale = np.max(np.abs(expected))
             assert np.max(np.abs(samples - expected)) <= 1e-12 * scale
@@ -269,7 +305,7 @@ class TestRefinedDerivatives:
         )
         orders = self.ORDERS[:4]  # no time derivative without a time axis
         got = _refined_derivatives(spatial, d, orders, 2)
-        for samples, expected in zip(got, self.full_layout(f, 2)):
+        for samples, expected in zip(got, self.public_calculus(f, 2)):
             scale = np.max(np.abs(expected))
             assert np.max(np.abs(samples[..., np.newaxis] - expected)) <= (
                 1e-12 * scale

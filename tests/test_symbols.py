@@ -1,7 +1,9 @@
 """Tests for the multiplier, projector, and cut-off symbol evaluations.
 
-The projector and pressure symbols are read off the solver's spectral
-functions at single modes; the multiplier and steady symbols off their grids.
+The projector, pressure and steady symbols are read off the solver's
+spectral functions at single modes; the multiplier off its grid.  Grids and
+spectra are half spectra (k >= 0); a k < 0 read conjugates the entry at
+(-m, -k).
 """
 
 import itertools
@@ -18,8 +20,8 @@ from tpoe import (
     cutoff_chi,
     evaluate_m,
 )
-from tpoe.solver import _pressure_coefficients, project_solenoidal
-from tpoe.symbols import steady_symbol_grid, time_periodic_multiplier_grid
+from tpoe.solver import _invert, _pressure_coefficients, project_solenoidal
+from tpoe.symbols import time_periodic_multiplier_grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -33,18 +35,32 @@ def dom(n=3, N=8, Nt=8, L=TWO_PI, T=TWO_PI):
 
 
 def position(d, m, k=0):
-    """Grid position of the dual index (m, k)."""
-    return tuple(mj % d.N for mj in m) + (k % d.Nt,)
+    """Half-spectrum position of the dual index (m, k), k >= 0."""
+    assert 0 <= k <= d.Nt // 2
+    return tuple(mj % d.N for mj in m) + (k,)
 
 
 def multiplier_at(d, p, m, k):
-    """Solution multiplier at one dual-grid point, read off the grid."""
-    return time_periodic_multiplier_grid(d, p)[position(d, m, k)]
+    """Solution multiplier at one dual-grid point, read off the half grid;
+    for k < 0 the conjugate of the entry at (-m, -k)."""
+    grid = time_periodic_multiplier_grid(d, p)
+    if k < 0:
+        return np.conj(grid[position(d, [-mj for mj in m], -k)])
+    return grid[position(d, m, k)]
+
+
+def steady_inverse_at(d, lam, m):
+    """The steady inverse the solver applies: ``_invert`` on the unit k == 0
+    spectrum at spatial mode m, read back at that mode."""
+    pos = (0,) + position(d, m)
+    coeff = np.zeros((1,) + d.spectral_shape, dtype=complex)
+    coeff[pos] = 1.0
+    return _invert(coeff, d, lam)[pos]
 
 
 def single_mode(d, m, j, k=1):
     """Spectrum with one unit coefficient: component j at the mode (m, k)."""
-    coeff = np.zeros((d.n,) + d.grid_shape, dtype=complex)
+    coeff = np.zeros((d.n,) + d.spectral_shape, dtype=complex)
     coeff[(j,) + position(d, m, k)] = 1.0
     return SpectralField(d, coeff)
 
@@ -246,16 +262,16 @@ class TestHelmholtzSymbol:
 
 class TestSteadySymbol:
     def test_stokes_unit_mode(self):
-        assert steady_symbol_grid(dom(), 0.0)[position(dom(), (1, 0, 0))] == 1.0 + 0.0j
+        assert steady_inverse_at(dom(), 0.0, (1, 0, 0)) == 1.0 + 0.0j
 
     def test_oseen_unit_mode(self):
-        value = steady_symbol_grid(dom(), 1.0)[position(dom(), (1, 0, 0))]
+        value = steady_inverse_at(dom(), 1.0, (1, 0, 0))
         assert value == pytest.approx((1.0 + 1.0j) / 2.0, abs=1e-16)
 
     def test_zero_mode_annihilated(self):
-        # the steady operator has no inverse on the zero mode; the grid
-        # maps it to 0 and leaves rejecting such data to the caller
-        assert steady_symbol_grid(dom(), 1.0)[position(dom(), (0, 0, 0))] == 0.0
+        # the steady operator has no inverse on the zero mode; the solver
+        # maps it to 0 and leaves rejecting such data to its callers
+        assert steady_inverse_at(dom(), 1.0, (0, 0, 0)) == 0.0
 
 
 class TestPressureSymbol:
