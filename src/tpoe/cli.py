@@ -43,7 +43,7 @@ from .errors import (
 )
 from .snapshot import _write_json, load_field, save_bundle
 from .spectral import TorusDomain
-from .symbols import OseenParams
+from .symbols import DEFAULT_CUTOFF, OseenParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -100,7 +100,7 @@ SCHEMA: dict = {
     "lambda": (float, 0.0),
     "q": (float, 2.0),
     "seed": (int, 0),
-    "tol": (float, 1e-10),
+    "tol": (float, solver.DEFAULT_TOL),
     "output_dir": (str, "runs"),
     "recipe": (str, None),
     "input": (str, None),
@@ -267,7 +267,8 @@ def _scan_grid(config: dict) -> analysis.ScanGrid:
 
 
 def _cmd_marcinkiewicz(config: dict, outdir: Path) -> None:
-    report = analysis.marcinkiewicz_scan(_params(config), _scan_grid(config))
+    params, grid = _params(config), _scan_grid(config)
+    report = analysis.marcinkiewicz_scan(params, grid)
     _write_csv(
         outdir / "marcinkiewicz.csv",
         ("eps_bits", "sup_value"),
@@ -276,12 +277,12 @@ def _cmd_marcinkiewicz(config: dict, outdir: Path) -> None:
     _write_json(
         outdir / "marcinkiewicz_grid.json",
         {
-            "grid_spec": report.grid_spec,
+            "grid_spec": dataclasses.asdict(grid),
             "overall": report.overall,
-            "lambda": report.params.lam,
-            "T": report.params.T,
-            "q": report.params.q,
-            "cutoff": dataclasses.asdict(report.cutoff),
+            "lambda": params.lam,
+            "T": params.T,
+            "q": params.q,
+            "cutoff": dataclasses.asdict(DEFAULT_CUTOFF),
             "generator": analysis.GENERATOR_NAME,
         },
     )

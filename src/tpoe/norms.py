@@ -3,9 +3,10 @@
 All integrals are rectangle-rule sums on the periodic grid: exact for
 band-limited integrands when the exponent is an even integer, since the
 integrand is then itself a trigonometric polynomial.  For any other
-exponent ``|f|^q`` is not band-limited; the field is spectrally oversampled
-(factor 2 by default) before quadrature, which bounds the aliasing error
-but does not remove it.
+exponent ``|f|^q`` is not band-limited; the field is then spectrally
+oversampled by the factor 2 before quadrature, which bounds the aliasing
+error but does not remove it.  The exponents alone decide the factor
+(:func:`_auto_refine`).
 
 Derivatives and oversampled samples come from the spectral module's real
 transform pair (``numpy.fft.rfftn``/``irfftn``) with the half spectrum
@@ -33,8 +34,6 @@ import numpy as np
 
 from .errors import InvalidExponent
 from .spectral import SpaceTimeField, TorusDomain, _refined_derivatives
-
-DEFAULT_REFINEMENT = 2
 
 
 class NormTag(str, Enum):
@@ -103,20 +102,28 @@ class NormKind:
                 )
 
 
+def _applicable_kinds(n: int, lam: float, q: float) -> list[NormKind]:
+    """Every norm family that :meth:`NormKind.validate` admits for
+    (n, lam, q), in ``NormTag`` order."""
+    kinds = []
+    for tag in NormTag:
+        kind = NormKind(tag, q)
+        try:
+            kind.validate(n, lam)
+        except InvalidExponent:
+            continue
+        kinds.append(kind)
+    return kinds
+
+
 def steady_kind_for(n: int, lam: float, q: float) -> NormKind | None:
     """Steady norm family applicable to (n, lam, q), or None.
 
     There is no steady space for n == 2 with lam == 0; that combination is
     intentionally absent.
     """
-    for tag in STEADY_TAGS:
-        kind = NormKind(tag, q)
-        try:
-            kind.validate(n, lam)
-        except InvalidExponent:
-            continue
-        return kind
-    return None
+    kinds = _applicable_kinds(n, lam, q)
+    return next((kind for kind in kinds if kind.tag in STEADY_TAGS), None)
 
 
 def _is_even_integer(q: float) -> bool:
@@ -124,9 +131,9 @@ def _is_even_integer(q: float) -> bool:
 
 
 def _auto_refine(*exponents: float) -> int:
-    if all(_is_even_integer(q) for q in exponents):
-        return 1
-    return DEFAULT_REFINEMENT
+    """Oversampling factor of a quadrature: 1 when every exponent is an even
+    integer (the rectangle rule is then exact), else 2."""
+    return 1 if all(_is_even_integer(q) for q in exponents) else 2
 
 
 def _squared_magnitude(arrays: Iterable[np.ndarray]) -> tuple[np.ndarray, float]:
@@ -196,29 +203,24 @@ def _derivative_lq(
     domain: TorusDomain,
     orders: list[tuple[tuple[int, ...], int]],
     q: float,
-    refinement: int,
 ) -> float:
     """Lq norm of the pointwise Euclidean magnitude over every component of
-    every derivative in ``orders``, by the rectangle rule on the refined grid.
+    every derivative in ``orders``, by the rectangle rule on the grid refined
+    by ``_auto_refine(q)``.
     """
-    derivatives = _refined_derivatives(samples, domain, orders, refinement)
-    return float(
-        _lq(*_squared_magnitude(derivatives), _cell(samples, domain, refinement), q)
-    )
+    r = _auto_refine(q)
+    derivatives = _refined_derivatives(samples, domain, orders, r)
+    return float(_lq(*_squared_magnitude(derivatives), _cell(samples, domain, r), q))
 
 
-def lq_norm(
-    f: SpaceTimeField, q: float, refinement: int | None = None
-) -> float:
+def lq_norm(f: SpaceTimeField, q: float) -> float:
     """Space-time Lebesgue norm with 1/T-normalized time measure.
 
-    ``refinement`` overrides the oversampling factor; by default fields are
-    oversampled x2 unless ``q`` is an even integer (where the rectangle rule
-    is exact for band-limited fields).
+    The field is oversampled x2 unless ``q`` is an even integer, where the
+    rectangle rule is exact for band-limited fields.
     """
     NormKind(NormTag.LQ, q).validate(f.domain.n)
-    r = _auto_refine(q) if refinement is None else refinement
-    return _derivative_lq(f.samples, f.domain, [((0,) * f.domain.n, 0)], q, r)
+    return _derivative_lq(f.samples, f.domain, [((0,) * f.domain.n, 0)], q)
 
 
 def _multi_indices(n: int, max_order: int) -> list[tuple[int, ...]]:
@@ -232,19 +234,18 @@ def _multi_indices(n: int, max_order: int) -> list[tuple[int, ...]]:
     return out
 
 
-def sobolev_norm_21q(
-    u: SpaceTimeField, q: float, refinement: int | None = None
-) -> float:
+def sobolev_norm_21q(u: SpaceTimeField, q: float) -> float:
     """Anisotropic norm: q-sum of ||d_x^alpha u||_q over |alpha| <= 2 plus
     ||d_t^beta u||_q over beta <= 1.
 
     Both sums include the underived term, so ||u||_q^q enters twice; the
     duplication is kept deliberately to match the defining display.  The
     term is evaluated once, and all terms share one forward transform.
+    The field is oversampled x2 unless ``q`` is an even integer.
     """
     n = u.domain.n
     NormKind(NormTag.SOBOLEV_21Q, q).validate(n)
-    r = _auto_refine(q) if refinement is None else refinement
+    r = _auto_refine(q)
     # _multi_indices starts with the underived index
     orders = [(alpha, 0) for alpha in _multi_indices(n, 2)] + [((0,) * n, 1)]
     cell = _cell(u.samples, u.domain, r)
@@ -271,7 +272,8 @@ def steady_norm(v: SpaceTimeField, kind: NormKind, lam: float) -> float:
 
     Because the field is time-constant, the 1/T-normalized space-time norm
     equals the spatial norm over the box, so every term is integrated over
-    the time-mean spatial slice.
+    the time-mean spatial slice.  Each term is oversampled x2 unless its own
+    exponent is an even integer.
     """
     if kind.tag not in STEADY_TAGS:
         raise ValueError(f"{kind.tag} is not a steady norm family")
@@ -286,8 +288,7 @@ def steady_norm(v: SpaceTimeField, kind: NormKind, lam: float) -> float:
         if drift > 1e-10 * scale:
             raise ValueError("steady norms require a time-constant field")
     q = kind.q
-    zero = (0,) * n
-    first = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    zero, *first = _multi_indices(n, 1)
     second = [
         tuple((j == a) + (j == b) for j in range(n))
         for a in range(n)
@@ -297,13 +298,7 @@ def steady_norm(v: SpaceTimeField, kind: NormKind, lam: float) -> float:
     def block_norm(
         orders: list[tuple[int, ...]], exponent: float, samples: np.ndarray = mean
     ) -> float:
-        return _derivative_lq(
-            samples,
-            v.domain,
-            [(alpha, 0) for alpha in orders],
-            exponent,
-            _auto_refine(exponent),
-        )
+        return _derivative_lq(samples, v.domain, [(a, 0) for a in orders], exponent)
 
     hess = block_norm(second, q)
     if kind.tag == NormTag.STEADY_STOKES:
@@ -328,22 +323,22 @@ def steady_norm(v: SpaceTimeField, kind: NormKind, lam: float) -> float:
     return float(value)
 
 
-def pressure_norm(p: SpaceTimeField, q: float, refinement: int | None = None) -> float:
+def pressure_norm(p: SpaceTimeField, q: float) -> float:
     """Mixed-exponent pressure norm.
 
     ``((1/T) int_0^T ||p(., t)||_{nq/(n-q)}^q + ||grad p(., t)||_q^q dt)^{1/q}``
     with spatial slice norms inside and the q-integral over time outside.
+    The field is oversampled x2 unless both ``nq/(n-q)`` and ``q`` are even
+    integers.
     """
     n = p.domain.n
     NormKind(NormTag.PRESSURE_XP, q).validate(n)
     if not p.is_scalar:
         raise InvalidExponent("pressure norm applies to scalar fields")
     a = n * q / (n - q)
-    r = _auto_refine(a, q) if refinement is None else refinement
-    first = [(tuple(int(i == j) for i in range(n)), 0) for j in range(n)]
-    derivatives = _refined_derivatives(
-        p.samples, p.domain, [((0,) * n, 0)] + first, r
-    )
+    r = _auto_refine(a, q)
+    orders = [(alpha, 0) for alpha in _multi_indices(n, 1)]
+    derivatives = _refined_derivatives(p.samples, p.domain, orders, r)
     dv = (p.domain.dx / r) ** n
     spatial_axes = tuple(range(n))
     slice_a = _lq(*_squared_magnitude([next(derivatives)]), dv, a, spatial_axes)

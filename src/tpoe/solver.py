@@ -66,6 +66,14 @@ def _require_period(domain: TorusDomain, params: OseenParams) -> None:
         )
 
 
+def _require_tol(tol: float) -> None:
+    """Reject a tolerance under which the precondition checks mean nothing:
+    each tests ``defect > tol * scale``, which no defect passes at inf or NaN
+    and any rounding passes at ``tol <= 0``."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 def _require_compatible_mean(f: SpaceTimeField, tol: float) -> None:
     """Reject data whose spatial mean exceeds ``tol`` relative to max|f|:
     the constant mode is not in the range of the operator on the torus."""
@@ -179,7 +187,10 @@ def solve_time_periodic(
         If the spectral divergence exceeds ``tol`` relative to ``max|f^|``.
     DomainMismatch
         If ``params.T`` is not the period of ``f``'s domain.
+    ValueError
+        If ``tol`` is not positive and finite.
     """
+    _require_tol(tol)
     _require_vector(f)
     _require_period(f.domain, params)
     scale = f.max_abs()
@@ -207,7 +218,10 @@ def solve_steady(
         the operator's range on the torus.
     NonSolenoidal
         If the spectral divergence exceeds tolerance.
+    ValueError
+        If ``tol`` is not positive and finite.
     """
+    _require_tol(tol)
     _require_vector(f)
     scale = f.max_abs()
     if scale > 0.0 and (f - time_average(f)).max_abs() > tol * scale:
@@ -306,7 +320,10 @@ def solve_full(
         If the data's steady solenoidal part has nonzero spatial mean.
     DomainMismatch
         If ``params.T`` is not the period of ``f``'s domain.
+    ValueError
+        If ``tol`` is not positive and finite.
     """
+    _require_tol(tol)
     _require_vector(f)
     _require_period(f.domain, params)
     _require_compatible_mean(f, tol)
@@ -338,19 +355,11 @@ def _norm_report(
     params: OseenParams,
     norm_kinds: list[norms.NormKind] | None,
 ) -> dict[str, float]:
-    n, lam, q = f.domain.n, params.lam, params.q
+    lam, q = params.lam, params.q
     report: dict[str, float] = {}
     if norm_kinds is None:
         report["lq_data"] = norms.lq_norm(f, q)
-        norm_kinds = [
-            norms.NormKind(norms.NormTag.LQ, q),
-            norms.NormKind(norms.NormTag.SOBOLEV_21Q, q),
-        ]
-        steady = norms.steady_kind_for(n, lam, q)
-        if steady is not None:
-            norm_kinds.append(steady)
-        if q < n:
-            norm_kinds.append(norms.NormKind(norms.NormTag.PRESSURE_XP, q))
+        norm_kinds = norms._applicable_kinds(f.domain.n, lam, q)
     # each norm function validates its kind against (n, lam)
     for kind in norm_kinds:
         if kind.tag == norms.NormTag.LQ:

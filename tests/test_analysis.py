@@ -412,6 +412,15 @@ class TestConvergence:
         with pytest.raises(ValueError):
             convergence_study("single-mode", dom2(16, 16), params(), [(16, 16)])
 
+    @pytest.mark.parametrize("q", [2.0, 1.2])
+    def test_transform_count_skips_the_norm_report(self, record_transforms, q):
+        calls = record_transforms()
+        convergence_study(
+            "mixed", dom2(16, 16), params(lam=1.0, q=q), [(16, 16), (32, 32)]
+        )
+        # per resolution: 5 for the mixed case, 6 for the lean solve
+        assert len(calls) == 2 * (5 + 6), [name for name, _ in calls]
+
     def test_unknown_recipe_propagates(self):
         with pytest.raises(UnknownRecipe):
             convergence_study(

@@ -33,6 +33,7 @@ from tpoe import (
     steady_kind_for,
     steady_norm,
 )
+from tpoe.norms import STEADY_TAGS, _applicable_kinds
 
 TWO_PI = 2.0 * np.pi
 
@@ -291,6 +292,29 @@ class TestExponentConstraints:
         assert steady_kind_for(3, 0.0, 1.2).tag == NormTag.STEADY_STOKES
         assert steady_kind_for(3, 2.0, 1.8).tag == NormTag.STEADY_OSEEN
 
+    LQ, SOB = NormTag.LQ, NormTag.SOBOLEV_21Q
+    STOKES, OSEEN = NormTag.STEADY_STOKES, NormTag.STEADY_OSEEN
+    OSEEN_2D, PRESSURE = NormTag.STEADY_OSEEN_2D, NormTag.PRESSURE_XP
+    APPLICABLE = [
+        (3, 0.0, 1.2, [LQ, SOB, STOKES, PRESSURE]),
+        (3, 0.0, 1.5, [LQ, SOB, PRESSURE]),  # Stokes needs q < n/2
+        (3, 1.0, 1.9, [LQ, SOB, OSEEN, PRESSURE]),
+        (3, 1.0, 2.0, [LQ, SOB, PRESSURE]),  # Oseen needs q < (n+1)/2
+        (3, 1.0, 3.0, [LQ, SOB]),  # pressure needs q < n
+        (2, 0.0, 1.2, [LQ, SOB, PRESSURE]),  # no 2-d Stokes family
+        (2, 1.0, 1.2, [LQ, SOB, OSEEN_2D, PRESSURE]),
+        (2, 1.0, 1.5, [LQ, SOB, PRESSURE]),  # 2-d Oseen needs q < 3/2
+        (2, 1.0, 2.0, [LQ, SOB]),
+    ]
+
+    @pytest.mark.parametrize("n, lam, q, tags", APPLICABLE)
+    def test_applicable_kinds_at_each_bound(self, n, lam, q, tags):
+        kinds = _applicable_kinds(n, lam, q)
+        assert kinds == [NormKind(tag, q) for tag in tags]
+        steady = [tag for tag in tags if tag in STEADY_TAGS]
+        expected = NormKind(steady[0], q) if steady else None
+        assert steady_kind_for(n, lam, q) == expected
+
     def test_lq_homogeneity_on_valid_sets(self):
         d = dom2()
         f = random_band_limited_field(d, 2, np.random.default_rng(1))
@@ -343,13 +367,26 @@ class TestReportValues:
             "pressure_xp": N3_LAM1["pressure_xp"],
         }),
     ]
+    # even exponents (q = 2, pressure 6): every term runs at r = 1
+    N3_LAM1_Q2 = {
+        "lq_data": 186.48368274906684,
+        "lq_velocity": 8.149715464852694,
+        "sobolev_21q_periodic": 113.32881574212179,
+        "pressure_xp": 16.726964627586646,
+    }
 
-    @pytest.mark.parametrize("n, N, lam, expected", CASES)
-    def test_recorded_values(self, n, N, lam, expected):
-        report = mixed_report(n, N, lam)
+    @staticmethod
+    def assert_report(report, expected):
         assert set(report) == set(expected)
         for key, value in expected.items():
             assert report[key] == pytest.approx(value, rel=1e-12), key
+
+    @pytest.mark.parametrize("n, N, lam, expected", CASES)
+    def test_recorded_values(self, n, N, lam, expected):
+        self.assert_report(mixed_report(n, N, lam), expected)
+
+    def test_recorded_values_at_even_q(self):
+        self.assert_report(mixed_report(3, 12, 1.0, q=2.0), self.N3_LAM1_Q2)
 
     @pytest.mark.parametrize("scale", [1e300, 1e-300])
     def test_homogeneous_at_extreme_scales(self, scale):

@@ -465,3 +465,23 @@ class TestSolveFull:
         _, _, f = manufactured_case("random", d, pr, seed=0)
         with pytest.raises(InvalidExponent):
             solve_full(f, pr, norm_kinds=[NormKind(NormTag.STEADY_STOKES, 2.0)])
+
+
+class TestTolerance:
+    # a constant forcing has no torus solution; an inf or NaN tol would
+    # let every precondition check pass it
+    SOLVES = {
+        "solve_full": lambda f, tol: solve_full(f, params(), tol=tol),
+        "solve_time_periodic": lambda f, tol: solve_time_periodic(
+            f, params(), tol=tol
+        ),
+        "solve_steady": lambda f, tol: solve_steady(f, 0.0, tol=tol),
+    }
+
+    @pytest.mark.parametrize("solve", sorted(SOLVES))
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1e-10])
+    def test_rejected(self, solve, tol):
+        d = dom2(16, 16)
+        f = SpaceTimeField(d, np.ones((2,) + d.grid_shape))
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            self.SOLVES[solve](f, tol)
