@@ -152,8 +152,10 @@ def parse_config(path: str, overrides: list[str]) -> dict:
         raise ConfigError(
             f"unsupported schema_version {config['schema_version']}; expected 1"
         )
-    if not 0 < config["tol"] < np.inf:
-        raise ConfigError("tol must be positive and finite")
+    try:
+        solver._require_tol(config["tol"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return config
 
 

@@ -8,9 +8,11 @@ oversampled by the factor 2 before quadrature, which bounds the aliasing
 error but does not remove it.  The exponents alone decide the factor
 (:func:`_auto_refine`).
 
-Derivatives and oversampled samples come from the spectral module's real
-transform pair (``numpy.fft.rfftn``/``irfftn``) with the half spectrum
-zero-padded.  A steady norm acts
+Every norm is a list of derivative blocks plus their combination, and
+:func:`_block_norms` is the one quadrature: it takes the derivatives and
+oversampled samples from the spectral module's real transform pair
+(``numpy.fft.rfftn``/``irfftn``) with the half spectrum zero-padded, and
+returns one Lq value per block.  A steady norm acts
 on a time-constant field, so it is integrated over the time-mean spatial
 slice alone.  Every square and q-th power is taken of values divided by
 their largest magnitude, which is multiplied back after the root, so the
@@ -159,22 +161,6 @@ def _squared_magnitude(arrays: Iterable[np.ndarray]) -> tuple[np.ndarray, float]
     return total, scale
 
 
-def _lq(
-    squares: np.ndarray,
-    scale: float,
-    cell: float,
-    q: float,
-    axes: tuple[int, ...] | None = None,
-) -> float | np.ndarray:
-    """``scale * (cell * sum squares^(q/2))^(1/q)``: the rectangle rule for
-    the Lq norm of a magnitude given by :func:`_squared_magnitude`.
-
-    ``axes`` restricts the sum (and returns an array over the rest).
-    """
-    np.power(squares, q / 2.0, out=squares)
-    return scale * (np.sum(squares, axis=axes) * cell) ** (1.0 / q)
-
-
 def _q_sum(terms: list, q: float) -> float:
     """``(mean of sum_i terms_i^q)^(1/q)``.
 
@@ -189,28 +175,40 @@ def _q_sum(terms: list, q: float) -> float:
     return float(top * total ** (1.0 / q))
 
 
-def _cell(samples: np.ndarray, domain: TorusDomain, refinement: int) -> float:
-    """Quadrature weight of one cell of the refined grid: spatial volume,
-    times the 1/T-normalized time step when ``samples`` have a time axis."""
-    cell = (domain.dx / refinement) ** domain.n
-    if samples.ndim == domain.n + 2:
-        cell /= domain.Nt * refinement
-    return cell
-
-
-def _derivative_lq(
+def _block_norms(
     samples: np.ndarray,
     domain: TorusDomain,
-    orders: list[tuple[tuple[int, ...], int]],
-    q: float,
-) -> float:
-    """Lq norm of the pointwise Euclidean magnitude over every component of
-    every derivative in ``orders``, by the rectangle rule on the grid refined
-    by ``_auto_refine(q)``.
+    blocks: list[tuple[list[tuple[tuple[int, ...], int]], float]],
+    per_slice: bool = False,
+) -> list:
+    """For each block ``(orders, q)``, the rectangle-rule Lq norm of the
+    pointwise Euclidean magnitude over every component of every derivative
+    in ``orders``.
+
+    This is the one quadrature of the module.  All blocks share one forward
+    transform, the grid is refined by ``_auto_refine`` of all their
+    exponents, and each order costs one inverse.  With a time axis the cell
+    carries the 1/T-normalized time step; ``per_slice`` sums over the
+    spatial axes only and gives each block's norms as an array over time
+    slices.
     """
-    r = _auto_refine(q)
-    derivatives = _refined_derivatives(samples, domain, orders, r)
-    return float(_lq(*_squared_magnitude(derivatives), _cell(samples, domain, r), q))
+    r = _auto_refine(*(q for _, q in blocks))
+    derivatives = _refined_derivatives(
+        samples, domain, [order for orders, _ in blocks for order in orders], r
+    )
+    axes = tuple(range(domain.n)) if per_slice else None
+    cell = (domain.dx / r) ** domain.n
+    if samples.ndim == domain.n + 2 and not per_slice:
+        cell /= domain.Nt * r
+    values = []
+    for orders, q in blocks:
+        squares, scale = _squared_magnitude(itertools.islice(derivatives, len(orders)))
+        if len(values) + 1 == len(blocks):
+            derivatives.close()  # every order is out: free the padded spectrum
+        np.power(squares, q / 2.0, out=squares)
+        values.append(scale * (np.sum(squares, axis=axes) * cell) ** (1.0 / q))
+        del squares  # free it before the next block's inverse transforms
+    return values
 
 
 def lq_norm(f: SpaceTimeField, q: float) -> float:
@@ -220,7 +218,8 @@ def lq_norm(f: SpaceTimeField, q: float) -> float:
     rectangle rule is exact for band-limited fields.
     """
     NormKind(NormTag.LQ, q).validate(f.domain.n)
-    return _derivative_lq(f.samples, f.domain, [((0,) * f.domain.n, 0)], q)
+    (value,) = _block_norms(f.samples, f.domain, [([((0,) * f.domain.n, 0)], q)])
+    return float(value)
 
 
 def _multi_indices(n: int, max_order: int) -> list[tuple[int, ...]]:
@@ -245,14 +244,9 @@ def sobolev_norm_21q(u: SpaceTimeField, q: float) -> float:
     """
     n = u.domain.n
     NormKind(NormTag.SOBOLEV_21Q, q).validate(n)
-    r = _auto_refine(q)
     # _multi_indices starts with the underived index
     orders = [(alpha, 0) for alpha in _multi_indices(n, 2)] + [((0,) * n, 1)]
-    cell = _cell(u.samples, u.domain, r)
-    terms = []
-    for samples in _refined_derivatives(u.samples, u.domain, orders, r):
-        terms.append(_lq(*_squared_magnitude([samples]), cell, q))
-        del samples  # free it before the next inverse transform
+    terms = _block_norms(u.samples, u.domain, [([order], q) for order in orders])
     return _q_sum([terms[0]] + terms, q)
 
 
@@ -298,7 +292,9 @@ def steady_norm(v: SpaceTimeField, kind: NormKind, lam: float) -> float:
     def block_norm(
         orders: list[tuple[int, ...]], exponent: float, samples: np.ndarray = mean
     ) -> float:
-        return _derivative_lq(samples, v.domain, [(a, 0) for a in orders], exponent)
+        # one call per block: a shared refinement would change the values
+        blocks = [([(a, 0) for a in orders], exponent)]
+        return float(_block_norms(samples, v.domain, blocks)[0])
 
     hess = block_norm(second, q)
     if kind.tag == NormTag.STEADY_STOKES:
@@ -335,12 +331,6 @@ def pressure_norm(p: SpaceTimeField, q: float) -> float:
     NormKind(NormTag.PRESSURE_XP, q).validate(n)
     if not p.is_scalar:
         raise InvalidExponent("pressure norm applies to scalar fields")
-    a = n * q / (n - q)
-    r = _auto_refine(a, q)
-    orders = [(alpha, 0) for alpha in _multi_indices(n, 1)]
-    derivatives = _refined_derivatives(p.samples, p.domain, orders, r)
-    dv = (p.domain.dx / r) ** n
-    spatial_axes = tuple(range(n))
-    slice_a = _lq(*_squared_magnitude([next(derivatives)]), dv, a, spatial_axes)
-    slice_g = _lq(*_squared_magnitude(derivatives), dv, q, spatial_axes)
-    return _q_sum([slice_a, slice_g], q)
+    zero, *first = [(alpha, 0) for alpha in _multi_indices(n, 1)]
+    blocks = [([zero], n * q / (n - q)), (first, q)]
+    return _q_sum(_block_norms(p.samples, p.domain, blocks, per_slice=True), q)

@@ -51,8 +51,8 @@ def load_field(path) -> SpaceTimeField:
     raw = Path(path).read_bytes()
     if not raw.startswith(MAGIC):
         raise SnapshotFormatError(f"{path}: not a TPOE-FIELD v1 snapshot")
-    header_end = raw.index(b"\n", len(MAGIC))
     try:
+        header_end = raw.index(b"\n", len(MAGIC))
         meta = json.loads(raw[len(MAGIC):header_end].decode("ascii"))
         domain = TorusDomain(
             n=int(meta["n"]),
@@ -64,7 +64,7 @@ def load_field(path) -> SpaceTimeField:
         components = int(meta["components"])
         if meta["dtype"] != DTYPE:
             raise SnapshotFormatError(f"{path}: unsupported dtype {meta['dtype']}")
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotFormatError(f"{path}: malformed snapshot header") from exc
     shape = (components,) + domain.grid_shape
     expected = int(np.prod(shape)) * 8

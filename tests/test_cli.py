@@ -120,6 +120,14 @@ class TestConfigParsing:
         assert parse_config(str(path), []) == defaults
         assert main(["solve", "--config", str(path)]) == EXIT_OK
 
+    def test_readme_python_example_runs_verbatim(self, capsys):
+        block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+        namespace: dict = {}
+        exec(compile(block, str(README), "exec"), namespace)
+        bundle = namespace["bundle"]
+        assert bundle.residual_norm <= 1e-10
+        assert capsys.readouterr().out.startswith(repr(bundle.residual_norm))
+
     @pytest.mark.parametrize(
         "subcommand, overrides, message",
         [

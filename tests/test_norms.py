@@ -427,6 +427,44 @@ class TestQuadratureWork:
         # 10 spatial orders |alpha| <= 2 and d_t; the underived term once
         assert names.count("ifftn") + names.count("irfftn") == 11
 
+    def test_lq_makes_one_transform_pair(self, record_transforms):
+        d = dom3(12, 12)
+        u = random_band_limited_field(d, 3, np.random.default_rng(6))
+        calls = record_transforms()
+        lq_norm(u, 1.2)
+        assert [name for name, _ in calls] == ["rfftn", "irfftn"]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pressure_shares_one_forward_transform(self, n, record_transforms):
+        d = dom2() if n == 2 else dom3(12, 12)
+        p = random_band_limited_field(d, 1, np.random.default_rng(6))
+        calls = record_transforms()
+        pressure_norm(p, 1.2)
+        names = [name for name, _ in calls]
+        # the underived slice norm and the n first derivatives
+        assert names == ["rfftn"] + ["irfftn"] * (n + 1)
+
+    def test_block_sums_are_freed_between_blocks(self):
+        # Holding one block's sum through the next block's inverse adds a
+        # refined array to the peak; compare with the one-block Lq norm of
+        # the same field, so the bound does not depend on numpy's temporaries.
+        d = TorusDomain(n=3, L=TWO_PI, N=16, T=TWO_PI, Nt=16)
+        pr = OseenParams(lam=0.0, T=TWO_PI, q=1.2)
+        _, _, f = manufactured_case("mixed", d, pr, seed=0)
+        bundle = solve_full(f, pr, norm_kinds=[])
+
+        def peak(norm, field):
+            tracemalloc.start()
+            try:
+                norm(field, 1.2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        w, p = bundle.w, bundle.p
+        assert peak(sobolev_norm_21q, w) <= 1.05 * peak(lq_norm, w)
+        assert peak(pressure_norm, p) <= 2.0 * peak(lq_norm, p)
+
     def test_report_allocation_bounded_by_input_size(self):
         d = TorusDomain(n=3, L=TWO_PI, N=16, T=TWO_PI, Nt=16)
         pr = OseenParams(lam=0.0, T=TWO_PI, q=1.2)

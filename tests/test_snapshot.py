@@ -70,6 +70,18 @@ def test_malformed_header_rejected(tmp_path):
         load_field(path)
 
 
+@pytest.mark.parametrize(
+    "header",
+    [b'{"n": 2}', b"[2, 16]\n", b"2\n", b'"n"\n', b"null\n"],
+    ids=["no-newline", "array", "number", "string", "null"],
+)
+def test_header_that_is_not_a_json_object_line_rejected(tmp_path, header):
+    path = tmp_path / "field.tpf"
+    path.write_bytes(b"TPOE-FIELD v1\n" + header)
+    with pytest.raises(SnapshotFormatError, match="malformed snapshot header"):
+        load_field(path)
+
+
 def test_json_writer_rejects_non_finite_values(tmp_path):
     from tpoe.snapshot import _write_json
 
