@@ -9,14 +9,17 @@ error but does not remove it.  The exponents alone decide the factor
 (:func:`_auto_refine`).
 
 Every norm is a list of derivative blocks plus their combination, and
-:func:`_block_norms` is the one quadrature: it takes the derivatives and
-oversampled samples from the spectral module's real transform pair
-(``numpy.fft.rfftn``/``irfftn``) with the half spectrum zero-padded, and
-returns one Lq value per block.  A steady norm acts
-on a time-constant field, so it is integrated over the time-mean spatial
-slice alone.  Every square and q-th power is taken of values divided by
-their largest magnitude, which is multiplied back after the root, so the
-norms neither overflow nor underflow anywhere in the double range.
+:func:`_block_norms` is the one quadrature: it returns one Lq value per
+block.  It takes the derivatives and oversampled samples from the spectral
+module's streamed inverse (``_refined_derivatives``): one real forward
+transform, then a pruned inverse of the zero-padded half spectrum that
+yields slabs of refined rows, and each block is summed slab by slab.  Memory
+therefore scales with the half spectrum and one slab, not with the refined
+grid.  A steady norm acts on a time-constant field, so it is integrated over
+the time-mean spatial slice alone.  Every square and q-th power is taken of
+values divided by their largest magnitude (a running maximum over the
+slabs), which is multiplied back after the root, so the norms neither
+overflow nor underflow anywhere in the double range.
 
 Spatial Lebesgue norms are taken verbatim over the periodic box.  On the
 whole space these exponents encode decay at infinity; a periodic box has no
@@ -142,9 +145,10 @@ def _squared_magnitude(arrays: Iterable[np.ndarray]) -> tuple[np.ndarray, float]
     """Pointwise ``sum |a|^2`` over the components of all arrays, divided by
     ``scale^2``, and ``scale``, the largest ``|entry|``.
 
-    Arrays are consumed (overwritten in place); the running sum is rescaled
-    whenever a later array raises the scale, so no square overflows and none
-    underflows relative to the largest one.
+    Arrays are consumed (overwritten in place, the first one becomes the
+    sum); the running sum is rescaled whenever a later array raises the
+    scale, so no square overflows and none underflows relative to the
+    largest one.
     """
     total, scale = None, 0.0
     for arr in arrays:
@@ -156,8 +160,12 @@ def _squared_magnitude(arrays: Iterable[np.ndarray]) -> tuple[np.ndarray, float]
         if scale > 0.0:
             arr /= scale
         np.multiply(arr, arr, out=arr)
-        part = np.sum(arr, axis=0)
-        total = part if total is None else np.add(total, part, out=total)
+        for component in arr:
+            if total is None:
+                total = component
+            else:
+                total += component
+        del arr, component  # free it before the next array is made
     return total, scale
 
 
@@ -187,27 +195,33 @@ def _block_norms(
 
     This is the one quadrature of the module.  All blocks share one forward
     transform, the grid is refined by ``_auto_refine`` of all their
-    exponents, and each order costs one inverse.  With a time axis the cell
-    carries the 1/T-normalized time step; ``per_slice`` sums over the
-    spatial axes only and gives each block's norms as an array over time
+    exponents, and each block is summed slab by slab as the pruned inverse
+    streams it.  The scale is the running maximum over the slabs: when a
+    slab raises it, the sum so far is multiplied by ``(old / new)^q``.
+    With a time axis the cell carries the 1/T-normalized time step;
+    ``per_slice`` sums over the spatial axes only, each slab adding to
+    every time slice, and gives each block's norms as an array over time
     slices.
     """
     r = _auto_refine(*(q for _, q in blocks))
-    derivatives = _refined_derivatives(
-        samples, domain, [order for orders, _ in blocks for order in orders], r
-    )
+    streams = _refined_derivatives(samples, domain, [orders for orders, _ in blocks], r)
     axes = tuple(range(domain.n)) if per_slice else None
     cell = (domain.dx / r) ** domain.n
     if samples.ndim == domain.n + 2 and not per_slice:
         cell /= domain.Nt * r
     values = []
-    for orders, q in blocks:
-        squares, scale = _squared_magnitude(itertools.islice(derivatives, len(orders)))
-        if len(values) + 1 == len(blocks):
-            derivatives.close()  # every order is out: free the padded spectrum
-        np.power(squares, q / 2.0, out=squares)
-        values.append(scale * (np.sum(squares, axis=axes) * cell) ** (1.0 / q))
-        del squares  # free it before the next block's inverse transforms
+    for (_, q), slabs in zip(blocks, streams):
+        total, scale = 0.0, 0.0
+        for slab in slabs:
+            squares, top = _squared_magnitude(slab)
+            if top > scale:
+                total = total * (scale / top) ** q
+                scale = top
+            if top > 0.0:
+                np.power(squares, q / 2.0, out=squares)
+                total = total + np.sum(squares, axis=axes) * (top / scale) ** q
+            del squares  # free it before the next slab's transforms
+        values.append(scale * (total * cell) ** (1.0 / q))
     return values
 
 

@@ -54,14 +54,19 @@ def load_field(path) -> SpaceTimeField:
     try:
         header_end = raw.index(b"\n", len(MAGIC))
         meta = json.loads(raw[len(MAGIC):header_end].decode("ascii"))
+        for key in ("n", "N", "Nt", "components"):
+            if type(meta[key]) is not int:  # bool is a subclass of int
+                raise SnapshotFormatError(
+                    f"{path}: header size {key} must be an integer, got {meta[key]!r}"
+                )
         domain = TorusDomain(
-            n=int(meta["n"]),
+            n=meta["n"],
             L=float(meta["L"]),
-            N=int(meta["N"]),
+            N=meta["N"],
             T=float(meta["T"]),
-            Nt=int(meta["Nt"]),
+            Nt=meta["Nt"],
         )
-        components = int(meta["components"])
+        components = meta["components"]
         if meta["dtype"] != DTYPE:
             raise SnapshotFormatError(f"{path}: unsupported dtype {meta['dtype']}")
     except (KeyError, TypeError, ValueError) as exc:

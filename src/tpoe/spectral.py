@@ -21,8 +21,10 @@ Parseval's identity reads::
 
     ||f||_2^2 = L^n * (sum_(k = 0) |F|^2 + 2 * sum_(k > 0) |F|^2)
 
-``_rfft``/``_irfft`` are the one transform pair; :func:`forward` and
-:func:`inverse` validate around them.
+``_rfft``/``_irfft`` are the one full-grid transform pair; :func:`forward`
+and :func:`inverse` validate around them.  The norm quadrature's oversampled
+inverse, ``_refined_derivatives``, shares ``_rfft`` and streams its inverse
+in one-dimensional passes over slabs instead of a full-grid ``_irfft``.
 """
 
 from __future__ import annotations
@@ -437,45 +439,110 @@ def _irfft(coeff: np.ndarray) -> np.ndarray:
     )
 
 
+# bytes of one slab of the norm quadrature's streamed inverse: a slab holds
+# as many rows as fit, and at least one
+_SLAB_BYTES = 256 * 1024
+
+
+def _slab_rows(row_bytes: int) -> int:
+    return max(1, _SLAB_BYTES // row_bytes)
+
+
+def _pad(band: np.ndarray, axis: int, size: int) -> np.ndarray:
+    """Zero-pad the FFT-ordered modes along ``axis`` to ``size`` entries,
+    placing them as :func:`embed_spectrum` does (mode m at m % size)."""
+    if band.shape[axis] == size:
+        return band
+    half = band.shape[axis] // 2
+    shape = list(band.shape)
+    shape[axis] = size
+    out = np.zeros(shape, dtype=complex)
+    lead = (slice(None),) * axis
+    out[lead + (slice(None, half),)] = band[lead + (slice(None, half),)]
+    out[lead + (slice(size - half, None),)] = band[lead + (slice(half, None),)]
+    return out
+
+
 def _refined_derivatives(
     samples: np.ndarray,
     domain: TorusDomain,
-    orders: Sequence[tuple[tuple[int, ...], int]],
+    blocks: Sequence[Sequence[tuple[tuple[int, ...], int]]],
     refinement: int,
-) -> Iterator[np.ndarray]:
-    """Real samples of (i*xi)^alpha (i*eta)^beta f on the r-refined grid.
+) -> Iterator[Iterator[Iterator[np.ndarray]]]:
+    """Real samples of (i*xi)^alpha (i*eta)^beta f on the r-refined grid,
+    streamed in slabs of refined rows along the first spatial axis.
 
     ``samples`` are real and carry the component axis first, followed either
     by ``domain.grid_shape`` or, for a field with no time axis, by the
-    spatial grid ``(N,) * n`` alone (then every beta must be 0).  One entry
-    is yielded per ``(alpha, beta)`` in ``orders``, each on the grid with
-    ``refinement`` times as many points per axis; all share one real forward
-    transform, and each costs one real inverse.
+    spatial grid ``(N,) * n`` alone (then every beta must be 0).  Each block
+    is a list of orders ``(alpha, beta)``.  One entry is yielded per block:
+    an iterator over its slabs.  Each slab is an iterator over the block's
+    orders and, within an order, its components, each an array of shape
+    ``(1, rows)`` plus the refined grid after the first axis.  Joined along
+    axis 1, the slabs of one order and component make its samples on the
+    grid with ``refinement`` times as many points per axis.  Every entry
+    must be consumed before the next one is asked for.
 
-    The half spectrum is zero-padded as :func:`embed_spectrum` pads a
-    ``SpectralField``, so every entry equals
+    All blocks share one real forward transform.  The inverse is pruned:
+    for each distinct ``alpha[0]`` of a block, the nonzero band is padded
+    and transformed along the first spatial axis, in chunks of the second
+    (``refinement`` times the half spectrum per block and ``alpha[0]``).
+    Then each slab is padded and transformed along each further axis in
+    turn, the half axis last.  The padding is that of
+    :func:`embed_spectrum`, so every order's samples equal
     ``inverse(embed_spectrum(spectral_derivative(forward(f), alpha, beta),
-    fine))`` up to rounding.  Each one-dimensional pass scales by its
-    length, so no intermediate exceeds the samples by more than the longest
-    axis.
+    fine))`` up to rounding.  Memory therefore scales with the half
+    spectrum, the first-axis transforms and one slab (``_SLAB_BYTES``, or
+    one refined row of one component if that is larger), not with the
+    refined grid.  Each one-dimensional pass scales by its length, so no
+    intermediate exceeds the samples by more than the longest axis.
     """
     sizes = samples.shape[1:]
     steps = [2.0 * np.pi / domain.L] * domain.n + [2.0 * np.pi / domain.T]
     # integer modes of the coarse half spectrum (its Nyquist modes are zero)
-    # and their positions on the fine one
     modes = [np.fft.fftfreq(size, d=1.0 / size).astype(int) for size in sizes[:-1]]
     modes.append(np.arange(sizes[-1] // 2 + 1))
     fine = [refinement * size for size in sizes]
-    components = np.arange(samples.shape[0])
-    where = np.ix_(components, *(m % size for m, size in zip(modes, fine)))
     freqs = np.ix_(*(1j * step * m for step, m in zip(steps, modes)))
     coeff = _rfft(samples)
-    fine_shape = (len(components),) + tuple(fine[:-1]) + (fine[-1] // 2 + 1,)
-    padded = np.zeros(fine_shape, dtype=complex)
-    for alpha, beta in orders:
-        factor = 1.0
-        for freq, order in zip(freqs, (*alpha, beta)):
+    components = coeff.shape[0]
+    head_shape = (components, fine[0]) + coeff.shape[2:]
+    chunk = _slab_rows(16 * components * fine[0] * int(np.prod(coeff.shape[3:])))
+    rows = _slab_rows(8 * int(np.prod(fine[1:])))
+
+    def head(order: int) -> np.ndarray:
+        # the band along the first spatial axis, in chunks along the second
+        out = np.empty(head_shape, dtype=complex)
+        for start in range(0, coeff.shape[2], chunk):
+            band = coeff[:, :, start:start + chunk]
             if order:
-                factor = factor * freq**order
-        padded[where] = coeff * factor
-        yield _irfft(padded)
+                band = band * freqs[0] ** order
+            out[:, :, start:start + chunk] = np.fft.ifft(
+                _pad(band, 1, fine[0]), axis=1, norm="forward"
+            )
+        return out
+
+    def tail(band: np.ndarray, alpha: tuple[int, ...], beta: int) -> np.ndarray:
+        # the remaining factors, then every further axis of one slab
+        for freq, order in zip(freqs[1:], (*alpha[1:], beta)):
+            if order:
+                band = band * freq**order
+        for axis, size in enumerate(fine[1:-1], start=2):
+            band = np.fft.ifft(_pad(band, axis, size), axis=axis, norm="forward")
+        return np.fft.irfft(band, n=fine[-1], axis=-1, norm="forward")
+
+    def at(heads: dict, orders, start: int) -> Iterator[np.ndarray]:
+        for alpha, beta in orders:
+            for c in range(components):
+                yield tail(heads[alpha[0]][c:c + 1, start:start + rows], alpha, beta)
+
+    def stream(heads: dict, orders) -> Iterator[Iterator[np.ndarray]]:
+        for start in range(0, fine[0], rows):
+            yield at(heads, orders, start)
+
+    for orders in blocks:
+        heads = {}  # frees the spent block's before this block's are made
+        for alpha, _ in orders:
+            if alpha[0] not in heads:
+                heads[alpha[0]] = head(alpha[0])
+        yield stream(heads, orders)

@@ -34,6 +34,7 @@ from tpoe import (
     steady_norm,
 )
 from tpoe.norms import STEADY_TAGS, _applicable_kinds
+from tpoe.spectral import _SLAB_BYTES
 
 TWO_PI = 2.0 * np.pi
 
@@ -417,22 +418,31 @@ class TestQuadratureWork:
             # components first, then the n spatial axes and no time axis
             assert all(len(shape) == d.n + 1 for _, shape in calls), calls
 
+    @staticmethod
+    def assert_streamed(calls):
+        # one forward transform; the inverse is pruned and streamed, so no
+        # n-d inverse runs and no inverse input is larger than one slab
+        names = [name for name, _ in calls]
+        assert names.count("rfftn") == 1, names
+        assert set(names) == {"rfftn", "ifft", "irfft"}, names
+        inverse_bytes = [
+            16 * int(np.prod(shape)) for name, shape in calls if name != "rfftn"
+        ]
+        assert max(inverse_bytes) <= _SLAB_BYTES
+
     def test_sobolev_shares_one_forward_transform(self, record_transforms):
         d = dom3(12, 12)
         u = random_band_limited_field(d, 3, np.random.default_rng(6))
         calls = record_transforms()
         sobolev_norm_21q(u, 1.2)
-        names = [name for name, _ in calls]
-        assert names.count("fftn") + names.count("rfftn") == 1
-        # 10 spatial orders |alpha| <= 2 and d_t; the underived term once
-        assert names.count("ifftn") + names.count("irfftn") == 11
+        self.assert_streamed(calls)
 
-    def test_lq_makes_one_transform_pair(self, record_transforms):
+    def test_lq_makes_one_forward_transform(self, record_transforms):
         d = dom3(12, 12)
         u = random_band_limited_field(d, 3, np.random.default_rng(6))
         calls = record_transforms()
         lq_norm(u, 1.2)
-        assert [name for name, _ in calls] == ["rfftn", "irfftn"]
+        self.assert_streamed(calls)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_pressure_shares_one_forward_transform(self, n, record_transforms):
@@ -440,9 +450,7 @@ class TestQuadratureWork:
         p = random_band_limited_field(d, 1, np.random.default_rng(6))
         calls = record_transforms()
         pressure_norm(p, 1.2)
-        names = [name for name, _ in calls]
-        # the underived slice norm and the n first derivatives
-        assert names == ["rfftn"] + ["irfftn"] * (n + 1)
+        self.assert_streamed(calls)
 
     def test_block_sums_are_freed_between_blocks(self):
         # Holding one block's sum through the next block's inverse adds a
@@ -464,6 +472,25 @@ class TestQuadratureWork:
         w, p = bundle.w, bundle.p
         assert peak(sobolev_norm_21q, w) <= 1.05 * peak(lq_norm, w)
         assert peak(pressure_norm, p) <= 2.0 * peak(lq_norm, p)
+
+    def test_fine_grid_values_and_allocation(self):
+        # n=3, N=Nt=32, q=1.2: values recorded with the full-grid inverse,
+        # which peaked at 50.6x (lq) and 98.6x (pressure) the input
+        d = TorusDomain(n=3, L=TWO_PI, N=32, T=TWO_PI, Nt=32)
+        u = random_band_limited_field(d, 3, np.random.default_rng(6))
+        p = random_band_limited_field(d, 1, np.random.default_rng(7))
+        for norm, field, expected, bound in (
+            (lq_norm, u, 29.992137533045693, 8),
+            (pressure_norm, p, 141.50047965294854, 16),
+        ):
+            tracemalloc.start()
+            try:
+                value = norm(field, 1.2)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert value == pytest.approx(expected, rel=1e-12), norm.__name__
+            assert peak <= bound * field.samples.nbytes, norm.__name__
 
     def test_report_allocation_bounded_by_input_size(self):
         d = TorusDomain(n=3, L=TWO_PI, N=16, T=TWO_PI, Nt=16)

@@ -1,5 +1,7 @@
 """Tests for the field snapshot container."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from tpoe import (
     random_band_limited_field,
     save_field,
 )
+from tpoe.snapshot import MAGIC
 
 
 def dom(n=2, N=16, Nt=16):
@@ -79,6 +82,26 @@ def test_header_that_is_not_a_json_object_line_rejected(tmp_path, header):
     path = tmp_path / "field.tpf"
     path.write_bytes(b"TPOE-FIELD v1\n" + header)
     with pytest.raises(SnapshotFormatError, match="malformed snapshot header"):
+        load_field(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, components",
+    [("N", 8.9, 2), ("n", 2.0, 2), ("Nt", "8", 2), ("components", True, 1)],
+    ids=["float-N", "float-n", "string-Nt", "bool-components"],
+)
+def test_header_sizes_must_be_json_integers(tmp_path, key, value, components):
+    # the payload keeps its size, so only the header type can fail
+    d = dom(n=2, N=8, Nt=8)
+    path = tmp_path / "field.tpf"
+    save_field(SpaceTimeField.zeros(d, components), path)
+    raw = path.read_bytes()
+    header_end = raw.index(b"\n", len(MAGIC))
+    meta = json.loads(raw[len(MAGIC):header_end])
+    meta[key] = value
+    path.write_bytes(MAGIC + json.dumps(meta).encode("ascii") + raw[header_end:])
+    message = f"header size {key} must be an integer"
+    with pytest.raises(SnapshotFormatError, match=message):
         load_field(path)
 
 

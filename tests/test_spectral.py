@@ -22,6 +22,7 @@ from tpoe import (
     spectral_derivative,
     transference_check,
 )
+from tpoe import spectral
 from tpoe.spectral import _refined_derivatives
 
 TWO_PI = 2.0 * np.pi
@@ -269,7 +270,7 @@ class TestSingleBackend:
 
 
 class TestRefinedDerivatives:
-    # the shape-driven path of the norm quadrature against the public
+    # the streamed inverse of the norm quadrature against the public
     # calculus: forward, spectral_derivative, embed_spectrum, inverse
     ORDERS = [((0, 0), 0), ((1, 0), 0), ((1, 1), 0), ((0, 2), 0), ((0, 0), 1)]
 
@@ -285,17 +286,53 @@ class TestRefinedDerivatives:
             for alpha, beta in self.ORDERS
         ]
 
+    @staticmethod
+    def joined(samples, domain, orders, refinement):
+        """Each order's slabs, one array per order and component, joined
+        along the first spatial axis; and the row count of every slab."""
+        components = samples.shape[0]
+        (stream,) = _refined_derivatives(samples, domain, [orders], refinement)
+        slabs = [list(slab) for slab in stream]
+        assert all(len(slab) == len(orders) * components for slab in slabs)
+        rows = [slab[0].shape[1] for slab in slabs]
+        joined = [
+            np.concatenate(
+                [np.concatenate(slab[i:i + components]) for slab in slabs], axis=1
+            )
+            for i in range(0, len(orders) * components, components)
+        ]
+        return joined, rows
+
+    def assert_matches(self, got, expected):
+        for samples, want in zip(got, expected, strict=True):
+            assert samples.shape == want.shape
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(samples - want)) <= 1e-12 * scale
+
     @pytest.mark.parametrize("refinement", [1, 2, 3])
     def test_matches_full_layout(self, refinement):
         # unfiltered samples populate the Nyquist modes, which both drop
         d = dom2(N=12, Nt=8, L=3.0, T=5.0)
         rng = np.random.default_rng(11)
         f = SpaceTimeField(d, rng.standard_normal((2,) + d.grid_shape))
-        got = _refined_derivatives(f.samples, d, self.ORDERS, refinement)
-        for samples, expected in zip(got, self.public_calculus(f, refinement)):
-            assert samples.shape == expected.shape
-            scale = np.max(np.abs(expected))
-            assert np.max(np.abs(samples - expected)) <= 1e-12 * scale
+        got, _ = self.joined(f.samples, d, self.ORDERS, refinement)
+        self.assert_matches(got, self.public_calculus(f, refinement))
+
+    def test_short_last_slab(self, monkeypatch, record_transforms):
+        # 7 refined rows per slab (24 = 7 + 7 + 7 + 3) and 5 band columns
+        # per first-axis chunk (12 = 5 + 5 + 2)
+        d = dom2(N=12, Nt=8, L=3.0, T=5.0)
+        monkeypatch.setattr(spectral, "_SLAB_BYTES", 7 * 8 * 24 * 16)
+        f = SpaceTimeField(
+            d, np.random.default_rng(13).standard_normal((2,) + d.grid_shape)
+        )
+        calls = record_transforms()
+        got, rows = self.joined(f.samples, d, self.ORDERS, 2)
+        assert rows == [7, 7, 7, 3]
+        # both components at once only along the first axis, once per alpha[0]
+        chunks = [shape[2] for name, shape in calls if name == "ifft" and shape[0] == 2]
+        assert chunks == [5, 5, 2] * 2
+        self.assert_matches(got, self.public_calculus(f, 2))
 
     def test_spatial_slice_matches_every_time_slice(self):
         d = dom2(N=12, Nt=8, L=3.0, T=5.0)
@@ -304,9 +341,6 @@ class TestRefinedDerivatives:
             d, np.repeat(spatial[..., np.newaxis], d.Nt, axis=-1)
         )
         orders = self.ORDERS[:4]  # no time derivative without a time axis
-        got = _refined_derivatives(spatial, d, orders, 2)
-        for samples, expected in zip(got, self.public_calculus(f, 2)):
-            scale = np.max(np.abs(expected))
-            assert np.max(np.abs(samples[..., np.newaxis] - expected)) <= (
-                1e-12 * scale
-            )
+        got, _ = self.joined(spatial, d, orders, 2)
+        got = [np.repeat(g[..., np.newaxis], 2 * d.Nt, axis=-1) for g in got]
+        self.assert_matches(got, self.public_calculus(f, 2)[:4])
