@@ -152,6 +152,8 @@ def parse_config(path: str, overrides: list[str]) -> dict:
         raise ConfigError(
             f"unsupported schema_version {config['schema_version']}; expected 1"
         )
+    if config["seed"] < 0:
+        raise ConfigError(f"seed must be non-negative, got {config['seed']}")
     try:
         solver._require_tol(config["tol"])
     except ValueError as exc:

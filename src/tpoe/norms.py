@@ -1,19 +1,19 @@
 """Quadrature of every norm used by the solve reports.
 
-All integrals are rectangle-rule sums on the periodic grid: exact for
-band-limited integrands when the exponent is an even integer, since the
-integrand is then itself a trigonometric polynomial.  For any other
-exponent ``|f|^q`` is not band-limited; the field is then spectrally
-oversampled by the factor 2 before quadrature, which bounds the aliasing
-error but does not remove it.  The exponents alone decide the factor
-(:func:`_auto_refine`).
+All integrals are rectangle-rule sums on the periodic grid, exact at
+exponent 2 (r=1) and 4 (r=2); aliasing bounded elsewhere.  For a
+band-limited field ``|f|^2`` and ``|f|^4`` are trigonometric polynomials of
+twice and four times its band, which the grid and the grid refined by r=2
+integrate exactly; any other ``|f|^q`` is not band-limited or exceeds that
+band, and oversampling by the factor 2 bounds the aliasing error without
+removing it.  The exponents alone decide the factor (:func:`_auto_refine`).
 
 Every norm is a list of derivative blocks plus their combination, and
 :func:`_block_norms` is the one quadrature: it returns one Lq value per
-block.  It takes the derivatives and oversampled samples from the spectral
-module's streamed inverse (``_refined_derivatives``): one real forward
-transform, then a pruned inverse of the zero-padded half spectrum that
-yields slabs of refined rows, and each block is summed slab by slab.  Memory
+block.  It makes one real forward transform and takes each block's
+derivatives and oversampled samples from the spectral module's streamed
+inverse (``_refined_derivatives``): a pruned inverse of the zero-padded half
+spectrum that yields slabs of refined rows, summed slab by slab.  Memory
 therefore scales with the half spectrum and one slab, not with the refined
 grid.  A steady norm acts on a time-constant field, so it is integrated over
 the time-mean spatial slice alone.  Every square and q-th power is taken of
@@ -38,7 +38,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidExponent
-from .spectral import SpaceTimeField, TorusDomain, _refined_derivatives
+from .spectral import SpaceTimeField, TorusDomain, _refined_derivatives, _rfft
 
 
 class NormTag(str, Enum):
@@ -131,14 +131,25 @@ def steady_kind_for(n: int, lam: float, q: float) -> NormKind | None:
     return next((kind for kind in kinds if kind.tag in STEADY_TAGS), None)
 
 
-def _is_even_integer(q: float) -> bool:
-    return float(q).is_integer() and int(q) % 2 == 0
+# relative tolerance of the time-constancy check, and the default ``tol`` of
+# the solver's contract checks
+_TOL = 1e-10
+
+
+def _time_mean(f: SpaceTimeField, tol: float = _TOL) -> np.ndarray:
+    """The time mean of ``f``'s samples, after rejecting (ValueError) a
+    field with a sample farther from it than ``tol`` relative to max|f|."""
+    mean = np.mean(f.samples, axis=-1)
+    drift = np.max(np.abs(f.samples - mean[..., np.newaxis]))
+    if drift > tol * f.max_abs():
+        raise ValueError("steady solves and norms require a time-constant field")
+    return mean
 
 
 def _auto_refine(*exponents: float) -> int:
-    """Oversampling factor of a quadrature: 1 when every exponent is an even
-    integer (the rectangle rule is then exact), else 2."""
-    return 1 if all(_is_even_integer(q) for q in exponents) else 2
+    """Oversampling factor of a quadrature: 1 when every exponent is 2, else
+    2.  Exact at exponent 2 (r=1) and 4 (r=2); aliasing bounded elsewhere."""
+    return 1 if all(q == 2.0 for q in exponents) else 2
 
 
 def _squared_magnitude(arrays: Iterable[np.ndarray]) -> tuple[np.ndarray, float]:
@@ -193,26 +204,28 @@ def _block_norms(
     pointwise Euclidean magnitude over every component of every derivative
     in ``orders``.
 
-    This is the one quadrature of the module.  All blocks share one forward
-    transform, the grid is refined by ``_auto_refine`` of all their
-    exponents, and each block is summed slab by slab as the pruned inverse
-    streams it.  The scale is the running maximum over the slabs: when a
-    slab raises it, the sum so far is multiplied by ``(old / new)^q``.
-    With a time axis the cell carries the 1/T-normalized time step;
-    ``per_slice`` sums over the spatial axes only, each slab adding to
-    every time slice, and gives each block's norms as an array over time
-    slices.
+    This is the one quadrature of the module: exact at exponent 2 (r=1) and
+    4 (r=2); aliasing bounded elsewhere.  All blocks share one forward
+    transform, each block's grid is refined by ``_auto_refine`` of its own
+    exponent, and each block is summed slab by slab as the pruned inverse
+    streams it, with the running maximum as scale: when a slab raises it,
+    the sum so far is multiplied by ``(old / new)^q``.  With a time axis the
+    cell carries the 1/T-normalized time step.  ``per_slice`` sums over the
+    spatial axes only and gives each block's norms as an array over time
+    slices, to be combined slice by slice, so all blocks then share one
+    factor, ``_auto_refine`` of every exponent.
     """
-    r = _auto_refine(*(q for _, q in blocks))
-    streams = _refined_derivatives(samples, domain, [orders for orders, _ in blocks], r)
+    coeff = _rfft(samples)
+    shared = _auto_refine(*(q for _, q in blocks))
     axes = tuple(range(domain.n)) if per_slice else None
-    cell = (domain.dx / r) ** domain.n
-    if samples.ndim == domain.n + 2 and not per_slice:
-        cell /= domain.Nt * r
     values = []
-    for (_, q), slabs in zip(blocks, streams):
+    for orders, q in blocks:
+        r = shared if per_slice else _auto_refine(q)
+        cell = (domain.dx / r) ** domain.n
+        if samples.ndim == domain.n + 2 and not per_slice:
+            cell /= domain.Nt * r
         total, scale = 0.0, 0.0
-        for slab in slabs:
+        for slab in _refined_derivatives(coeff, domain, orders, r):
             squares, top = _squared_magnitude(slab)
             if top > scale:
                 total = total * (scale / top) ** q
@@ -228,8 +241,8 @@ def _block_norms(
 def lq_norm(f: SpaceTimeField, q: float) -> float:
     """Space-time Lebesgue norm with 1/T-normalized time measure.
 
-    The field is oversampled x2 unless ``q`` is an even integer, where the
-    rectangle rule is exact for band-limited fields.
+    The field is oversampled x2 unless ``q`` is 2: exact at exponent 2 (r=1)
+    and 4 (r=2); aliasing bounded elsewhere.
     """
     NormKind(NormTag.LQ, q).validate(f.domain.n)
     (value,) = _block_norms(f.samples, f.domain, [([((0,) * f.domain.n, 0)], q)])
@@ -253,8 +266,8 @@ def sobolev_norm_21q(u: SpaceTimeField, q: float) -> float:
 
     Both sums include the underived term, so ||u||_q^q enters twice; the
     duplication is kept deliberately to match the defining display.  The
-    term is evaluated once, and all terms share one forward transform.
-    The field is oversampled x2 unless ``q`` is an even integer.
+    term is evaluated once; all terms share one forward transform and are
+    exact at exponent 2 (r=1) and 4 (r=2); aliasing bounded elsewhere.
     """
     n = u.domain.n
     NormKind(NormTag.SOBOLEV_21Q, q).validate(n)
@@ -280,8 +293,9 @@ def steady_norm(v: SpaceTimeField, kind: NormKind, lam: float) -> float:
 
     Because the field is time-constant, the 1/T-normalized space-time norm
     equals the spatial norm over the box, so every term is integrated over
-    the time-mean spatial slice.  Each term is oversampled x2 unless its own
-    exponent is an even integer.
+    the time-mean spatial slice, whose forward transform all terms share.
+    Each term is refined by its own exponent: exact at exponent 2 (r=1) and
+    4 (r=2); aliasing bounded elsewhere.
     """
     if kind.tag not in STEADY_TAGS:
         raise ValueError(f"{kind.tag} is not a steady norm family")
@@ -289,47 +303,23 @@ def steady_norm(v: SpaceTimeField, kind: NormKind, lam: float) -> float:
     kind.validate(n, lam)
     if v.components != n:
         raise ValueError(f"steady norms act on {n}-component fields")
-    mean = np.mean(v.samples, axis=-1)
-    scale = v.max_abs()
-    if scale > 0.0:
-        drift = np.max(np.abs(v.samples - mean[..., np.newaxis]))
-        if drift > 1e-10 * scale:
-            raise ValueError("steady norms require a time-constant field")
+    mean = _time_mean(v)
     q = kind.q
-    zero, *first = _multi_indices(n, 1)
-    second = [
-        tuple((j == a) + (j == b) for j in range(n))
-        for a in range(n)
-        for b in range(n)
-    ]
-
-    def block_norm(
-        orders: list[tuple[int, ...]], exponent: float, samples: np.ndarray = mean
-    ) -> float:
-        # one call per block: a shared refinement would change the values
-        blocks = [([(a, 0) for a in orders], exponent)]
-        return float(_block_norms(samples, v.domain, blocks)[0])
-
-    hess = block_norm(second, q)
-    if kind.tag == NormTag.STEADY_STOKES:
-        return (
-            block_norm([zero], n * q / (n - 2 * q))
-            + block_norm(first, n * q / (n - q))
-            + hess
-        )
-    m = n + 1
-    weight_v = abs(lam) ** (2.0 / m)
-    weight_grad = abs(lam) ** (1.0 / m)
-    value = (
-        weight_v * block_norm([zero], m * q / (m - 2 * q))
-        + weight_grad * block_norm(first, m * q / (m - q))
-        + abs(lam) * block_norm([first[0]], q)
-        + hess
-    )
+    zero, *first = [(alpha, 0) for alpha in _multi_indices(n, 1)]
+    pairs = itertools.product(range(n), repeat=2)
+    second = [(tuple((j == a) + (j == b) for j in range(n)), 0) for a, b in pairs]
+    m = n if kind.tag == NormTag.STEADY_STOKES else n + 1
+    blocks = [([zero], m * q / (m - 2 * q)), (first, m * q / (m - q)), (second, q)]
+    weights = [1.0, 1.0, 1.0]
+    if kind.tag != NormTag.STEADY_STOKES:
+        blocks.insert(2, ([first[0]], q))
+        weights = [abs(lam) ** (2.0 / m), abs(lam) ** (1.0 / m), abs(lam), 1.0]
+    terms = _block_norms(mean, v.domain, blocks)
+    value = sum(weight * term for weight, term in zip(weights, terms))
     if kind.tag == NormTag.STEADY_OSEEN_2D:
-        v2 = mean[1:2]
-        value += abs(lam) * block_norm(first, q, v2)
-        value += abs(lam) * block_norm([zero], 2 * q / (2 - q), v2)
+        v2_blocks = [(first, q), ([zero], 2 * q / (2 - q))]
+        for term in _block_norms(mean[1:2], v.domain, v2_blocks):
+            value += abs(lam) * term
     return float(value)
 
 
@@ -338,8 +328,8 @@ def pressure_norm(p: SpaceTimeField, q: float) -> float:
 
     ``((1/T) int_0^T ||p(., t)||_{nq/(n-q)}^q + ||grad p(., t)||_q^q dt)^{1/q}``
     with spatial slice norms inside and the q-integral over time outside.
-    The field is oversampled x2 unless both ``nq/(n-q)`` and ``q`` are even
-    integers.
+    The field is oversampled x2, since ``nq/(n-q)`` and ``q`` are never both
+    2.  Exact at exponent 2 (r=1) and 4 (r=2); aliasing bounded elsewhere.
     """
     n = p.domain.n
     NormKind(NormTag.PRESSURE_XP, q).validate(n)

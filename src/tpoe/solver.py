@@ -34,7 +34,7 @@ from .spectral import (
 )
 from .symbols import OseenParams, _denominator, _quotient
 
-DEFAULT_TOL = 1e-10
+DEFAULT_TOL = norms._TOL
 
 
 @dataclass(frozen=True)
@@ -141,15 +141,19 @@ def apply_helmholtz(f: SpaceTimeField) -> SpaceTimeField:
     return inverse(project_solenoidal(forward(f)), check=False)
 
 
+def _divergence(xi, coefficients: np.ndarray) -> float:
+    """:func:`divergence_defect` on any layout ``xi`` broadcasts against."""
+    return float(np.max(np.abs(_xi_dot(xi, coefficients))))
+
+
 def divergence_defect(spec: SpectralField) -> float:
     """max over modes of |xi . c(xi, k)|, the spectral divergence size."""
-    dot = _xi_dot(spec.domain.xi_grids(), spec.coefficients)
-    return float(np.max(np.abs(dot)))
+    return _divergence(spec.domain.xi_grids(), spec.coefficients)
 
 
 def _check_solenoidal(xi, coefficients: np.ndarray, tol: float) -> None:
     scale = float(np.max(np.abs(coefficients)))
-    defect = float(np.max(np.abs(_xi_dot(xi, coefficients))))
+    defect = _divergence(xi, coefficients)
     if scale > 0.0 and defect > tol * scale:
         raise NonSolenoidal(
             "input is not divergence-free within tolerance "
@@ -219,13 +223,12 @@ def solve_steady(
     NonSolenoidal
         If the spectral divergence exceeds tolerance.
     ValueError
-        If ``tol`` is not positive and finite.
+        If ``tol`` is not positive and finite, or ``f`` is not time-constant
+        within ``tol`` relative to ``max|f|``.
     """
     _require_tol(tol)
     _require_vector(f)
-    scale = f.max_abs()
-    if scale > 0.0 and (f - time_average(f)).max_abs() > tol * scale:
-        raise ValueError("steady solve requires a time-constant field")
+    norms._time_mean(f, tol)
     _require_compatible_mean(f, tol)
     gh = _rfft(f.samples)
     _check_solenoidal(f.domain.xi_grids(), gh, tol)

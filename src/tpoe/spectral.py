@@ -400,14 +400,11 @@ def embed_spectrum(spec: SpectralField, fine: TorusDomain) -> SpectralField:
         or fine.Nt < coarse.Nt
     ):
         raise DomainMismatch("target grid must refine the source torus")
-    out = np.zeros((spec.components,) + fine.spectral_shape, dtype=complex)
-    index: list[np.ndarray] = []
-    for axis_modes, size in [(coarse.spatial_modes(), fine.N)] * coarse.n + [
-        (coarse.time_modes(), fine.Nt)
-    ]:
-        index.append(np.asarray(axis_modes, dtype=int) % size)
     src = spec.coefficients * coarse.nyquist_mask()
-    out[np.ix_(np.arange(spec.components), *index)] = src
+    for axis in range(1, coarse.n + 1):
+        src = _pad(src, axis, fine.N)
+    out = np.zeros((spec.components,) + fine.spectral_shape, dtype=complex)
+    out[..., : src.shape[-1]] = src
     return SpectralField(fine, out)
 
 
@@ -450,7 +447,7 @@ def _slab_rows(row_bytes: int) -> int:
 
 def _pad(band: np.ndarray, axis: int, size: int) -> np.ndarray:
     """Zero-pad the FFT-ordered modes along ``axis`` to ``size`` entries,
-    placing them as :func:`embed_spectrum` does (mode m at m % size)."""
+    mode m at m % size."""
     if band.shape[axis] == size:
         return band
     half = band.shape[axis] // 2
@@ -464,47 +461,46 @@ def _pad(band: np.ndarray, axis: int, size: int) -> np.ndarray:
 
 
 def _refined_derivatives(
-    samples: np.ndarray,
+    coeff: np.ndarray,
     domain: TorusDomain,
-    blocks: Sequence[Sequence[tuple[tuple[int, ...], int]]],
+    orders: Sequence[tuple[tuple[int, ...], int]],
     refinement: int,
-) -> Iterator[Iterator[Iterator[np.ndarray]]]:
+) -> Iterator[Iterator[np.ndarray]]:
     """Real samples of (i*xi)^alpha (i*eta)^beta f on the r-refined grid,
     streamed in slabs of refined rows along the first spatial axis.
 
-    ``samples`` are real and carry the component axis first, followed either
-    by ``domain.grid_shape`` or, for a field with no time axis, by the
-    spatial grid ``(N,) * n`` alone (then every beta must be 0).  Each block
-    is a list of orders ``(alpha, beta)``.  One entry is yielded per block:
-    an iterator over its slabs.  Each slab is an iterator over the block's
-    orders and, within an order, its components, each an array of shape
-    ``(1, rows)`` plus the refined grid after the first axis.  Joined along
-    axis 1, the slabs of one order and component make its samples on the
-    grid with ``refinement`` times as many points per axis.  Every entry
-    must be consumed before the next one is asked for.
+    ``coeff`` is the half spectrum of f as :func:`_rfft` returns it: the
+    component axis first, followed either by ``domain.spectral_shape`` or,
+    for a field with no time axis, by the half spectrum of the spatial grid
+    ``(N,) * n`` alone (then every beta must be 0).  One entry is yielded
+    per slab: an iterator over the ``orders`` ``(alpha, beta)`` and, within
+    an order, the components, each an array of shape ``(1, rows)`` plus the
+    refined grid after the first axis.  Joined along axis 1, the slabs of
+    one order and component make its samples on the grid with
+    ``refinement`` times as many points per axis.  Every entry must be
+    consumed before the next one is asked for.
 
-    All blocks share one real forward transform.  The inverse is pruned:
-    for each distinct ``alpha[0]`` of a block, the nonzero band is padded
-    and transformed along the first spatial axis, in chunks of the second
-    (``refinement`` times the half spectrum per block and ``alpha[0]``).
-    Then each slab is padded and transformed along each further axis in
-    turn, the half axis last.  The padding is that of
-    :func:`embed_spectrum`, so every order's samples equal
-    ``inverse(embed_spectrum(spectral_derivative(forward(f), alpha, beta),
-    fine))`` up to rounding.  Memory therefore scales with the half
-    spectrum, the first-axis transforms and one slab (``_SLAB_BYTES``, or
-    one refined row of one component if that is larger), not with the
-    refined grid.  Each one-dimensional pass scales by its length, so no
-    intermediate exceeds the samples by more than the longest axis.
+    The inverse is pruned: for each distinct ``alpha[0]``, the nonzero band
+    is padded and transformed along the first spatial axis, in chunks of the
+    second (``refinement`` times ``coeff`` per distinct ``alpha[0]``).  Then
+    each slab is padded and transformed along each further axis in turn,
+    the half axis last.  The padding is that of :func:`embed_spectrum`, so
+    every order's samples equal ``inverse(embed_spectrum(
+    spectral_derivative(forward(f), alpha, beta), fine))`` up to rounding.
+    Memory therefore scales with the half spectrum, the first-axis
+    transforms and one slab (``_SLAB_BYTES``, or one refined row of one
+    component if that is larger), not with the refined grid.  Each
+    one-dimensional pass scales by its length, so no intermediate exceeds
+    the samples by more than the longest axis.
     """
-    sizes = samples.shape[1:]
+    # every grid size is even, as in ``_irfft``
+    sizes = coeff.shape[1:-1] + (2 * (coeff.shape[-1] - 1),)
     steps = [2.0 * np.pi / domain.L] * domain.n + [2.0 * np.pi / domain.T]
     # integer modes of the coarse half spectrum (its Nyquist modes are zero)
     modes = [np.fft.fftfreq(size, d=1.0 / size).astype(int) for size in sizes[:-1]]
     modes.append(np.arange(sizes[-1] // 2 + 1))
     fine = [refinement * size for size in sizes]
     freqs = np.ix_(*(1j * step * m for step, m in zip(steps, modes)))
-    coeff = _rfft(samples)
     components = coeff.shape[0]
     head_shape = (components, fine[0]) + coeff.shape[2:]
     chunk = _slab_rows(16 * components * fine[0] * int(np.prod(coeff.shape[3:])))
@@ -531,18 +527,11 @@ def _refined_derivatives(
             band = np.fft.ifft(_pad(band, axis, size), axis=axis, norm="forward")
         return np.fft.irfft(band, n=fine[-1], axis=-1, norm="forward")
 
-    def at(heads: dict, orders, start: int) -> Iterator[np.ndarray]:
+    def at(start: int) -> Iterator[np.ndarray]:
         for alpha, beta in orders:
             for c in range(components):
                 yield tail(heads[alpha[0]][c:c + 1, start:start + rows], alpha, beta)
 
-    def stream(heads: dict, orders) -> Iterator[Iterator[np.ndarray]]:
-        for start in range(0, fine[0], rows):
-            yield at(heads, orders, start)
-
-    for orders in blocks:
-        heads = {}  # frees the spent block's before this block's are made
-        for alpha, _ in orders:
-            if alpha[0] not in heads:
-                heads[alpha[0]] = head(alpha[0])
-        yield stream(heads, orders)
+    heads = {a: head(a) for a in dict.fromkeys(alpha[0] for alpha, _ in orders)}
+    for start in range(0, fine[0], rows):
+        yield at(start)

@@ -96,6 +96,20 @@ class TestConfigParsing:
         path = config_file(extra="tol = -1e-10\n")
         assert main(["solve", "--config", path]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [("solve", ["recipe=random"]), ("roundtrip", []), ("marcinkiewicz", [])],
+    )
+    def test_negative_seed_rejected(self, config_file, capsys, command, overrides):
+        # numpy's generators refuse a negative seed; that is the config's fault
+        args = [command, "--config", config_file(), "--set", "seed=-1"]
+        for item in overrides:
+            args += ["--set", item]
+        assert main(args) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert "seed" in record["message"]
+
     def test_internal_error_exit_code(self, config_file, capsys, monkeypatch):
         import tpoe.cli as cli_module
 

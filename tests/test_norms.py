@@ -1,11 +1,12 @@
 """Tests for the Lebesgue, anisotropic Sobolev, steady, and pressure norms.
 
-Oracle policy: even-exponent values check against adaptive quadrature of the
-closed form (the rectangle rule is exact there); non-even exponents check
-against a direct composition oracle that samples the closed form analytically
-on the same oversampled grid the implementation uses -- band-limited spectral
-interpolation is exact, so agreement is at rounding level while the quadrature
-itself honestly carries its documented aliasing error.
+Oracle policy: values at exponents 2 and 4 check against the closed form or
+its adaptive quadrature (the rectangle rule is exact there); other exponents
+check against a direct composition oracle that samples the closed form
+analytically on the same oversampled grid the implementation uses --
+band-limited spectral interpolation is exact, so agreement is at rounding
+level while the quadrature itself honestly carries its documented aliasing
+error.
 """
 
 import tracemalloc
@@ -69,6 +70,15 @@ class TestLqNorm:
             assert lq_norm(f, 2.0) == pytest.approx(
                 plancherel_norm(forward(f)), rel=1e-10
             )
+
+    def test_exponent_four_is_exact(self):
+        # |cos x1|^4 has mean 3/8 and four times the band of cos x1, which the
+        # x2-refined grid integrates exactly even at N = 4 (the unrefined
+        # grid gives 2.1078 instead of 1.9615)
+        d = dom2(N=4, Nt=4)
+        f = SpaceTimeField.scalar(d, np.cos(d.meshgrid()[0]))
+        exact = (3.0 / 8.0 * d.L**2) ** 0.25
+        assert lq_norm(f, 4.0) == pytest.approx(exact, rel=1e-13)
 
     def test_exponent_validation(self):
         d = dom2()
@@ -368,12 +378,14 @@ class TestReportValues:
             "pressure_xp": N3_LAM1["pressure_xp"],
         }),
     ]
-    # even exponents (q = 2, pressure 6): every term runs at r = 1
+    # q = 2: the Lq and Sobolev terms run at r = 1, where the rectangle rule
+    # is exact; the pressure norm (exponents 6 and 2) runs at r = 2, since
+    # r = 1 aliases |p|^6 (it gave 16.726964627586646)
     N3_LAM1_Q2 = {
         "lq_data": 186.48368274906684,
         "lq_velocity": 8.149715464852694,
         "sobolev_21q_periodic": 113.32881574212179,
-        "pressure_xp": 16.726964627586646,
+        "pressure_xp": 16.726766415761798,
     }
 
     @staticmethod
@@ -405,7 +417,11 @@ class TestQuadratureWork:
     def test_steady_norm_transforms_one_spatial_slice(
         self, monkeypatch, record_transforms
     ):
-        for d, lam, q in ((dom3(), 0.0, 1.2), (dom2(), 1.0, 1.2)):
+        # one forward transform of the time-mean slice serves every term;
+        # the 2-d Oseen norm adds one of v2 for its two v2 terms
+        for d, lam, q, forwards in (
+            (dom3(), 0.0, 1.2, 1), (dom3(), 1.0, 1.2, 1), (dom2(), 1.0, 1.2, 2)
+        ):
             v = random_band_limited_field(
                 d, d.n, np.random.default_rng(4), solenoidal=True,
                 time_constant=True, zero_spatial_mean=True,
@@ -414,7 +430,8 @@ class TestQuadratureWork:
             calls = record_transforms()
             steady_norm(v, kind, lam)
             monkeypatch.undo()
-            assert calls
+            names = [name for name, _ in calls]
+            assert names.count("rfftn") == forwards, (kind, names)
             # components first, then the n spatial axes and no time axis
             assert all(len(shape) == d.n + 1 for _, shape in calls), calls
 

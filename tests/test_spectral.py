@@ -1,5 +1,7 @@
 """Tests for the space-time torus transform and spectral calculus."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from tpoe import (
     transference_check,
 )
 from tpoe import spectral
-from tpoe.spectral import _refined_derivatives
+from tpoe.spectral import _refined_derivatives, _rfft
 
 TWO_PI = 2.0 * np.pi
 
@@ -232,6 +234,23 @@ class TestRefine:
         expected = np.cos(y1 + s) + 0.5 * np.sin(2 * y2)
         assert np.max(np.abs(fine.samples[0] - expected)) <= 1e-12
 
+    @pytest.mark.parametrize("N, Nt", [(12, 16), (8, 8), (16, 10)])
+    def test_embedding_drops_nyquist_rows(self, N, Nt):
+        # forward() zeroes the Nyquist modes, so fill every coefficient,
+        # Nyquist rows included, and place each kept mode m at m % N by hand
+        coarse, fine = dom2(N=8, Nt=8), dom2(N=N, Nt=Nt)
+        rng = np.random.default_rng(3)
+        shape = (2,) + coarse.spectral_shape
+        coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expected = np.zeros((2,) + fine.spectral_shape, dtype=complex)
+        modes = coarse.spatial_modes().astype(int)
+        for (i, m1), (j, m2) in itertools.product(enumerate(modes), repeat=2):
+            for k in coarse.time_modes():
+                if 4 not in (abs(m1), abs(m2), k):  # N/2 and Nt/2 of coarse
+                    expected[:, m1 % N, m2 % N, k] = coeff[:, i, j, k]
+        got = embed_spectrum(SpectralField(coarse, coeff), fine)
+        assert np.array_equal(got.coefficients, expected)
+
     def test_same_seed_same_continuum_field_across_resolutions(self):
         # band-limited draws are grid-independent: generating at N=32 equals
         # refining the N=16 field from the same seed
@@ -291,7 +310,7 @@ class TestRefinedDerivatives:
         """Each order's slabs, one array per order and component, joined
         along the first spatial axis; and the row count of every slab."""
         components = samples.shape[0]
-        (stream,) = _refined_derivatives(samples, domain, [orders], refinement)
+        stream = _refined_derivatives(_rfft(samples), domain, orders, refinement)
         slabs = [list(slab) for slab in stream]
         assert all(len(slab) == len(orders) * components for slab in slabs)
         rows = [slab[0].shape[1] for slab in slabs]
