@@ -27,16 +27,8 @@ from .solver import (
     solve_full,
     solve_time_periodic,
 )
-from .spectral import (
-    _HERMITIAN_TOL, SpaceTimeField, SpectralField, TorusDomain, inverse,
-)
-from .symbols import (
-    DEFAULT_CUTOFF,
-    CutoffSpec,
-    OseenParams,
-    evaluate_m,
-    time_periodic_multiplier_grid,
-)
+from .spectral import _HERMITIAN_TOL, SpaceTimeField, TorusDomain, _irfft
+from .symbols import OseenParams, evaluate_m, time_periodic_multiplier_grid
 
 GENERATOR_NAME = "numpy-pcg64"
 
@@ -102,10 +94,10 @@ def random_band_limited_field(
     if defect > _HERMITIAN_TOL * np.max(np.abs(band)):
         raise NonHermitian("band coefficients are not conjugate-symmetric")
     # the k >= 0 half of the band is the half spectrum
-    spec = SpectralField.zeros(domain, components)
+    coeff = np.zeros((components,) + domain.spectral_shape, dtype=complex)
     index = [np.arange(components)] + [modes % domain.N] * n
-    spec.coefficients[np.ix_(*index, np.arange(k_max + 1))] = band[..., k_max:]
-    field = inverse(spec, check=False)
+    coeff[np.ix_(*index, np.arange(k_max + 1))] = band[..., k_max:]
+    field = SpaceTimeField(domain, _irfft(coeff))
     # every accepted flag combination keeps band modes with m != 0 (and a
     # divergence-free direction of each), so the draw vanishes with
     # probability zero
@@ -287,7 +279,6 @@ def _mixed_partial(
     points: np.ndarray,
     eps: tuple[int, ...],
     params: OseenParams,
-    cutoff: CutoffSpec,
 ) -> np.ndarray:
     """d^eps m at each point by nested central differences.
 
@@ -298,7 +289,7 @@ def _mixed_partial(
     n = points.shape[0] - 1
 
     def evaluate(shifted: np.ndarray) -> np.ndarray:
-        return evaluate_m(shifted[:n], shifted[n], params, cutoff)
+        return evaluate_m(shifted[:n], shifted[n], params)
 
     if not active:
         return evaluate(points)
@@ -318,11 +309,7 @@ def _mixed_partial(
     return (4.0 * stencil(0.5) - stencil(1.0)) / 3.0
 
 
-def marcinkiewicz_scan(
-    params: OseenParams,
-    grid: ScanGrid,
-    cutoff: CutoffSpec = DEFAULT_CUTOFF,
-) -> MarcinkiewiczReport:
+def marcinkiewicz_scan(params: OseenParams, grid: ScanGrid) -> MarcinkiewiczReport:
     """Scan every derivative pattern eps in {0,1}^(n+1) for grid suprema of
     the multiplier products |xi_1^eps1 ... eta^eps_{n+1} d^eps m|."""
     points = grid.points()
@@ -331,7 +318,7 @@ def marcinkiewicz_scan(
     dim = grid.n + 1
     per_eps: dict[str, float] = {}
     for eps in itertools.product((0, 1), repeat=dim):
-        deriv = _mixed_partial(points, eps, params, cutoff)
+        deriv = _mixed_partial(points, eps, params)
         weight = np.ones(points.shape[1])
         for i, e in enumerate(eps):
             if e:
@@ -344,20 +331,14 @@ def marcinkiewicz_scan(
     )
 
 
-def transference_check(
-    domain: TorusDomain,
-    params: OseenParams,
-    cutoff: CutoffSpec = DEFAULT_CUTOFF,
-) -> float:
+def transference_check(domain: TorusDomain, params: OseenParams) -> float:
     """Max deviation |M(m, k) - m(Phi(m, k))| over the dual grid.
 
     The dual-group embedding Phi is the grid's own frequency arrays, so both
     sides are evaluated over the whole half grid k = 0 .. Nt/2 at once (on
     k < 0 both are the conjugates of their values at (-m, -k)); unmatched
-    Nyquist modes are left out.  Zero (exactly) for the default cut-off: on
-    integer time frequencies the bump collapses to the k == 0 indicator.
-    The ``cutoff`` hook exists to demonstrate that a widened bump breaks
-    the identity.
+    Nyquist modes are left out.  Zero (exactly): on integer time
+    frequencies the bump collapses to the k == 0 indicator.
 
     Raises
     ------
@@ -366,7 +347,7 @@ def transference_check(
     """
     _require_period(domain, params)
     lhs = time_periodic_multiplier_grid(domain, params)
-    rhs = evaluate_m(domain.xi_grids(), domain.eta_grid(), params, cutoff)
+    rhs = evaluate_m(domain.xi_grids(), domain.eta_grid(), params)
     return float(np.max(np.abs(lhs - rhs)[domain.nyquist_mask()]))
 
 

@@ -11,9 +11,12 @@ SCHEMA; ``#`` starts a comment, an empty value leaves ``recipe`` or
 run directory named by the hash of the resolved config plus the seed, so
 identical runs are byte-identical and sweep provenance survives.
 
-Exit codes (``_EXIT_CODES``): 0 ok, 2 config error, 3 precondition
-violation (IncompatibleMean, NonSolenoidal, NotPurelyPeriodic), 4 I/O
-failure, 5 internal error.
+Only ``solve`` passes the config ``tol`` on; ``roundtrip``, ``sweep`` and
+``convergence`` use ``solver.DEFAULT_TOL`` (1e-10) whatever the config says.
+
+Exit codes (``_EXIT_CODES``): 0 ok, 2 config error, 3 precondition or
+contract violation (IncompatibleMean, NonSolenoidal, NotPurelyPeriodic,
+ResidualExceedsTol), 4 I/O failure, 5 internal error.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, solver
+from . import analysis, solver, symbols
 from .errors import (
     ConfigError,
     DomainMismatch,
@@ -38,12 +41,13 @@ from .errors import (
     InvalidGrid,
     NonSolenoidal,
     NotPurelyPeriodic,
+    ResidualExceedsTol,
     SnapshotFormatError,
     UnknownRecipe,
 )
 from .snapshot import _write_json, load_field, save_bundle
 from .spectral import TorusDomain
-from .symbols import DEFAULT_CUTOFF, OseenParams
+from .symbols import OseenParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,7 +57,9 @@ EXIT_INTERNAL = 5
 
 # exit code -> exception classes; anything else is EXIT_INTERNAL
 _EXIT_CODES = {
-    EXIT_PRECONDITION: (IncompatibleMean, NonSolenoidal, NotPurelyPeriodic),
+    EXIT_PRECONDITION: (
+        IncompatibleMean, NonSolenoidal, NotPurelyPeriodic, ResidualExceedsTol,
+    ),
     EXIT_CONFIG: (
         ConfigError, EmptySweep, InvalidGrid, InvalidExponent, UnknownRecipe,
         DomainMismatch,
@@ -286,7 +292,7 @@ def _cmd_marcinkiewicz(config: dict, outdir: Path) -> None:
             "lambda": params.lam,
             "T": params.T,
             "q": params.q,
-            "cutoff": dataclasses.asdict(DEFAULT_CUTOFF),
+            "cutoff": dict(zip(("inner", "outer"), symbols._CUTOFF_RADII)),
             "generator": analysis.GENERATOR_NAME,
         },
     )

@@ -26,6 +26,10 @@ class IncompatibleMean(TpoeError):
     invertible on the constant mode of the torus."""
 
 
+class ResidualExceedsTol(TpoeError):
+    """A solve's relative residual exceeds the contract tolerance."""
+
+
 class InvalidExponent(TpoeError):
     """Lebesgue exponent outside the admissible range of the requested norm."""
 

@@ -17,9 +17,10 @@ spectrum that yields slabs of refined rows, summed slab by slab.  Memory
 therefore scales with the half spectrum and one slab, not with the refined
 grid.  A steady norm acts on a time-constant field, so it is integrated over
 the time-mean spatial slice alone.  Every square and q-th power is taken of
-values divided by their largest magnitude (a running maximum over the
-slabs), which is multiplied back after the root, so the norms neither
-overflow nor underflow anywhere in the double range.
+values at most 1: divided by their largest magnitude, a running maximum over
+the slabs, which is multiplied back after the root.  So no norm overflows or
+underflows in the double range (``TestNoOverflow``, q up to 1e4, and
+``TestReportValues``, scales 1e+-300, in ``tests/test_norms.py``).
 
 Spatial Lebesgue norms are taken verbatim over the periodic box.  On the
 whole space these exponents encode decay at infinity; a periodic box has no
@@ -154,12 +155,12 @@ def _auto_refine(*exponents: float) -> int:
 
 def _squared_magnitude(arrays: Iterable[np.ndarray]) -> tuple[np.ndarray, float]:
     """Pointwise ``sum |a|^2`` over the components of all arrays, divided by
-    ``scale^2``, and ``scale``, the largest ``|entry|``.
+    ``scale^2``, and ``scale``, the largest pointwise magnitude: entries <= 1.
 
     Arrays are consumed (overwritten in place, the first one becomes the
-    sum); the running sum is rescaled whenever a later array raises the
-    scale, so no square overflows and none underflows relative to the
-    largest one.
+    sum); each square is taken relative to the largest ``|entry|`` so far
+    and the running sum is rescaled whenever a later array raises it, so no
+    square overflows and none underflows relative to the largest one.
     """
     total, scale = None, 0.0
     for arr in arrays:
@@ -177,7 +178,10 @@ def _squared_magnitude(arrays: Iterable[np.ndarray]) -> tuple[np.ndarray, float]
             else:
                 total += component
         del arr, component  # free it before the next array is made
-    return total, scale
+    peak = float(total.max())
+    if peak > 0.0:
+        total /= peak
+    return total, scale * peak**0.5
 
 
 def _q_sum(terms: list, q: float) -> float:

@@ -22,6 +22,7 @@ from .errors import (
     IncompatibleMean,
     NonSolenoidal,
     NotPurelyPeriodic,
+    ResidualExceedsTol,
 )
 from .spectral import (
     SpaceTimeField,
@@ -30,7 +31,6 @@ from .spectral import (
     _irfft,
     _rfft,
     forward,
-    inverse,
 )
 from .symbols import OseenParams, _denominator, _quotient
 
@@ -138,7 +138,7 @@ def project_solenoidal(spec: SpectralField) -> SpectralField:
 def apply_helmholtz(f: SpaceTimeField) -> SpaceTimeField:
     """Helmholtz projection of a sampled vector field onto solenoidal fields."""
     _require_vector(f)
-    return inverse(project_solenoidal(forward(f)), check=False)
+    return SpaceTimeField(f.domain, _irfft(project_solenoidal(forward(f)).coefficients))
 
 
 def _divergence(xi, coefficients: np.ndarray) -> float:
@@ -323,6 +323,8 @@ def solve_full(
         If the data's steady solenoidal part has nonzero spatial mean.
     DomainMismatch
         If ``params.T`` is not the period of ``f``'s domain.
+    ResidualExceedsTol
+        If the relative residual of the solution is not within ``tol``.
     ValueError
         If ``tol`` is not positive and finite.
     """
@@ -342,6 +344,10 @@ def solve_full(
     scale = f.max_abs()
     residual = (apply_operator(u, p, params) - f).max_abs()
     residual_norm = residual / (scale if scale > 0.0 else 1.0)
+    if not residual_norm <= tol:
+        raise ResidualExceedsTol(
+            f"relative residual {residual_norm:.3e} exceeds tol {tol:.3e}"
+        )
 
     report = _norm_report(f, u, w, v, p, params, norm_kinds)
     return SolutionBundle(

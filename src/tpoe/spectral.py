@@ -214,11 +214,6 @@ class SpaceTimeField:
         return cls(domain, np.asarray(values, dtype=float)[np.newaxis])
 
     @classmethod
-    def vector(cls, domain: TorusDomain, values: np.ndarray) -> "SpaceTimeField":
-        """Wrap a (n, N, ..., N, Nt) array as an n-component field."""
-        return cls(domain, values)
-
-    @classmethod
     def zeros(cls, domain: TorusDomain, components: int) -> "SpaceTimeField":
         return cls(domain, np.zeros((components,) + domain.grid_shape))
 
@@ -278,11 +273,6 @@ class SpectralField:
     def components(self) -> int:
         return self.coefficients.shape[0]
 
-    @classmethod
-    def zeros(cls, domain: TorusDomain, components: int) -> "SpectralField":
-        shape = (components,) + domain.spectral_shape
-        return cls(domain, np.zeros(shape, dtype=complex))
-
     def hermitian_defect(self) -> float:
         """Max deviation from conjugate symmetry (absolute) on the k == 0
         plane, the only self-conjugate plane of the half spectrum."""
@@ -316,13 +306,12 @@ def forward(field: SpaceTimeField) -> SpectralField:
     return SpectralField(field.domain, _rfft(field.samples))
 
 
-def inverse(spec: SpectralField, check: bool = True) -> SpaceTimeField:
-    """Inverse transform back to real samples.
+def inverse(spec: SpectralField) -> SpaceTimeField:
+    """Inverse transform back to real samples, after validating the spectrum.
 
-    ``check=False`` skips the symmetry validation; internal pipeline steps
-    use it on spectra that are conjugate-symmetric by construction (forward
-    transforms of real fields times conjugate-even multipliers), where a
-    relative recheck would misfire on cancellation residue.
+    Pipeline steps whose spectra are conjugate-symmetric by construction call
+    ``_irfft`` directly: on their cancellation residue a relative check could
+    misfire.
 
     Raises
     ------
@@ -333,7 +322,7 @@ def inverse(spec: SpectralField, check: bool = True) -> SpaceTimeField:
     """
     domain = spec.domain
     scale = spec.max_abs()
-    if check and scale > 0.0:
+    if scale > 0.0:
         if spec.hermitian_defect() > _HERMITIAN_TOL * scale:
             raise NonHermitian(
                 "coefficients are not conjugate-symmetric; "

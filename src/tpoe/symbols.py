@@ -7,8 +7,8 @@ with scalars as its 0-d case; on the dual grid the arrays are those of
 |xi|^2 + i*(eta - lam*xi_1): the time-periodic multiplier M on the dual
 grid, its Euclidean counterpart m, and the solver's quotient and forward
 operator all call it.  So M and m agree exactly, not approximately, at
-integer time frequencies: there the cut-off bump collapses to the k == 0
-indicator.
+integer time frequencies: there the cut-off bump, fixed at the radii
+(1/2, 1), collapses to the k == 0 indicator.
 """
 
 from __future__ import annotations
@@ -42,27 +42,10 @@ class OseenParams:
         return self.lam == 0.0
 
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Shape of the smooth temporal cut-off bump.
-
-    The bump equals 1 on ``|eta| <= inner``, 0 on ``|eta| >= outer`` and
-    interpolates smoothly in between.  The default radii (1/2, 1) make the
-    bump reduce to the k == 0 indicator on integer frequencies.  Widened
-    radii exist only as a test hook for breaking that reduction on purpose.
-    """
-
-    inner: float = 0.5
-    outer: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.inner < self.outer < np.inf:
-            raise ValueError(
-                f"need 0 < inner < outer < inf, got ({self.inner}, {self.outer})"
-            )
-
-
-DEFAULT_CUTOFF = CutoffSpec()
+# radii (inner, outer) of the cut-off bump: 1 on |eta| <= 1/2, 0 on
+# |eta| >= 1, so on integer time frequencies the bump is the k == 0
+# indicator, the reduction the transference identity rests on
+_CUTOFF_RADII = (0.5, 1.0)
 
 
 def _bump_seed(t: np.ndarray) -> np.ndarray:
@@ -78,16 +61,18 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
     return g / (g + _bump_seed(1.0 - t))
 
 
-def cutoff_chi(eta, spec: CutoffSpec = DEFAULT_CUTOFF):
+def cutoff_chi(eta):
     """Smooth even bump in the temporal frequency; values in [0, 1].
 
-    Plateau value 1 inside ``spec.inner``, 0 outside ``spec.outer``, and the
-    smoothstep ramp ``s((outer - |eta|)/(outer - inner))`` in between with
+    Plateau value 1 on ``|eta| <= inner``, 0 on ``|eta| >= outer`` for the
+    fixed radii ``(inner, outer) = (1/2, 1)``, and the smoothstep ramp
+    ``s((outer - |eta|)/(outer - inner))`` in between with
     ``s(t) = g(t)/(g(t) + g(1-t))``, ``g(t) = exp(-1/t)``.
     """
+    inner, outer = _CUTOFF_RADII
     a = np.abs(np.asarray(eta, dtype=float))
-    ramp = _smoothstep((spec.outer - a) / (spec.outer - spec.inner))
-    out = np.where(a <= spec.inner, 1.0, np.where(a >= spec.outer, 0.0, ramp))
+    ramp = _smoothstep((outer - a) / (outer - inner))
+    out = np.where(a <= inner, 1.0, np.where(a >= outer, 0.0, ramp))
     if out.ndim == 0:
         return float(out)
     return out
@@ -109,9 +94,7 @@ def _quotient(numerator, denom, annihilated):
     return np.where(annihilated, 0.0 + 0.0j, numerator / safe)
 
 
-def evaluate_m(
-    xi, eta, params: OseenParams, cutoff: CutoffSpec = DEFAULT_CUTOFF
-):
+def evaluate_m(xi, eta, params: OseenParams):
     """Euclidean counterpart of the solution multiplier.
 
     ``(1 - chi((T/(2*pi))*eta)) / (|xi|^2 + i*(eta - lam*xi_1))``; the
@@ -123,7 +106,7 @@ def evaluate_m(
     arguments give a complex scalar.
     """
     eta_arr = np.asarray(eta, dtype=float)
-    weight = 1.0 - np.asarray(cutoff_chi(params.T / (2.0 * np.pi) * eta_arr, cutoff))
+    weight = 1.0 - np.asarray(cutoff_chi(params.T / (2.0 * np.pi) * eta_arr))
     out = _quotient(weight, _denominator(xi, eta_arr, params.lam), weight == 0.0)
     if out.ndim == 0:
         return complex(out)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tpoe import (
-    CutoffSpec,
     DomainMismatch,
     DualIndex,
     EmptySweep,
@@ -124,13 +123,12 @@ class TestNonFiniteParameters:
             (lambda: OseenParams(lam=np.inf, T=TWO_PI, q=2.0), ValueError),
             (lambda: OseenParams(lam=np.nan, T=TWO_PI, q=2.0), ValueError),
             (lambda: OseenParams(lam=0.0, T=np.inf, q=2.0), ValueError),
-            (lambda: CutoffSpec(inner=0.5, outer=np.inf), ValueError),
             (lambda: ScanGrid(n=2, radial_max=np.inf), InvalidGrid),
             (lambda: ScanGrid(n=2, radial_min=np.nan), InvalidGrid),
         ],
         ids=[
             "L-inf", "T-nan", "lam-inf", "lam-nan", "params-T-inf",
-            "cutoff-outer-inf", "radial-max-inf", "radial-min-nan",
+            "radial-max-inf", "radial-min-nan",
         ],
     )
     def test_rejected_where_built(self, build, error):
@@ -142,8 +140,8 @@ class TestNonFiniteParameters:
 
         real = analysis_module._mixed_partial
 
-        def spoiled(points, eps, pr, cutoff):
-            out = real(points, eps, pr, cutoff)
+        def spoiled(points, eps, pr):
+            out = real(points, eps, pr)
             return out * np.nan if all(eps) else out  # the last pattern only
 
         monkeypatch.setattr(analysis_module, "_mixed_partial", spoiled)
@@ -186,7 +184,7 @@ class TestMarcinkiewiczScan:
             ]
         )
         eps = tuple(int(i == var) for i in range(3))
-        fd = _mixed_partial(points, eps, pr, CutoffSpec())
+        fd = _mixed_partial(points, eps, pr)
         for j in range(points.shape[1]):
             xi = points[:2, j]
             eta = points[2, j]
@@ -202,7 +200,7 @@ class TestMarcinkiewiczScan:
     def test_zero_pattern_matches_plain_evaluation(self):
         pr = params(lam=2.0)
         points = ScanGrid(n=2, shells=4, directions=2, seed=0).points()
-        direct = _mixed_partial(points, (0, 0, 0), pr, CutoffSpec())
+        direct = _mixed_partial(points, (0, 0, 0), pr)
         for j in range(points.shape[1]):
             closed = _m_closed(points[:2, j], points[2, j], pr)
             assert direct[j] == pytest.approx(closed, rel=1e-13, abs=1e-300)
@@ -238,14 +236,16 @@ class TestTransference:
         with pytest.raises(DomainMismatch, match="period"):
             transference_check(dom2(N=8, Nt=8), params(lam=1.0, T=3.0))
 
-    def test_widened_cutoff_breaks_identity_at_first_mode(self):
+    def test_widened_cutoff_breaks_identity_at_first_mode(self, monkeypatch):
+        import tpoe.symbols as symbols_module
+
         d = dom2(N=16, Nt=16)
         pr = params(lam=0.0)
-        wide = CutoffSpec(inner=2.0, outer=4.0)
-        deviation = transference_check(d, pr, cutoff=wide)
+        monkeypatch.setattr(symbols_module, "_CUTOFF_RADII", (2.0, 4.0))
+        deviation = transference_check(d, pr)
         assert deviation > 0.1
         xi, eta = DualIndex((0, 0), 1).frequencies(d)
-        assert evaluate_m(xi, eta, pr, wide) == 0.0
+        assert evaluate_m(xi, eta, pr) == 0.0
         first = time_periodic_multiplier_grid(d, pr)[0, 0, 1]
         assert abs(first) > 0.1
         assert deviation >= abs(first) - 1e-15

@@ -208,6 +208,25 @@ class TestExitCodes:
 
 
 class TestSolveCommand:
+    @pytest.mark.parametrize("probe", ["lambda=1e300", "T=1e-300", "L=1e-10"])
+    def test_residual_over_tol_is_contract_error(self, config_file, capsys, probe):
+        # each probe solves to a relative residual above tol = 1e-10 (1.0,
+        # 1.0 and 1.4e-10); reporting such a solve would be a wrong answer
+        overrides = ["recipe=mixed", "N=16", "Nt=16", probe]
+        path = config_file()
+        argv = ["solve", "--config", path]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_PRECONDITION
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ResidualExceedsTol"
+        assert record["exit_code"] == EXIT_PRECONDITION
+        outdir = run_dir_of(path, overrides)
+        assert json.loads((outdir / "error.json").read_text()) == record
+        assert not (outdir / "summary.json").exists()
+
     def test_recipe_solve_writes_bundle_and_summary(self, config_file):
         path = config_file()
         assert main(["solve", "--config", path]) == EXIT_OK
@@ -301,6 +320,7 @@ class TestAnalysisCommands:
         assert len(lines) == 1 + 8
         grid = json.loads((outdir / "marcinkiewicz_grid.json").read_text())
         assert grid["grid_spec"]["shells"] == 8
+        assert grid["cutoff"] == {"inner": 0.5, "outer": 1.0}
 
     def test_sweep_command_idempotent(self, config_file):
         extra = (

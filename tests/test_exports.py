@@ -1,4 +1,7 @@
-"""Guard on the package's public namespace."""
+"""Guard on the package's public namespace and its imports."""
+
+import ast
+from pathlib import Path
 
 import tpoe
 
@@ -10,3 +13,27 @@ def test_every_export_resolves():
 
 def test_exports_are_unique():
     assert len(tpoe.__all__) == len(set(tpoe.__all__))
+
+
+def _unused_imports(path):
+    """Names a module imports but never reads, in import order."""
+    tree = ast.parse(path.read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_no_module_imports_an_unused_name():
+    # no linter ships with the package; __init__ imports to re-export
+    sources = sorted(Path(tpoe.__file__).parent.glob("*.py"))
+    unused = {
+        path.name: _unused_imports(path)
+        for path in sources
+        if path.name != "__init__.py"
+    }
+    assert {name: names for name, names in unused.items() if names} == {}

@@ -112,7 +112,7 @@ class TestSobolevNorm:
         # zeroth term enters both sums by the displayed definition
         d = dom2()
         c = 3.0
-        f = SpaceTimeField.vector(d, np.full((2,) + d.grid_shape, c))
+        f = SpaceTimeField(d, np.full((2,) + d.grid_shape, c))
         base = lq_norm(f, 2.0)
         assert sobolev_norm_21q(f, 2.0) == pytest.approx(
             (2.0 * base**2) ** 0.5, rel=1e-13
@@ -411,6 +411,22 @@ class TestReportValues:
         for key, value in base.items():
             expected = pytest.approx(scale * value, rel=1e-12, abs=0.0)
             assert scaled[key] == expected, key
+
+
+class TestNoOverflow:
+    # the summed squares of several components and orders are divided by
+    # their own maximum, so no q-th power exceeds 1; scaling by the largest
+    # entry alone gave NaN or inf from q = 2800 on these cases
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_large_exponents_stay_finite(self, seed):
+        d = TorusDomain(n=3, L=TWO_PI, N=12, T=TWO_PI, Nt=12)
+        u, _, _ = manufactured_case(
+            "random", d, OseenParams(lam=0.0, T=TWO_PI, q=2.0), seed=seed
+        )
+        for q in (2800.0, 4000.0, 10000.0):
+            for norm in (lq_norm, sobolev_norm_21q):
+                value = norm(u, q)
+                assert np.isfinite(value) and value > 0.0, (norm.__name__, q)
 
 
 class TestQuadratureWork:

@@ -117,7 +117,7 @@ class TestTransform:
     def test_forward_of_real_is_hermitian(self):
         d = dom2(N=16, Nt=16)
         rng = np.random.default_rng(11)
-        f = SpaceTimeField.vector(d, rng.standard_normal((2,) + d.grid_shape))
+        f = SpaceTimeField(d, rng.standard_normal((2,) + d.grid_shape))
         spec = forward(f)
         assert spec.hermitian_defect() <= 1e-12 * spec.max_abs()
 
@@ -299,8 +299,7 @@ class TestRefinedDerivatives:
         spec = forward(f)
         return [
             inverse(
-                embed_spectrum(spectral_derivative(spec, alpha, beta), fine),
-                check=False,
+                embed_spectrum(spectral_derivative(spec, alpha, beta), fine)
             ).samples
             for alpha, beta in self.ORDERS
         ]

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from tpoe import (
-    CutoffSpec,
     DualIndex,
     OseenParams,
     SpectralField,
@@ -110,14 +109,12 @@ class TestCutoff:
         for x in np.linspace(-3, 3, 301):
             assert 0.0 <= cutoff_chi(x) <= 1.0
 
-    def test_widened_spec(self):
-        wide = CutoffSpec(inner=2.0, outer=4.0)
-        assert cutoff_chi(1.0, wide) == 1.0
-        assert cutoff_chi(5.0, wide) == 0.0
+    def test_widened_spec(self, monkeypatch):
+        import tpoe.symbols as symbols_module
 
-    def test_bad_spec_rejected(self):
-        with pytest.raises(ValueError):
-            CutoffSpec(inner=1.0, outer=0.5)
+        monkeypatch.setattr(symbols_module, "_CUTOFF_RADII", (2.0, 4.0))
+        assert cutoff_chi(1.0) == 1.0
+        assert cutoff_chi(5.0) == 0.0
 
 
 class TestOseenParams:
