@@ -186,6 +186,7 @@ def manufactured_case(
             domain, 1, rng, zero_spatial_mean=True, **band
         )
         u = w if v is None else v + w
+        del v, w  # only u is returned; free the parts before f is built
     return u, p, apply_operator(u, p, params)
 
 

@@ -405,6 +405,9 @@ def main(argv: list[str] | None = None) -> int:
         config = parse_config(args.config, args.overrides)
         outdir = run_directory(config)
         outdir.mkdir(parents=True, exist_ok=True)
+        # one config shares its directory across subcommands and reruns, so
+        # an earlier failure's record must not outlive this run
+        (outdir / "error.json").unlink(missing_ok=True)
         (outdir / "config.resolved.txt").write_text(_canonical_lines(config))
         RUNNERS[args.subcommand](config, outdir)
     except Exception as exc:

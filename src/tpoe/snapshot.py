@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -37,48 +38,63 @@ def _write_json(path, payload: dict) -> None:
 
 
 def save_field(field: SpaceTimeField, path) -> None:
+    """Write ``field`` as one snapshot.  Each component's buffer is written
+    as it is; only a component that is not a C-contiguous float64 array,
+    such as a broadcast view, is copied, one at a time."""
     meta = dataclasses.asdict(field.domain)
     meta.update(components=field.components, dtype=DTYPE)
-    payload = np.ascontiguousarray(field.samples, dtype=DTYPE).tobytes()
     with open(path, "wb") as handle:
         handle.write(MAGIC)
         handle.write(json.dumps(meta, sort_keys=True).encode("ascii"))
         handle.write(b"\n")
-        handle.write(payload)
+        for component in field.samples:
+            handle.write(np.ascontiguousarray(component, dtype=DTYPE))
 
 
 def load_field(path) -> SpaceTimeField:
-    raw = Path(path).read_bytes()
-    if not raw.startswith(MAGIC):
-        raise SnapshotFormatError(f"{path}: not a TPOE-FIELD v1 snapshot")
-    try:
-        header_end = raw.index(b"\n", len(MAGIC))
-        meta = json.loads(raw[len(MAGIC):header_end].decode("ascii"))
-        for key in ("n", "N", "Nt", "components"):
-            if type(meta[key]) is not int:  # bool is a subclass of int
+    """Read one snapshot; the payload is read straight into the samples.
+
+    Raises
+    ------
+    SnapshotFormatError
+        If the magic line, the header or the payload size is wrong.
+    """
+    with open(path, "rb") as handle:
+        if handle.read(len(MAGIC)) != MAGIC:
+            raise SnapshotFormatError(f"{path}: not a TPOE-FIELD v1 snapshot")
+        try:
+            header = handle.readline()
+            meta = json.loads(header[: header.index(b"\n")].decode("ascii"))
+            for key in ("n", "N", "Nt", "components"):
+                if type(meta[key]) is not int:  # bool is a subclass of int
+                    raise SnapshotFormatError(
+                        f"{path}: header size {key} must be an integer, "
+                        f"got {meta[key]!r}"
+                    )
+            domain = TorusDomain(
+                n=meta["n"],
+                L=float(meta["L"]),
+                N=meta["N"],
+                T=float(meta["T"]),
+                Nt=meta["Nt"],
+            )
+            components = meta["components"]
+            if meta["dtype"] != DTYPE:
                 raise SnapshotFormatError(
-                    f"{path}: header size {key} must be an integer, got {meta[key]!r}"
+                    f"{path}: unsupported dtype {meta['dtype']}"
                 )
-        domain = TorusDomain(
-            n=meta["n"],
-            L=float(meta["L"]),
-            N=meta["N"],
-            T=float(meta["T"]),
-            Nt=meta["Nt"],
-        )
-        components = meta["components"]
-        if meta["dtype"] != DTYPE:
-            raise SnapshotFormatError(f"{path}: unsupported dtype {meta['dtype']}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SnapshotFormatError(f"{path}: malformed snapshot header") from exc
-    shape = (components,) + domain.grid_shape
-    expected = int(np.prod(shape)) * 8
-    payload = raw[header_end + 1:]
-    if len(payload) != expected:
-        raise SnapshotFormatError(
-            f"{path}: payload has {len(payload)} bytes, expected {expected}"
-        )
-    samples = np.frombuffer(payload, dtype=DTYPE).reshape(shape).copy()
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SnapshotFormatError(f"{path}: malformed snapshot header") from exc
+        shape = (components,) + domain.grid_shape
+        expected = int(np.prod(shape)) * 8
+        size = os.fstat(handle.fileno()).st_size - handle.tell()
+        if size == expected:
+            samples = np.empty(shape, dtype=DTYPE)
+            size = handle.readinto(samples)  # short only if the file shrank
+        if size != expected:
+            raise SnapshotFormatError(
+                f"{path}: payload has {size} bytes, expected {expected}"
+            )
     return SpaceTimeField(domain, samples)
 
 

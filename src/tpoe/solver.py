@@ -13,6 +13,7 @@ package targets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -41,7 +42,8 @@ DEFAULT_TOL = norms._TOL
 class SolutionBundle:
     """Full solve output: steady part v, oscillating part w, velocity
     u = v + w, pressure p, the relative residual of the momentum equation,
-    and the norms applicable to the run parameters."""
+    and the norms applicable to the run parameters.  ``v.samples`` is a
+    read-only view; copy it before writing into it."""
 
     v: SpaceTimeField
     w: SpaceTimeField
@@ -173,9 +175,14 @@ def _invert(gh: np.ndarray, domain: TorusDomain, lam: float) -> np.ndarray:
 
 
 def _steady_slice(uh: np.ndarray, domain: TorusDomain) -> SpaceTimeField:
-    """The time-constant field of the k == 0 slice of the half spectrum ``uh``."""
+    """The time-constant field of the k == 0 slice of the half spectrum ``uh``.
+
+    Its samples are a read-only view that repeats the one spatial slice
+    along the time axis, so the field holds ``1/Nt`` of a full field.
+    """
     spatial = _irfft(uh[..., : domain.N // 2 + 1, 0])[..., np.newaxis]
-    return SpaceTimeField(domain, np.repeat(spatial, domain.Nt, axis=-1))
+    shape = spatial.shape[:-1] + (domain.Nt,)
+    return SpaceTimeField(domain, np.broadcast_to(spatial, shape))
 
 
 def solve_time_periodic(
@@ -215,6 +222,9 @@ def solve_steady(
 ) -> SpaceTimeField:
     """Invert the steady drift operator on time-constant solenoidal data.
 
+    The result's samples are a read-only view of one spatial slice repeated
+    along the time axis.
+
     Raises
     ------
     IncompatibleMean
@@ -251,18 +261,38 @@ def recover_pressure(f: SpaceTimeField) -> SpaceTimeField:
     return SpaceTimeField(f.domain, _irfft(ph))
 
 
+def _operator_rows(
+    u: SpaceTimeField, p: SpaceTimeField, params: OseenParams
+) -> Iterator[np.ndarray]:
+    """Component j of A(u, p), for j = 0 .. n-1 in turn: the real samples of
+    ``symbol * u^_j + i xi_j p^``.  The symbol and p^ are built once and u
+    is transformed one component at a time, so besides them no more than
+    one component's half spectrum and samples are alive at a time."""
+    domain = u.domain
+    xi = domain.xi_grids()
+    symbol = _denominator(xi, domain.eta_grid(), params.lam)
+    ph = _rfft(p.samples)[0]
+    for j in range(domain.n):
+        uh = _rfft(u.samples[j : j + 1])
+        # symbol first: numpy's complex product is not bitwise commutative
+        np.multiply(symbol, uh[0], out=uh[0])
+        uh[0] += 1j * xi[j] * ph
+        yield _irfft(uh)[0]
+
+
 def apply_operator(
     u: SpaceTimeField, p: SpaceTimeField, params: OseenParams
 ) -> SpaceTimeField:
-    """Forward operator du/dt - Lap(u) - lam*d1(u) + grad(p), spectrally."""
+    """Forward operator du/dt - Lap(u) - lam*d1(u) + grad(p), spectrally.
+
+    One transform pair per velocity component plus one forward transform of
+    p; the result is filled component by component.
+    """
     _require_velocity_pressure(u, p)
-    domain = u.domain
-    uph = _rfft(np.concatenate([u.samples, p.samples]))
-    xi = domain.xi_grids()
-    symbol = _denominator(xi, domain.eta_grid(), params.lam)
-    for j in range(domain.n):
-        uph[j] = symbol * uph[j] + 1j * xi[j] * uph[-1]
-    return SpaceTimeField(domain, _irfft(uph[:-1]))
+    out = np.empty_like(u.samples)
+    for j, row in enumerate(_operator_rows(u, p, params)):
+        out[j] = row
+    return SpaceTimeField(u.domain, out)
 
 
 def apply_operator_fd(
@@ -308,14 +338,16 @@ def solve_full(
     Pipeline, on the half spectrum of ``f``: the gradient part determines
     the pressure, and one quotient by the operator's symbol inverts the
     Helmholtz projection (the steady symbol on k == 0, the time-periodic
-    multiplier elsewhere); v is the k == 0 slice of u, and w = u - v.  The
-    report contains ``lq_data`` (the Lq norm of ``f``) and every norm
-    applicable to ``(n, lam, q)``: ``lq_velocity`` of u,
-    ``sobolev_21q_periodic`` of w, the steady family's tag (for example
-    ``steady_stokes``) of v and ``pressure_xp`` of p.  Pass ``norm_kinds``
-    to request specific ones instead; they are reported under the same
-    names, without ``lq_data`` (invalid requests raise
-    ``InvalidExponent``).
+    multiplier elsewhere); v is the k == 0 slice of u, held as a read-only
+    view of one spatial slice, and w = u - v.  The relative residual
+    max|A(u, p) - f| / max|f| is taken one velocity component at a time, so
+    no full-size A(u, p) is formed.  The report contains ``lq_data`` (the
+    Lq norm of ``f``) and every norm applicable to ``(n, lam, q)``:
+    ``lq_velocity`` of u, ``sobolev_21q_periodic`` of w, the steady
+    family's tag (for example ``steady_stokes``) of v and ``pressure_xp``
+    of p.  Pass ``norm_kinds`` to request specific ones instead; they are
+    reported under the same names, without ``lq_data`` (invalid requests
+    raise ``InvalidExponent``).
 
     Raises
     ------
@@ -334,20 +366,23 @@ def solve_full(
     _require_compatible_mean(f, tol)
     domain = f.domain
     xi = domain.xi_grids()
+    scale = f.max_abs()
     fh = _rfft(f.samples)
     p = SpaceTimeField(domain, _irfft(_pressure_coefficients(xi, fh)))
     uh = _invert(_project(xi, fh), domain, params.lam)  # in place on fh
     u = SpaceTimeField(domain, _irfft(uh))
     v = _steady_slice(uh, domain)
     del fh, uh
-    w = u - v
-    scale = f.max_abs()
-    residual = (apply_operator(u, p, params) - f).max_abs()
+    residual = 0.0
+    for row, f_j in zip(_operator_rows(u, p, params), f.samples):
+        np.subtract(row, f_j, out=row)
+        residual = max(residual, float(np.max(np.abs(row, out=row))))
     residual_norm = residual / (scale if scale > 0.0 else 1.0)
     if not residual_norm <= tol:
         raise ResidualExceedsTol(
             f"relative residual {residual_norm:.3e} exceeds tol {tol:.3e}"
         )
+    w = u - v
 
     report = _norm_report(f, u, w, v, p, params, norm_kinds)
     return SolutionBundle(

@@ -1,5 +1,7 @@
 """Shared fixtures for the tpoe test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,3 +28,20 @@ def record_transforms(monkeypatch):
         return calls
 
     return record
+
+
+@pytest.fixture
+def traced_peak():
+    """Return a function that calls ``call()`` under ``tracemalloc`` and
+    returns the peak of the memory it allocated, in bytes, and the call's
+    result."""
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -293,8 +293,23 @@ class TestManufactured:
         calls = record_transforms()
         manufactured_case("mixed", d, params(lam=1.0), seed=0)
         names = [name for name, _ in calls]
-        # one inverse per random field (v, w, p), then the operator's pair
-        assert names == ["irfftn"] * 3 + ["rfftn", "irfftn"], names
+        # one inverse per random field (v, w, p), then the operator: a
+        # forward of p and a transform pair per velocity component
+        assert names == ["irfftn"] * 3 + ["rfftn"] + ["rfftn", "irfftn"] * 2, names
+        # the operator transforms as many points as a forward of the stacked
+        # (u, p) and an inverse of the velocity
+        operator = sum(int(np.prod(shape)) for _, shape in calls[3:])
+        assert operator == 3 * 16**3 + 2 * 16 * 16 * 9
+
+    def test_allocation_bounded_by_data_size(self, traced_peak):
+        # v and w are freed before f is built: 5.34x measured, where the
+        # parts kept alive through the operator peaked at 8.23x
+        d = TorusDomain(n=3, L=3.0, N=16, T=5.0, Nt=16)
+        pr = OseenParams(lam=-2.5, T=5.0, q=2.0)
+        peak, (_, _, f) = traced_peak(
+            lambda: manufactured_case("mixed", d, pr, seed=0)
+        )
+        assert peak <= 6 * f.samples.nbytes
 
     def test_band_symmetry_is_checked(self, monkeypatch):
         import tpoe.analysis as analysis_module
@@ -418,8 +433,8 @@ class TestConvergence:
         convergence_study(
             "mixed", dom2(16, 16), params(lam=1.0, q=q), [(16, 16), (32, 32)]
         )
-        # per resolution: 5 for the mixed case, 6 for the lean solve
-        assert len(calls) == 2 * (5 + 6), [name for name, _ in calls]
+        # per resolution: 8 for the mixed case, 9 for the lean solve
+        assert len(calls) == 2 * (8 + 9), [name for name, _ in calls]
 
     def test_unknown_recipe_propagates(self):
         with pytest.raises(UnknownRecipe):

@@ -227,6 +227,18 @@ class TestSolveCommand:
         assert json.loads((outdir / "error.json").read_text()) == record
         assert not (outdir / "summary.json").exists()
 
+    def test_success_removes_an_earlier_error_record(self, config_file):
+        # the run directory hashes the config, not the subcommand, so a
+        # transference run shares the directory of a failed solve
+        path = config_file()
+        overrides = ["--set", "lambda=1e300"]
+        assert main(["solve", "--config", path, *overrides]) == EXIT_PRECONDITION
+        outdir = run_dir_of(path, ["lambda=1e300"])
+        assert (outdir / "error.json").is_file()
+        assert main(["transference", "--config", path, *overrides]) == EXIT_OK
+        assert (outdir / "transference.json").is_file()
+        assert not (outdir / "error.json").exists()
+
     def test_recipe_solve_writes_bundle_and_summary(self, config_file):
         path = config_file()
         assert main(["solve", "--config", path]) == EXIT_OK
