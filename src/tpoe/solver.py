@@ -327,6 +327,21 @@ def apply_operator_fd(
     return SpaceTimeField(domain, out + grad_p)
 
 
+def _residual(
+    u: SpaceTimeField, p: SpaceTimeField, f: SpaceTimeField, params: OseenParams
+) -> float:
+    """max|A(u, p) - f|, one velocity component at a time; each row is
+    freed with the call, before the norm report runs."""
+    residual = 0.0
+    for row, f_j in zip(_operator_rows(u, p, params), f.samples):
+        # max() would drop a NaN, so an overflowing symbol must stop here
+        if not np.isfinite(row).all():
+            raise DomainMismatch("samples contain non-finite values")
+        np.subtract(row, f_j, out=row)
+        residual = max(residual, float(np.max(np.abs(row, out=row))))
+    return residual
+
+
 def solve_full(
     f: SpaceTimeField,
     params: OseenParams,
@@ -354,7 +369,8 @@ def solve_full(
     IncompatibleMean
         If the data's steady solenoidal part has nonzero spatial mean.
     DomainMismatch
-        If ``params.T`` is not the period of ``f``'s domain.
+        If ``params.T`` is not the period of ``f``'s domain, or if u, p or
+        A(u, p) has a non-finite sample (the symbol overflowed).
     ResidualExceedsTol
         If the relative residual of the solution is not within ``tol``.
     ValueError
@@ -373,11 +389,7 @@ def solve_full(
     u = SpaceTimeField(domain, _irfft(uh))
     v = _steady_slice(uh, domain)
     del fh, uh
-    residual = 0.0
-    for row, f_j in zip(_operator_rows(u, p, params), f.samples):
-        np.subtract(row, f_j, out=row)
-        residual = max(residual, float(np.max(np.abs(row, out=row))))
-    residual_norm = residual / (scale if scale > 0.0 else 1.0)
+    residual_norm = _residual(u, p, f, params) / (scale if scale > 0.0 else 1.0)
     if not residual_norm <= tol:
         raise ResidualExceedsTol(
             f"relative residual {residual_norm:.3e} exceeds tol {tol:.3e}"

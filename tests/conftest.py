@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tpoe import OseenParams, TorusDomain, manufactured_case
+
 
 @pytest.fixture
 def record_transforms(monkeypatch):
@@ -45,3 +47,13 @@ def traced_peak():
             tracemalloc.stop()
 
     return peak
+
+
+@pytest.fixture
+def bound_case():
+    """The case of the allocation bounds, as (domain, params, f): n=3, L=3,
+    T=5, N=Nt=16, lam=-2.5 and the mixed recipe's data for seed 0."""
+    d = TorusDomain(n=3, L=3.0, N=16, T=5.0, Nt=16)
+    pr = OseenParams(lam=-2.5, T=5.0, q=2.0)
+    _, _, f = manufactured_case("mixed", d, pr, seed=0)
+    return d, pr, f

@@ -301,11 +301,9 @@ class TestManufactured:
         operator = sum(int(np.prod(shape)) for _, shape in calls[3:])
         assert operator == 3 * 16**3 + 2 * 16 * 16 * 9
 
-    def test_allocation_bounded_by_data_size(self, traced_peak):
-        # v and w are freed before f is built: 5.34x measured, where the
-        # parts kept alive through the operator peaked at 8.23x
-        d = TorusDomain(n=3, L=3.0, N=16, T=5.0, Nt=16)
-        pr = OseenParams(lam=-2.5, T=5.0, q=2.0)
+    def test_allocation_bounded_by_data_size(self, traced_peak, bound_case):
+        # 5.34x measured: v and w are freed before f is built
+        d, pr, _ = bound_case
         peak, (_, _, f) = traced_peak(
             lambda: manufactured_case("mixed", d, pr, seed=0)
         )

@@ -227,6 +227,19 @@ class TestSolveCommand:
         assert json.loads((outdir / "error.json").read_text()) == record
         assert not (outdir / "summary.json").exists()
 
+    def test_overflowing_symbol_is_config_error(self, config_file, capsys):
+        # lam * xi_1 overflows: the solve stops on the non-finite samples
+        # instead of reporting them
+        overrides = ["lambda=1e300", "L=1e-10"]
+        path = config_file()
+        argv = ["solve", "--config", path]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "DomainMismatch"
+        assert not (run_dir_of(path, overrides) / "summary.json").exists()
+
     def test_success_removes_an_earlier_error_record(self, config_file):
         # the run directory hashes the config, not the subcommand, so a
         # transference run shares the directory of a failed solve

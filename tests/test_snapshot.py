@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from tpoe import (
-    OseenParams,
     SnapshotFormatError,
     SpaceTimeField,
     TorusDomain,
     load_field,
-    manufactured_case,
     random_band_limited_field,
     save_bundle,
     save_field,
@@ -116,18 +114,9 @@ def test_json_writer_rejects_non_finite_values(tmp_path):
         _write_json(tmp_path / "bad.json", {"max_deviation": float("nan")})
 
 
-def bound_case():
-    """The case of the solver's allocation bounds: n=3, N=Nt=16, lam=-2.5."""
-    d = TorusDomain(n=3, L=3.0, N=16, T=5.0, Nt=16)
-    pr = OseenParams(lam=-2.5, T=5.0, q=2.0)
-    _, _, f = manufactured_case("mixed", d, pr, seed=0)
-    return f, pr
-
-
-def test_load_reads_into_the_samples(tmp_path, traced_peak):
-    # 1.13x measured: the samples and their finiteness check; reading the
-    # file, slicing its payload and copying it peaked at 3.13x
-    f, _ = bound_case()
+def test_load_reads_into_the_samples(tmp_path, traced_peak, bound_case):
+    # 1.13x measured: the samples and their finiteness check
+    _, _, f = bound_case
     path = tmp_path / "f.tpf"
     save_field(f, path)
     peak, g = traced_peak(lambda: load_field(path))
@@ -135,17 +124,19 @@ def test_load_reads_into_the_samples(tmp_path, traced_peak):
     assert peak <= 1.25 * f.samples.nbytes
 
 
-def test_save_bundle_copies_at_most_one_component(tmp_path, traced_peak):
-    # 0.34x measured: one component of the broadcast v; a bytes copy of
-    # each field peaked at 1.0x
-    f, pr = bound_case()
+def test_save_bundle_copies_at_most_one_component(
+    tmp_path, traced_peak, bound_case
+):
+    # 0.34x measured: one component of the broadcast v; the other fields
+    # are written from their own buffers
+    _, pr, f = bound_case
     bundle = solve_full(f, pr, norm_kinds=[])
     peak, _ = traced_peak(lambda: save_bundle(bundle, tmp_path / "out", pr))
     assert peak <= 0.5 * f.samples.nbytes
 
 
-def test_read_only_steady_part_saves_as_its_copy(tmp_path):
-    f, pr = bound_case()
+def test_read_only_steady_part_saves_as_its_copy(tmp_path, bound_case):
+    _, pr, f = bound_case
     bundle = solve_full(f, pr, norm_kinds=[])
     assert not bundle.v.samples.flags.writeable
     save_bundle(bundle, tmp_path / "out", pr)

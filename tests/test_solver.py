@@ -429,13 +429,10 @@ class TestSolveFull:
             tracemalloc.stop()
         assert peak <= 12 * f.samples.nbytes
 
-    def test_residual_is_streamed(self, traced_peak):
-        # the case above: 3.71x measured, set by the inverse transform of u
-        # while f^ and p are alive; a residual through the full A(u, p) and
-        # a v repeated over Nt peaked at 7.67x
-        d = TorusDomain(n=3, L=3.0, N=16, T=5.0, Nt=16)
-        pr = OseenParams(lam=-2.5, T=5.0, q=2.0)
-        _, _, f = manufactured_case("mixed", d, pr, seed=0)
+    def test_residual_is_streamed(self, traced_peak, bound_case):
+        # 3.71x measured, set by the inverse transform of u
+        # while f^ and p are alive
+        _, pr, f = bound_case
         peak, _ = traced_peak(lambda: solve_full(f, pr, norm_kinds=[]))
         assert peak <= 4.5 * f.samples.nbytes
 
@@ -454,6 +451,24 @@ class TestSolveFull:
         )
         kind = NormKind(NormTag.STEADY_OSEEN_2D, 1.2)
         assert steady_norm(v, kind, 1.0) == steady_norm(copy, kind, 1.0)
+
+    def test_non_finite_operator_row_rejected(self, monkeypatch):
+        # a NaN in A(u, p) must not vanish from the streamed residual
+        import tpoe.solver as solver_module
+
+        rows = solver_module._operator_rows
+
+        def overflowing(u, p, params):
+            for j, row in enumerate(rows(u, p, params)):
+                if j == 1:
+                    row[0, 0, 0] = np.nan
+                yield row
+
+        d = dom2(16, 16)
+        _, _, f = manufactured_case("mixed", d, params(lam=1.0), seed=0)
+        monkeypatch.setattr(solver_module, "_operator_rows", overflowing)
+        with pytest.raises(DomainMismatch, match="non-finite"):
+            solve_full(f, params(lam=1.0), norm_kinds=[])
 
     def test_incompatible_mean_rejected(self):
         d = dom2(16, 16)
