@@ -20,6 +20,7 @@ from .errors import DomainMismatch, EmptySweep, InvalidGrid, NonHermitian, Unkno
 from .norms import lq_norm, sobolev_norm_21q
 from .solver import (
     SolutionBundle,
+    _potential,
     _project,
     _require_period,
     apply_operator,
@@ -89,7 +90,7 @@ def random_band_limited_field(
 
     if solenoidal:
         xi = [domain._axis_view(2.0 * np.pi / domain.L * modes, j) for j in range(n)]
-        _project(xi, band)
+        _project(xi, band, _potential(xi, band))
     defect = np.max(np.abs(band - np.conj(np.flip(band, axis=band_axes))))
     if defect > _HERMITIAN_TOL * np.max(np.abs(band)):
         raise NonHermitian("band coefficients are not conjugate-symmetric")

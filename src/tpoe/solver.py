@@ -117,9 +117,9 @@ def _potential(xi, coefficients: np.ndarray) -> np.ndarray:
     return _quotient(_xi_dot(xi, coefficients), xi_sq, xi_sq == 0.0)
 
 
-def _project(xi, coefficients: np.ndarray) -> np.ndarray:
-    """Remove the gradient part of ``coefficients``, in place."""
-    potential = _potential(xi, coefficients)
+def _project(xi, coefficients: np.ndarray, potential: np.ndarray) -> np.ndarray:
+    """Remove the gradient part, xi times ``potential`` (the
+    :func:`_potential` of ``coefficients``), of ``coefficients``, in place."""
     for j, x in enumerate(xi):
         coefficients[j] -= x * potential
     return coefficients
@@ -133,8 +133,8 @@ def project_solenoidal(spec: SpectralField) -> SpectralField:
     domain = spec.domain
     if spec.components != domain.n:
         raise DomainMismatch("Helmholtz projection acts on vector fields")
-    coeff = _project(domain.xi_grids(), spec.coefficients.copy())
-    return SpectralField(domain, coeff)
+    xi, coeff = domain.xi_grids(), spec.coefficients.copy()
+    return SpectralField(domain, _project(xi, coeff, _potential(xi, coeff)))
 
 
 def apply_helmholtz(f: SpaceTimeField) -> SpaceTimeField:
@@ -205,7 +205,9 @@ def solve_time_periodic(
     _require_vector(f)
     _require_period(f.domain, params)
     scale = f.max_abs()
-    if scale > 0.0 and time_average(f).max_abs() > tol * scale:
+    # max|time_average(f)|, without broadcasting the mean over the grid
+    mean = np.mean(f.samples, axis=-1)
+    if scale > 0.0 and np.max(np.abs(mean, out=mean)) > tol * scale:
         raise NotPurelyPeriodic(
             "data has nonzero time average; only the oscillating part is invertible"
         )
@@ -213,7 +215,7 @@ def solve_time_periodic(
     gh = _rfft(f.samples)
     _check_solenoidal(xi, gh, tol)
     gh[..., 0] = 0.0  # the multiplier vanishes on the steady stratum
-    uh = _invert(_project(xi, gh), f.domain, params.lam)
+    uh = _invert(_project(xi, gh, _potential(xi, gh)), f.domain, params.lam)
     return SpaceTimeField(f.domain, _irfft(uh))
 
 
@@ -245,9 +247,10 @@ def solve_steady(
     return _steady_slice(_invert(gh, f.domain, lam), f.domain)
 
 
-def _pressure_coefficients(xi, coefficients: np.ndarray) -> np.ndarray:
-    """-i (xi . f^)/|xi|^2 with the zero covector at xi = 0."""
-    return -1j * _potential(xi, coefficients)[np.newaxis]
+def _pressure_coefficients(potential: np.ndarray) -> np.ndarray:
+    """-i (xi . f^)/|xi|^2, given the :func:`_potential` of f^; the zero
+    covector at xi = 0."""
+    return -1j * potential[np.newaxis]
 
 
 def recover_pressure(f: SpaceTimeField) -> SpaceTimeField:
@@ -257,7 +260,7 @@ def recover_pressure(f: SpaceTimeField) -> SpaceTimeField:
     on each time slice (in particular zero space-time mean).
     """
     _require_vector(f)
-    ph = _pressure_coefficients(f.domain.xi_grids(), _rfft(f.samples))
+    ph = _pressure_coefficients(_potential(f.domain.xi_grids(), _rfft(f.samples)))
     return SpaceTimeField(f.domain, _irfft(ph))
 
 
@@ -384,8 +387,16 @@ def solve_full(
     xi = domain.xi_grids()
     scale = f.max_abs()
     fh = _rfft(f.samples)
-    p = SpaceTimeField(domain, _irfft(_pressure_coefficients(xi, fh)))
-    uh = _invert(_project(xi, fh), domain, params.lam)  # in place on fh
+    # one potential serves the pressure and the projection; it and the
+    # pressure's coefficients are freed before the next allocation of a
+    # full grid, which would otherwise sit above them in the heap
+    potential = _potential(xi, fh)
+    ph = _pressure_coefficients(potential)
+    _project(xi, fh, potential)
+    del potential
+    p = SpaceTimeField(domain, _irfft(ph))
+    del ph
+    uh = _invert(fh, domain, params.lam)  # in place on fh
     u = SpaceTimeField(domain, _irfft(uh))
     v = _steady_slice(uh, domain)
     del fh, uh

@@ -22,7 +22,10 @@ Parseval's identity reads::
     ||f||_2^2 = L^n * (sum_(k = 0) |F|^2 + 2 * sum_(k > 0) |F|^2)
 
 ``_rfft``/``_irfft`` are the one full-grid transform pair; :func:`forward`
-and :func:`inverse` validate around them.  The norm quadrature's oversampled
+and :func:`inverse` validate around them.  They make numpy's
+one-dimensional passes of ``rfftn``/``irfftn``, so their results equal
+those bitwise, and split each pass of an array of ``_THREAD_BYTES`` or more
+across the CPUs on a private thread pool.  The norm quadrature's oversampled
 inverse, ``_refined_derivatives``, shares ``_rfft`` and streams its inverse
 in one-dimensional passes over slabs instead of a full-grid ``_irfft``.
 """
@@ -30,6 +33,8 @@ in one-dimensional passes over slabs instead of a full-grid ``_irfft``.
 from __future__ import annotations
 
 import dataclasses
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -188,7 +193,12 @@ def _check_layout(
         raise DomainMismatch(
             f"field must have 1 or {domain.n} components, got {arr.shape[0]}"
         )
-    if not np.all(np.isfinite(arr)):
+    # min and max propagate NaN and reach any infinity, and unlike
+    # np.isfinite they allocate no array of the field's size; index 0 of an
+    # axis of stride 0 (a broadcast view) holds all of its values
+    values = arr[tuple(0 if step == 0 else slice(None) for step in arr.strides)]
+    parts = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
+    if not all(np.isfinite(part.min()) and np.isfinite(part.max()) for part in parts):
         raise DomainMismatch(f"{what} contain non-finite values")
 
 
@@ -407,10 +417,16 @@ def _rfft(samples: np.ndarray) -> np.ndarray:
     """Half spectrum (see the module docstring) of real ``samples``: the
     component axis, then a domain's ``grid_shape`` or, with no time axis,
     its spatial grid alone.  The last axis is halved, and the Nyquist index
-    ``size // 2`` of every axis is zeroed."""
-    axes = tuple(range(1, samples.ndim))
-    coeff = np.fft.rfftn(samples, axes=axes, norm="forward")
-    for axis, size in zip(axes, samples.shape[1:]):
+    ``size // 2`` of every axis is zeroed.
+
+    The passes are ``rfftn``'s: ``rfft`` along the last axis, then ``fft``
+    along each further axis from the last to the first, in place."""
+    shape = samples.shape[:-1] + (samples.shape[-1] // 2 + 1,)
+    coeff = np.empty(shape, dtype=complex)
+    _pass(np.fft.rfft, samples, coeff, samples.ndim - 1)
+    for axis in range(samples.ndim - 2, 0, -1):
+        _pass(np.fft.fft, coeff, coeff, axis)
+    for axis, size in enumerate(samples.shape[1:], start=1):
         coeff[(slice(None),) * axis + (size // 2,)] = 0.0
     return coeff
 
@@ -418,12 +434,28 @@ def _rfft(samples: np.ndarray) -> np.ndarray:
 def _irfft(coeff: np.ndarray) -> np.ndarray:
     """Real samples of a half spectrum laid out as :func:`_rfft` returns
     it; every grid size is even, so the halved axis has ``2 * (len - 1)``
-    points."""
-    sizes = coeff.shape[1:-1] + (2 * (coeff.shape[-1] - 1),)
-    return np.fft.irfftn(
-        coeff, s=sizes, axes=tuple(range(1, coeff.ndim)), norm="forward"
-    )
+    points.
 
+    The passes are ``irfftn``'s: ``ifft`` along each axis but the last, from
+    the first, in place on one copy, then ``irfft`` along the last axis."""
+    work = coeff.copy()
+    for axis in range(1, coeff.ndim - 1):
+        _pass(np.fft.ifft, work, work, axis)
+    samples = np.empty(coeff.shape[:-1] + (2 * (coeff.shape[-1] - 1),))
+    _pass(np.fft.irfft, work, samples, coeff.ndim - 1)
+    return samples
+
+
+# arrays of at least this many bytes have each transform pass split into
+# ``_WORKERS`` chunks on a private thread pool (numpy's transforms release
+# the GIL); below it, handing a chunk to a thread costs more than it saves
+_THREAD_BYTES = 4 * 1024 * 1024
+# the CPUs this process may run on
+_WORKERS = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
 
 # bytes of one slab of the norm quadrature's streamed inverse: a slab holds
 # as many rows as fit, and at least one
@@ -432,6 +464,57 @@ _SLAB_BYTES = 256 * 1024
 
 def _slab_rows(row_bytes: int) -> int:
     return max(1, _SLAB_BYTES // row_bytes)
+
+
+_pool_lock = threading.Lock()
+_pool = None
+
+
+def _executor():
+    """The transform thread pool, created on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="tpoe-fft")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child has only the forking thread: a pool inherited from the
+    # parent would never run what is handed to it, and its lock may be held
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pass(transform, src: np.ndarray, out: np.ndarray, axis: int) -> None:
+    """One-dimensional ``transform`` (``norm="forward"``) of ``src`` along
+    ``axis`` into ``out``, which may be ``src``.  From ``_THREAD_BYTES`` on,
+    the lines are split into ``_WORKERS`` contiguous chunks along axis 1,
+    or axis 2 when ``axis`` is 1, that run on the pool; each line is
+    transformed alone, so the result does not depend on the split."""
+    split = 2 if axis == 1 else 1
+    size = src.shape[split]
+    parts = min(_WORKERS, size)
+    if parts < 2 or max(src.nbytes, out.nbytes) < _THREAD_BYTES:
+        transform(src, axis=axis, norm="forward", out=out)
+        return
+    lead = (slice(None),) * split
+    chunks = [
+        lead + (slice(size * i // parts, size * (i + 1) // parts),)
+        for i in range(parts)
+    ]
+
+    def run(chunk):
+        transform(src[chunk], axis=axis, norm="forward", out=out[chunk])
+
+    # reading every result waits for the chunks and raises a chunk's error
+    list(_executor().map(run, chunks))
 
 
 def _pad(band: np.ndarray, axis: int, size: int) -> np.ndarray:

@@ -33,6 +33,30 @@ def record_transforms(monkeypatch):
 
 
 @pytest.fixture
+def transform_passes():
+    """Return a function that expands full-grid transforms, given as
+    ``("rfftn" | "irfftn", input shape)``, into the one-dimensional passes
+    that ``spectral._rfft``/``_irfft`` make for them, as (name, input shape)
+    in the order ``record_transforms`` records them.  Each pass is one call
+    below ``spectral._THREAD_BYTES``; the first axis holds components."""
+
+    def expand(*transforms):
+        calls = []
+        for name, shape in transforms:
+            passes = len(shape) - 2  # complex passes: every axis but two
+            if name == "rfftn":
+                half = shape[:-1] + (shape[-1] // 2 + 1,)
+                calls += [("rfft", shape)] + [("fft", half)] * passes
+            elif name == "irfftn":
+                calls += [("ifft", shape)] * passes + [("irfft", shape)]
+            else:
+                raise ValueError(f"not a full-grid transform: {name}")
+        return calls
+
+    return expand
+
+
+@pytest.fixture
 def traced_peak():
     """Return a function that calls ``call()`` under ``tracemalloc`` and
     returns the peak of the memory it allocated, in bytes, and the call's

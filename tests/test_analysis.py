@@ -288,18 +288,21 @@ class TestManufactured:
         with pytest.raises(UnknownRecipe):
             manufactured_case("nonsense", dom2(16, 16), params())
 
-    def test_transform_count(self, record_transforms):
+    def test_transform_count(self, record_transforms, transform_passes):
         d = dom2(16, 16)
         calls = record_transforms()
         manufactured_case("mixed", d, params(lam=1.0), seed=0)
-        names = [name for name, _ in calls]
         # one inverse per random field (v, w, p), then the operator: a
         # forward of p and a transform pair per velocity component
-        assert names == ["irfftn"] * 3 + ["rfftn"] + ["rfftn", "irfftn"] * 2, names
+        scalar, half = (1,) + d.grid_shape, (1,) + d.spectral_shape
+        fields = [("irfftn", (2,) + d.spectral_shape)] * 2 + [("irfftn", half)]
+        operator = [("rfftn", scalar)] + [("rfftn", scalar), ("irfftn", half)] * 2
+        assert calls == transform_passes(*fields, *operator), calls
         # the operator transforms as many points as a forward of the stacked
-        # (u, p) and an inverse of the velocity
-        operator = sum(int(np.prod(shape)) for _, shape in calls[3:])
-        assert operator == 3 * 16**3 + 2 * 16 * 16 * 9
+        # (u, p) and an inverse of the velocity: per pass, rfft and fft of
+        # (3, 16, 16, 16 | 9), then ifft and irfft of (2, 16, 16, 9)
+        points = sum(int(np.prod(shape)) for _, shape in calls[9:])
+        assert points == 3 * 16**3 + 2 * 3 * 16 * 16 * 9 + 3 * 2 * 16 * 16 * 9
 
     def test_allocation_bounded_by_data_size(self, traced_peak, bound_case):
         # 5.34x measured: v and w are freed before f is built
@@ -312,7 +315,7 @@ class TestManufactured:
     def test_band_symmetry_is_checked(self, monkeypatch):
         import tpoe.analysis as analysis_module
 
-        def lopsided(xi, band):
+        def lopsided(xi, band, potential):
             band[(0,) * band.ndim] += 1.0j  # one corner mode, not its mirror
             return band
 
@@ -431,8 +434,10 @@ class TestConvergence:
         convergence_study(
             "mixed", dom2(16, 16), params(lam=1.0, q=q), [(16, 16), (32, 32)]
         )
-        # per resolution: 8 for the mixed case, 9 for the lean solve
-        assert len(calls) == 2 * (8 + 9), [name for name, _ in calls]
+        # per resolution: 8 full-grid transforms for the mixed case and 8
+        # for the lean solve, 3 passes each at n=2, and the 2 passes of v's
+        # spatial-only inverse
+        assert len(calls) == 2 * (3 * (8 + 8) + 2), [name for name, _ in calls]
 
     def test_unknown_recipe_propagates(self):
         with pytest.raises(UnknownRecipe):
