@@ -39,7 +39,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidExponent
-from .spectral import SpaceTimeField, TorusDomain, _refined_derivatives, _rfft
+from .spectral import SpaceTimeField, TorusDomain, _distinct, _rfft
+from .spectral import _refined_derivatives
 
 
 class NormTag(str, Enum):
@@ -141,7 +142,10 @@ def _time_mean(f: SpaceTimeField, tol: float = _TOL) -> np.ndarray:
     """The time mean of ``f``'s samples, after rejecting (ValueError) a
     field with a sample farther from it than ``tol`` relative to max|f|."""
     mean = np.mean(f.samples, axis=-1)
-    drift = np.max(np.abs(f.samples - mean[..., np.newaxis]))
+    # max|s - mean| over a line is at its largest or smallest sample, and
+    # rounding keeps that order; a broadcast axis is read once
+    values = _distinct(f.samples)
+    drift = max(np.max(values.max(-1) - mean), np.max(mean - values.min(-1)))
     if drift > tol * f.max_abs():
         raise ValueError("steady solves and norms require a time-constant field")
     return mean

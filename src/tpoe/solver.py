@@ -76,10 +76,10 @@ def _require_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
-def _require_compatible_mean(f: SpaceTimeField, tol: float) -> None:
-    """Reject data whose spatial mean exceeds ``tol`` relative to max|f|:
-    the constant mode is not in the range of the operator on the torus."""
-    scale = f.max_abs()
+def _require_compatible_mean(f: SpaceTimeField, tol: float, scale: float) -> None:
+    """Reject data whose spatial mean exceeds ``tol`` relative to ``scale``,
+    max|f|: the constant mode is not in the range of the operator on the
+    torus."""
     mean = np.mean(f.samples, axis=tuple(range(1, f.samples.ndim)))
     if scale > 0.0 and np.max(np.abs(mean)) > tol * scale:
         raise IncompatibleMean(
@@ -241,7 +241,7 @@ def solve_steady(
     _require_tol(tol)
     _require_vector(f)
     norms._time_mean(f, tol)
-    _require_compatible_mean(f, tol)
+    _require_compatible_mean(f, tol, f.max_abs())
     gh = _rfft(f.samples)
     _check_solenoidal(f.domain.xi_grids(), gh, tol)
     return _steady_slice(_invert(gh, f.domain, lam), f.domain)
@@ -382,10 +382,10 @@ def solve_full(
     _require_tol(tol)
     _require_vector(f)
     _require_period(f.domain, params)
-    _require_compatible_mean(f, tol)
+    scale = f.max_abs()
+    _require_compatible_mean(f, tol, scale)
     domain = f.domain
     xi = domain.xi_grids()
-    scale = f.max_abs()
     fh = _rfft(f.samples)
     # one potential serves the pressure and the projection; it and the
     # pressure's coefficients are freed before the next allocation of a

@@ -25,9 +25,11 @@ Parseval's identity reads::
 and :func:`inverse` validate around them.  They make numpy's
 one-dimensional passes of ``rfftn``/``irfftn``, so their results equal
 those bitwise, and split each pass of an array of ``_THREAD_BYTES`` or more
-across the CPUs on a private thread pool.  The norm quadrature's oversampled
-inverse, ``_refined_derivatives``, shares ``_rfft`` and streams its inverse
-in one-dimensional passes over slabs instead of a full-grid ``_irfft``.
+across the CPUs: the pass starts up to one thread per CPU and joins them
+before it returns, so no thread outlives the call.  The norm quadrature's
+oversampled inverse, ``_refined_derivatives``, shares ``_rfft`` and streams
+its inverse in one-dimensional passes over slabs instead of a full-grid
+``_irfft``.
 """
 
 from __future__ import annotations
@@ -179,6 +181,13 @@ class DualIndex(NamedTuple):
         return xi, eta
 
 
+def _distinct(arr: np.ndarray) -> np.ndarray:
+    """``arr`` with every axis of stride 0 (a broadcast view) cut to its
+    first index, which holds all of that axis's values; no data is copied."""
+    index = tuple(slice(0, 1) if step == 0 else slice(None) for step in arr.strides)
+    return arr[index]
+
+
 def _check_layout(
     domain: TorusDomain, arr: np.ndarray, expected: tuple[int, ...], what: str
 ) -> None:
@@ -194,9 +203,8 @@ def _check_layout(
             f"field must have 1 or {domain.n} components, got {arr.shape[0]}"
         )
     # min and max propagate NaN and reach any infinity, and unlike
-    # np.isfinite they allocate no array of the field's size; index 0 of an
-    # axis of stride 0 (a broadcast view) holds all of its values
-    values = arr[tuple(0 if step == 0 else slice(None) for step in arr.strides)]
+    # np.isfinite they allocate no array of the field's size
+    values = _distinct(arr)
     parts = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
     if not all(np.isfinite(part.min()) and np.isfinite(part.max()) for part in parts):
         raise DomainMismatch(f"{what} contain non-finite values")
@@ -236,7 +244,9 @@ class SpaceTimeField:
         return self.components == 1
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.samples)))
+        # no temporary of the field's size; abs turns a zero field's -0.0 to 0.0
+        values = _distinct(self.samples)
+        return abs(float(max(values.max(), -values.min())))
 
     def _binary(self, other: "SpaceTimeField", op) -> "SpaceTimeField":
         if not isinstance(other, SpaceTimeField):
@@ -447,8 +457,8 @@ def _irfft(coeff: np.ndarray) -> np.ndarray:
 
 
 # arrays of at least this many bytes have each transform pass split into
-# ``_WORKERS`` chunks on a private thread pool (numpy's transforms release
-# the GIL); below it, handing a chunk to a thread costs more than it saves
+# ``_WORKERS`` chunks, one per thread (numpy's transforms release the GIL);
+# below it, starting a thread costs more than it saves
 _THREAD_BYTES = 4 * 1024 * 1024
 # the CPUs this process may run on
 _WORKERS = (
@@ -466,38 +476,13 @@ def _slab_rows(row_bytes: int) -> int:
     return max(1, _SLAB_BYTES // row_bytes)
 
 
-_pool_lock = threading.Lock()
-_pool = None
-
-
-def _executor():
-    """The transform thread pool, created on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="tpoe-fft")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child has only the forking thread: a pool inherited from the
-    # parent would never run what is handed to it, and its lock may be held
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _pass(transform, src: np.ndarray, out: np.ndarray, axis: int) -> None:
     """One-dimensional ``transform`` (``norm="forward"``) of ``src`` along
     ``axis`` into ``out``, which may be ``src``.  From ``_THREAD_BYTES`` on,
     the lines are split into ``_WORKERS`` contiguous chunks along axis 1,
-    or axis 2 when ``axis`` is 1, that run on the pool; each line is
-    transformed alone, so the result does not depend on the split."""
+    or axis 2 when ``axis`` is 1: one thread per chunk after the first, which
+    the caller runs, all joined before a chunk's error is raised again.  Each
+    line is transformed alone, so the result does not depend on the split."""
     split = 2 if axis == 1 else 1
     size = src.shape[split]
     parts = min(_WORKERS, size)
@@ -509,12 +494,22 @@ def _pass(transform, src: np.ndarray, out: np.ndarray, axis: int) -> None:
         lead + (slice(size * i // parts, size * (i + 1) // parts),)
         for i in range(parts)
     ]
+    errors = []
 
     def run(chunk):
-        transform(src[chunk], axis=axis, norm="forward", out=out[chunk])
+        try:
+            transform(src[chunk], axis=axis, norm="forward", out=out[chunk])
+        except BaseException as error:  # raised again in the caller
+            errors.append(error)
 
-    # reading every result waits for the chunks and raises a chunk's error
-    list(_executor().map(run, chunks))
+    threads = [threading.Thread(target=run, args=(chunk,)) for chunk in chunks[1:]]
+    for thread in threads:
+        thread.start()
+    run(chunks[0])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _pad(band: np.ndarray, axis: int, size: int) -> np.ndarray:

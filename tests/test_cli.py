@@ -227,6 +227,7 @@ class TestSolveCommand:
         assert json.loads((outdir / "error.json").read_text()) == record
         assert not (outdir / "summary.json").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_symbol_is_config_error(self, config_file, capsys):
         # lam * xi_1 overflows: the solve stops on the non-finite samples
         # instead of reporting them

@@ -34,7 +34,7 @@ from tpoe import (
     steady_kind_for,
     steady_norm,
 )
-from tpoe.norms import STEADY_TAGS, _applicable_kinds
+from tpoe.norms import STEADY_TAGS, _applicable_kinds, _time_mean
 from tpoe.spectral import _SLAB_BYTES
 
 TWO_PI = 2.0 * np.pi
@@ -511,6 +511,15 @@ class TestQuadratureWork:
         w, p = bundle.w, bundle.p
         assert peak(sobolev_norm_21q, w) <= 1.05 * peak(lq_norm, w)
         assert peak(pressure_norm, p) <= 2.0 * peak(lq_norm, p)
+
+    def test_time_mean_allocates_no_full_grid(self, traced_peak, bound_case):
+        # v is a broadcast spatial slice; 0.188x measured, 2.06x when the
+        # drift was taken from |samples - mean| on the full grid
+        _, pr, f = bound_case
+        v = solve_full(f, pr, norm_kinds=[]).v
+        peak, mean = traced_peak(lambda: _time_mean(v))
+        assert np.array_equal(mean, np.mean(v.samples, axis=-1))
+        assert peak <= 0.25 * f.samples.nbytes
 
     def test_fine_grid_values_and_allocation(self):
         # n=3, N=Nt=32, q=1.2: values recorded with the full-grid inverse,

@@ -224,6 +224,20 @@ class TestSolveTimePeriodic:
         peak, _ = traced_peak(rejected)
         assert peak <= 1.05 * g.samples.nbytes
 
+    def test_rejecting_precondition_allocates_no_grid(self, traced_peak):
+        # 0.063x measured, the time mean (1/Nt of the input); 1.00x when
+        # max|f| took |f|
+        d = TorusDomain(n=3, L=3.0, N=16, T=5.0, Nt=16)
+        pr = OseenParams(lam=-2.5, T=5.0, q=2.0)
+        h = rand_field(d, solenoidal=True)  # with a steady part
+
+        def rejected():
+            with pytest.raises(NotPurelyPeriodic):
+                solve_time_periodic(h, pr)
+
+        peak, _ = traced_peak(rejected)
+        assert peak <= 0.1 * h.samples.nbytes
+
 
 class TestSolveSteady:
     def test_stokes_closed_form(self):
@@ -443,7 +457,7 @@ class TestSolveFull:
         assert points(calls) == points(transform_passes(*stacked))
 
     def test_concurrent_solves_equal_serial_ones(self, monkeypatch):
-        # 4 MiB fields, so their passes are chunked over the shared pool;
+        # 4 MiB fields, so each pass starts a thread for its second chunk;
         # more callers than the two workers, and frequent thread switches
         monkeypatch.setattr(spectral, "_WORKERS", 2)
         d = TorusDomain(n=2, L=TWO_PI, N=64, T=TWO_PI, Nt=64)

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -196,6 +197,16 @@ class TestTransform:
         ):
             peak, _ = traced_peak(lambda: make(d, values))
             assert peak <= 0.01 * values.nbytes, (make.__name__, values.strides)
+
+    def test_max_abs_allocates_no_field_sized_array(self, traced_peak, bound_case):
+        # 0.0009x measured for both; 1.00x and 1.04x when max|f| took |f|
+        d, _, f = bound_case
+        time_constant = np.broadcast_to(f.samples[..., :1], f.samples.shape)
+        for values in (f.samples, time_constant):
+            field = SpaceTimeField(d, values)
+            peak, got = traced_peak(field.max_abs)
+            assert got == np.max(np.abs(values))
+            assert peak <= 0.01 * values.nbytes, values.strides
 
 
 class TestDerivative:
@@ -389,12 +400,50 @@ class TestThreadedPasses:
             ("rfftn", samples.shape), ("irfftn", coeff.shape)
         )
 
+    @staticmethod
+    def threads_of_passes(monkeypatch, fail_outside=None):
+        """Wrap numpy's one-dimensional transforms to collect the threads
+        that run them; a call outside the thread ``fail_outside`` raises."""
+        seen = set()
+        for name in ("rfft", "fft", "ifft", "irfft"):
+            original = getattr(np.fft, name)
+
+            def wrapper(*args, _original=original, **kwargs):
+                seen.add(threading.current_thread())
+                if fail_outside not in (None, threading.current_thread()):
+                    raise ArithmeticError("a chunk failed")
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, wrapper)
+        return seen
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_WORKERS", 2)
+        samples = np.random.default_rng(25).standard_normal((1, 32, 32, 32, 32))
+        seen = self.threads_of_passes(monkeypatch)
+        before = threading.active_count()
+        _irfft(_rfft(samples))
+        assert threading.active_count() == before
+        workers = seen - {threading.current_thread()}
+        assert workers and not any(thread.is_alive() for thread in workers)
+
+    def test_chunk_error_is_raised_after_every_chunk_ends(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_WORKERS", 2)
+        samples = np.random.default_rng(26).standard_normal((1, 32, 32, 32, 32))
+        seen = self.threads_of_passes(monkeypatch, threading.current_thread())
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="a chunk failed"):
+            _rfft(samples)
+        assert threading.active_count() == before
+        workers = seen - {threading.current_thread()}
+        assert workers and not any(thread.is_alive() for thread in workers)
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_forked_child_runs_threaded_passes(self, monkeypatch):
         monkeypatch.setattr(spectral, "_WORKERS", 2)
         samples = np.random.default_rng(23).standard_normal((1, 32, 32, 32, 32))
-        expected = _rfft(samples)  # starts the pool's threads in this process
+        expected = _rfft(samples)  # runs threaded passes in this process
         pid = os.fork()
         if pid == 0:  # the child: exit without returning into pytest
             code = 1
