@@ -158,8 +158,8 @@ def manufactured_case(
         u = SpaceTimeField.zeros(domain, n)
         p = SpaceTimeField.zeros(domain, 1)
     elif recipe_id == "single-mode":
-        coords = domain.meshgrid()
-        phase = 2.0 * np.pi / domain.L * coords[0] + 2.0 * np.pi / domain.T * coords[n]
+        x1, t = domain._axis_view(domain.spatial_axis(), 0), domain.time_axis()
+        phase = 2.0 * np.pi / domain.L * x1 + 2.0 * np.pi / domain.T * t
         samples = np.zeros((n,) + domain.grid_shape)
         samples[1] = np.cos(phase)
         u = SpaceTimeField(domain, samples)
@@ -313,10 +313,9 @@ def _mixed_partial(
 
 def marcinkiewicz_scan(params: OseenParams, grid: ScanGrid) -> MarcinkiewiczReport:
     """Scan every derivative pattern eps in {0,1}^(n+1) for grid suprema of
-    the multiplier products |xi_1^eps1 ... eta^eps_{n+1} d^eps m|."""
-    points = grid.points()
-    if points.size == 0:
-        raise InvalidGrid("scan grid is empty")
+    the multiplier products |xi_1^eps1 ... eta^eps_{n+1} d^eps m|; raises
+    ``InvalidGrid`` if one is not finite (too large a radial_max or lambda)."""
+    points = grid.points()  # never empty: ScanGrid keeps a shell and 2(n+2) directions
     dim = grid.n + 1
     per_eps: dict[str, float] = {}
     for eps in itertools.product((0, 1), repeat=dim):
@@ -327,10 +326,10 @@ def marcinkiewicz_scan(params: OseenParams, grid: ScanGrid) -> MarcinkiewiczRepo
                 weight = weight * points[i]
         sup = float(np.max(np.abs(weight * deriv)))
         per_eps["".join(map(str, eps))] = sup
-    return MarcinkiewiczReport(
-        per_epsilon=per_eps,
-        overall=float(np.max(list(per_eps.values()))),  # NaN propagates
-    )
+    overall = float(np.max(list(per_eps.values())))  # NaN propagates
+    if not np.isfinite(overall):
+        raise InvalidGrid(f"scan overflowed to {overall}: lower radial_max or lambda")
+    return MarcinkiewiczReport(per_epsilon=per_eps, overall=overall)
 
 
 def transference_check(domain: TorusDomain, params: OseenParams) -> float:
@@ -383,15 +382,15 @@ def constant_sweep(
     T_list: list[float],
     ensemble_size: int,
     seed: int,
-    scan_grid: ScanGrid | None = None,
+    scan_grid: ScanGrid,
 ) -> list[SweepRecord]:
     """Empirical growth study of the a priori constant over (lam, T).
 
     For each cell: the max over a seeded ensemble of
     ``||w||_{2,1,q} / ||f||_q`` for random purely periodic solenoidal data,
-    plus the Marcinkiewicz grid supremum for the same parameters.  No
-    ordering or specific value is asserted anywhere; the records feed a
-    descriptive fit only.
+    plus the Marcinkiewicz supremum over ``scan_grid`` for the same
+    parameters.  No ordering or specific value is asserted anywhere; the
+    records feed a descriptive fit only.
     """
     if not lambda_list or not T_list or ensemble_size < 1:
         raise EmptySweep("sweep needs non-empty parameter lists and ensemble")
@@ -411,8 +410,7 @@ def constant_sweep(
             records.append(
                 SweepRecord(lam, T, q, dom.N, dom.Nt, RATIO_STATISTIC, ratio, seed)
             )
-            grid = scan_grid if scan_grid is not None else ScanGrid(n=dom.n, seed=seed)
-            scan = marcinkiewicz_scan(params, grid)
+            scan = marcinkiewicz_scan(params, scan_grid)
             records.append(
                 SweepRecord(
                     lam, T, q, dom.N, dom.Nt,
@@ -422,18 +420,17 @@ def constant_sweep(
     return records
 
 
-def fit_log_trend(
-    records: list[SweepRecord], statistic: str = RATIO_STATISTIC
-) -> dict:
-    """Descriptive least-squares fit of log(value) on log(1+|lam|), log(T).
+def fit_log_trend(records: list[SweepRecord]) -> dict:
+    """Descriptive least-squares fit of log(value) on log(1+|lam|), log(T)
+    over the ``RATIO_STATISTIC`` records.
 
     The theory asserts the constant admits *some* polynomial bound in lam
     and T but names no degree, so the fit is reported (degree, coefficients,
     rms residual) and never asserted against.
     """
-    rows = [r for r in records if r.statistic == statistic]
+    rows = [r for r in records if r.statistic == RATIO_STATISTIC]
     if not rows:
-        raise EmptySweep(f"no records with statistic {statistic!r}")
+        raise EmptySweep(f"no records with statistic {RATIO_STATISTIC!r}")
     design = np.array(
         [[1.0, np.log1p(abs(r.lam)), np.log(r.T)] for r in rows]
     )
@@ -441,7 +438,7 @@ def fit_log_trend(
     coeff, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
     residual = target - design @ coeff
     return {
-        "statistic": statistic,
+        "statistic": RATIO_STATISTIC,
         "degree": 1,
         "basis": ["1", "log1p(|lambda|)", "log(T)"],
         "coefficients": [float(c) for c in coeff],

@@ -114,10 +114,10 @@ SCHEMA: dict = {
     "lambdas": (_parse_float_list, [0.0, 1.0, 10.0]),
     "periods": (_parse_float_list, [TWO_PI]),
     "resolutions": (_parse_resolutions, [(16, 16), (32, 32)]),
-    "shells": (int, 64),
-    "directions": (int, 16),
-    "radial_min": (float, 1e-2),
-    "radial_max": (float, 1e4),
+    "shells": (int, analysis.ScanGrid.shells),
+    "directions": (int, analysis.ScanGrid.directions),
+    "radial_min": (float, analysis.ScanGrid.radial_min),
+    "radial_max": (float, analysis.ScanGrid.radial_max),
 }
 
 
@@ -202,7 +202,11 @@ def _params(config: dict) -> OseenParams:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    # csv writes floats with repr, so every value round-trips exactly
+    # csv writes floats with repr, so every value round-trips exactly; a
+    # non-finite one raises before the file is opened, as in ``_write_json``
+    rows = list(rows)
+    if any(isinstance(v, float) and not np.isfinite(v) for row in rows for v in row):
+        raise ValueError(f"{path.name}: non-finite value; nothing written")
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)

@@ -266,9 +266,6 @@ class SpaceTimeField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SpaceTimeField":
-        return SpaceTimeField(self.domain, -self.samples)
-
 
 @dataclass(frozen=True)
 class SpectralField:
@@ -447,10 +444,11 @@ def _irfft(coeff: np.ndarray) -> np.ndarray:
     points.
 
     The passes are ``irfftn``'s: ``ifft`` along each axis but the last, from
-    the first, in place on one copy, then ``irfft`` along the last axis."""
-    work = coeff.copy()
+    the first, the first pass out of ``coeff`` into a work array and the
+    others in place, then ``irfft`` along the last axis."""
+    work = np.empty(coeff.shape, dtype=complex)
     for axis in range(1, coeff.ndim - 1):
-        _pass(np.fft.ifft, work, work, axis)
+        _pass(np.fft.ifft, coeff if axis == 1 else work, work, axis)
     samples = np.empty(coeff.shape[:-1] + (2 * (coeff.shape[-1] - 1),))
     _pass(np.fft.irfft, work, samples, coeff.ndim - 1)
     return samples
@@ -580,8 +578,9 @@ def _refined_derivatives(
             band = coeff[:, :, start:start + chunk]
             if order:
                 band = band * freqs[0] ** order
-            out[:, :, start:start + chunk] = np.fft.ifft(
-                _pad(band, 1, fine[0]), axis=1, norm="forward"
+            np.fft.ifft(
+                _pad(band, 1, fine[0]), axis=1, norm="forward",
+                out=out[:, :, start:start + chunk],
             )
         return out
 

@@ -37,10 +37,6 @@ class OseenParams:
         if not 1.0 < self.q < np.inf:
             raise ValueError(f"exponent q must lie in (1, inf), got {self.q}")
 
-    @property
-    def is_stokes(self) -> bool:
-        return self.lam == 0.0
-
 
 # radii (inner, outer) of the cut-off bump: 1 on |eta| <= 1/2, 0 on
 # |eta| >= 1, so on integer time frequencies the bump is the k == 0

@@ -11,6 +11,7 @@ from tpoe import (
     NonHermitian,
     OseenParams,
     ScanGrid,
+    SpaceTimeField,
     TorusDomain,
     UnknownRecipe,
     apply_operator,
@@ -145,9 +146,9 @@ class TestNonFiniteParameters:
             return out * np.nan if all(eps) else out  # the last pattern only
 
         monkeypatch.setattr(analysis_module, "_mixed_partial", spoiled)
-        report = marcinkiewicz_scan(params(lam=1.0), ScanGrid(n=2, shells=4))
-        assert np.isnan(report.per_epsilon["111"])
-        assert np.isnan(report.overall)
+        # the NaN reaches the overall supremum, which is rejected, not reported
+        with pytest.raises(InvalidGrid):
+            marcinkiewicz_scan(params(lam=1.0), ScanGrid(n=2, shells=4))
 
 
 class TestMarcinkiewiczScan:
@@ -312,6 +313,24 @@ class TestManufactured:
         )
         assert peak <= 6 * f.samples.nbytes
 
+    def test_single_mode_broadcasts_its_phase(self, traced_peak, bound_case):
+        # the phase varies along x1 and t only, so the recipe builds no
+        # coordinate grid: its triple equals the meshgrid construction
+        # bitwise and peaks at 4.59x f, where the grids cost 6.25x
+        d, pr, _ = bound_case
+        coords = d.meshgrid()
+        phase = TWO_PI / d.L * coords[0] + TWO_PI / d.T * coords[d.n]
+        samples = np.zeros((d.n,) + d.grid_shape)
+        samples[1] = np.cos(phase)
+        u = SpaceTimeField(d, samples)
+        p = SpaceTimeField(d, np.zeros((1,) + d.grid_shape))
+        expected = (u, p, apply_operator(u, p, pr))
+        del coords, phase, samples, u, p
+        peak, got = traced_peak(lambda: manufactured_case("single-mode", d, pr))
+        for field, reference in zip(got, expected):
+            assert field.samples.tobytes() == reference.samples.tobytes()
+        assert peak <= 5 * got[2].samples.nbytes
+
     def test_band_symmetry_is_checked(self, monkeypatch):
         import tpoe.analysis as analysis_module
 
@@ -369,13 +388,13 @@ class TestConstantSweep:
         assert all(r.seed == 0 for r in records)
 
     def test_empty_inputs_rejected(self):
-        d = dom2(16, 16)
+        d, grid = dom2(16, 16), ScanGrid(n=2)
         with pytest.raises(EmptySweep):
-            constant_sweep(d, 2.0, [], [TWO_PI], 3, 0)
+            constant_sweep(d, 2.0, [], [TWO_PI], 3, 0, grid)
         with pytest.raises(EmptySweep):
-            constant_sweep(d, 2.0, [0.0], [], 3, 0)
+            constant_sweep(d, 2.0, [0.0], [], 3, 0, grid)
         with pytest.raises(EmptySweep):
-            constant_sweep(d, 2.0, [0.0], [TWO_PI], 0, 0)
+            constant_sweep(d, 2.0, [0.0], [TWO_PI], 0, 0, grid)
 
     def test_ratio_is_scale_invariant(self):
         d = dom2(16, 16)
@@ -406,7 +425,7 @@ class TestConstantSweep:
         assert len(fit["coefficients"]) == 3
         assert np.isfinite(fit["rms_residual"])
         with pytest.raises(EmptySweep):
-            fit_log_trend(records, statistic="no_such_statistic")
+            fit_log_trend([r for r in records if r.statistic != RATIO_STATISTIC])
 
 
 class TestConvergence:

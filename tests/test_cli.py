@@ -15,6 +15,7 @@ from tpoe.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
     SCHEMA,
+    _write_csv,
     main,
     parse_config,
     run_directory,
@@ -450,3 +451,64 @@ class TestNonFiniteParameters:
         assert sorted(p.name for p in outdir.iterdir()) == [
             "config.resolved.txt", "error.json"
         ]
+
+
+class TestScanOverflow:
+    # the weighted derivatives overflow once the radius, or lambda times it,
+    # is too large; no scan output may be written before that is known
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "subcommand, overrides",
+        [
+            ("marcinkiewicz", ["n=3", "radial_max=1e80"]),
+            ("sweep", ["ensemble=1", "radial_max=1e300"]),
+            ("marcinkiewicz", ["lambda=1e300", "radial_max=1e10"]),
+            ("sweep", ["ensemble=1", "lambdas=1e300", "radial_max=1e10"]),
+        ],
+        ids=["radius-n3", "radius-sweep", "lambda", "lambda-sweep"],
+    )
+    def test_overflow_is_config_error_before_any_output(
+        self, config_file, capsys, subcommand, overrides
+    ):
+        path = config_file()
+        argv = [subcommand, "--config", path]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "InvalidGrid"
+        assert "radial_max" in record["message"] and "lambda" in record["message"]
+        outdir = run_dir_of(path, overrides)
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "config.resolved.txt", "error.json"
+        ]
+
+    @pytest.mark.parametrize(
+        "overrides", [["n=3", "radial_max=1e76"], ["lambda=1e300"]],
+        ids=["radius-n3", "lambda"],
+    )
+    def test_largest_finite_scans_still_succeed(self, config_file, overrides):
+        path = config_file()
+        argv = ["marcinkiewicz", "--config", path]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_OK
+        outdir = run_dir_of(path, overrides)
+        rows = (outdir / "marcinkiewicz.csv").read_text().splitlines()[1:]
+        assert all(np.isfinite(float(row.split(",")[1])) for row in rows)
+        grid = json.loads((outdir / "marcinkiewicz_grid.json").read_text())
+        assert np.isfinite(grid["overall"])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("-inf")])
+def test_non_finite_csv_writes_nothing(tmp_path, bad):
+    # checked before the file is opened: no file, and an old one is kept
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError):
+        _write_csv(path, ("key", "value"), [("a", 1.0), ("b", bad)])
+    assert not path.exists()
+    _write_csv(path, ("key", "value"), [("a", 1.0)])
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        _write_csv(path, ("key", "value"), iter([("a", 1.0), ("b", bad)]))
+    assert path.read_bytes() == before

@@ -1,6 +1,10 @@
 """Guard on the package's public namespace and its imports."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tpoe
@@ -37,3 +41,24 @@ def test_no_module_imports_an_unused_name():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_import_loads_no_scipy_and_starts_no_thread():
+    # scipy is a test dependency only (``import scipy.fft`` alone adds about
+    # 27 MB of RSS), and transform threads live only inside a call
+    code = (
+        "import json, sys, threading\n"
+        "import tpoe, tpoe.cli\n"
+        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([scipy, threading.active_count()]))\n"
+    )
+    src = os.path.join(os.path.dirname(tpoe.__file__), os.pardir)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, timeout=60, capture_output=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], 1]

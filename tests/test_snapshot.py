@@ -15,7 +15,7 @@ from tpoe import (
     save_field,
     solve_full,
 )
-from tpoe.snapshot import MAGIC
+from tpoe.snapshot import MAGIC, _write_json
 
 
 def dom(n=2, N=16, Nt=16):
@@ -145,3 +145,17 @@ def test_read_only_steady_part_saves_as_its_copy(tmp_path, bound_case):
     saved = tmp_path / "out" / "v.tpf"
     assert saved.read_bytes() == (tmp_path / "copy.tpf").read_bytes()
     assert np.array_equal(load_field(saved).samples, copy.samples)
+
+
+def test_non_finite_json_writes_nothing(tmp_path):
+    # the payload is serialized before the file is opened, so a NaN neither
+    # creates a file nor truncates an existing one
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        _write_json(path, {"finite": 1.0, "overall": float("nan")})
+    assert not path.exists()
+    _write_json(path, {"finite": 1.0})
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        _write_json(path, {"finite": 1.0, "overall": float("nan")})
+    assert path.read_bytes() == before

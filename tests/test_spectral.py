@@ -387,6 +387,29 @@ class TestThreadedPasses:
         for (_, a), (_, b), (_, whole) in zip(calls[::2], calls[1::2], passes):
             assert np.prod(a) + np.prod(b) == np.prod(whole)
 
+    @pytest.mark.parametrize(
+        "workers, shape, steady",
+        [(1, (2, 16, 16, 9), False), (1, (3, 16, 16, 16, 9), True),
+         (2, (3, 64, 64, 33), False)],
+        ids=["contiguous", "steady-slice", "threaded"],
+    )
+    def test_inverse_leaves_its_input_unchanged(
+        self, monkeypatch, workers, shape, steady
+    ):
+        # the first pass reads the input and writes the work array; the
+        # steady case is the strided k == 0 slice that solver._steady_slice
+        # passes, and the threaded one is at least _THREAD_BYTES
+        monkeypatch.setattr(spectral, "_WORKERS", workers)
+        rng = np.random.default_rng(27)
+        spectrum = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        coeff = spectrum[..., : shape[-2] // 2 + 1, 0] if steady else spectrum
+        assert coeff.flags.c_contiguous != steady
+        assert workers == 1 or coeff.nbytes >= spectral._THREAD_BYTES
+        before = spectrum.tobytes()
+        expected = nd_inverse_reference(coeff)
+        assert np.array_equal(_irfft(coeff), expected)
+        assert spectrum.tobytes() == before
+
     def test_small_arrays_run_one_call_per_pass(
         self, monkeypatch, record_transforms, transform_passes
     ):

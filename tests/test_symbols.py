@@ -128,8 +128,6 @@ class TestOseenParams:
             OseenParams(lam=0.0, T=-1.0, q=2.0)
         with pytest.raises(ValueError):
             OseenParams(lam=0.0, T=1.0, q=1.0)
-        assert OseenParams(lam=0.0, T=1.0, q=2.0).is_stokes
-        assert not OseenParams(lam=3.0, T=1.0, q=2.0).is_stokes
 
 
 class TestTimePeriodicMultiplier:
