@@ -318,15 +318,16 @@ def marcinkiewicz_scan(params: OseenParams, grid: ScanGrid) -> MarcinkiewiczRepo
     points = grid.points()  # never empty: ScanGrid keeps a shell and 2(n+2) directions
     dim = grid.n + 1
     per_eps: dict[str, float] = {}
-    for eps in itertools.product((0, 1), repeat=dim):
-        deriv = _mixed_partial(points, eps, params)
-        weight = np.ones(points.shape[1])
-        for i, e in enumerate(eps):
-            if e:
-                weight = weight * points[i]
-        sup = float(np.max(np.abs(weight * deriv)))
-        per_eps["".join(map(str, eps))] = sup
-    overall = float(np.max(list(per_eps.values())))  # NaN propagates
+    # an overflow is reported by the check below, not by numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for eps in itertools.product((0, 1), repeat=dim):
+            deriv = _mixed_partial(points, eps, params)
+            weight = np.ones(points.shape[1])
+            for i, e in enumerate(eps):
+                if e:
+                    weight = weight * points[i]
+            per_eps["".join(map(str, eps))] = float(np.max(np.abs(weight * deriv)))
+        overall = float(np.max(list(per_eps.values())))  # NaN propagates
     if not np.isfinite(overall):
         raise InvalidGrid(f"scan overflowed to {overall}: lower radial_max or lambda")
     return MarcinkiewiczReport(per_epsilon=per_eps, overall=overall)
@@ -344,12 +345,18 @@ def transference_check(domain: TorusDomain, params: OseenParams) -> float:
     Raises
     ------
     DomainMismatch
-        If ``params.T`` is not the period of ``domain``.
+        If ``params.T`` is not the period of ``domain``, or the deviation is
+        not finite (lam * xi_1 or |xi|^2 overflows).
     """
     _require_period(domain, params)
-    lhs = time_periodic_multiplier_grid(domain, params)
-    rhs = evaluate_m(domain.xi_grids(), domain.eta_grid(), params)
-    return float(np.max(np.abs(lhs - rhs)[domain.nyquist_mask()]))
+    # an overflow is reported by the check below, not by numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lhs = time_periodic_multiplier_grid(domain, params)
+        rhs = evaluate_m(domain.xi_grids(), domain.eta_grid(), params)
+        deviation = float(np.max(np.abs(lhs - rhs)[domain.nyquist_mask()]))
+    if not np.isfinite(deviation):
+        raise DomainMismatch(f"symbols overflow to {deviation}: lower lambda or N/L")
+    return deviation
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +397,8 @@ def constant_sweep(
     ``||w||_{2,1,q} / ||f||_q`` for random purely periodic solenoidal data,
     plus the Marcinkiewicz supremum over ``scan_grid`` for the same
     parameters.  No ordering or specific value is asserted anywhere; the
-    records feed a descriptive fit only.
+    records feed a descriptive fit only.  Raises ``DomainMismatch`` if a
+    ratio is not positive and finite.
     """
     if not lambda_list or not T_list or ensemble_size < 1:
         raise EmptySweep("sweep needs non-empty parameter lists and ensemble")
@@ -406,7 +414,11 @@ def constant_sweep(
                     dom, dom.n, rng, solenoidal=True, purely_periodic=True
                 )
                 w = solve_time_periodic(f, params)
-                ratio = max(ratio, sobolev_norm_21q(w, q) / lq_norm(f, q))
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    value = sobolev_norm_21q(w, q) / lq_norm(f, q)
+                if not 0.0 < value < np.inf:  # the fit takes its logarithm
+                    raise DomainMismatch(f"sweep ratio {value} is outside (0, inf)")
+                ratio = max(ratio, value)
             records.append(
                 SweepRecord(lam, T, q, dom.N, dom.Nt, RATIO_STATISTIC, ratio, seed)
             )

@@ -13,7 +13,7 @@ Every norm is a list of derivative blocks plus their combination, and
 block.  It makes one real forward transform and takes each block's
 derivatives and oversampled samples from the spectral module's streamed
 inverse (``_refined_derivatives``): a pruned inverse of the zero-padded half
-spectrum that yields slabs of refined rows, summed slab by slab.  Memory
+spectrum, one generator per slab of refined rows, summed slab by slab.  Memory
 therefore scales with the half spectrum and one slab, not with the refined
 grid.  A steady norm acts on a time-constant field, so it is integrated over
 the time-mean spatial slice alone.  Every square and q-th power is taken of
@@ -55,6 +55,20 @@ class NormTag(str, Enum):
 STEADY_TAGS = (NormTag.STEADY_STOKES, NormTag.STEADY_OSEEN, NormTag.STEADY_OSEEN_2D)
 
 
+def _exponent_bound(tag: NormTag, n: int, lam: float) -> float | None:
+    """Upper end of the family's open exponent range (1, upper) at (n, lam),
+    or None where the family does not exist there (see :class:`NormKind`)."""
+    steady = {  # family -> (exists at (n, lam), m), and the bound is m / 2
+        NormTag.STEADY_STOKES: (n >= 3 and lam == 0.0, n),
+        NormTag.STEADY_OSEEN: (n >= 3 and lam != 0.0, n + 1),
+        NormTag.STEADY_OSEEN_2D: (n == 2 and lam != 0.0, n + 1),
+    }
+    if tag not in steady:
+        return n if tag == NormTag.PRESSURE_XP else np.inf
+    exists, m = steady[tag]
+    return m / 2 if exists else None
+
+
 @dataclass(frozen=True)
 class NormKind:
     """A norm family plus its Lebesgue exponent.
@@ -72,55 +86,21 @@ class NormKind:
     q: float
 
     def validate(self, n: int, lam: float = 0.0) -> None:
-        q = self.q
-        if not 1.0 < q < np.inf:
-            raise InvalidExponent(f"exponent must lie in (1, inf), got {q}")
-        if self.tag == NormTag.STEADY_STOKES:
-            if n < 3:
-                raise InvalidExponent("steady Stokes norm needs n >= 3")
-            if lam != 0.0:
-                raise InvalidExponent("steady Stokes norm needs lam == 0")
-            if not q < n / 2:
-                raise InvalidExponent(
-                    f"steady Stokes norm needs q in (1, n/2); got q={q}, n={n}"
-                )
-        elif self.tag == NormTag.STEADY_OSEEN:
-            if n < 3:
-                raise InvalidExponent("steady Oseen norm needs n >= 3")
-            if lam == 0.0:
-                raise InvalidExponent("steady Oseen norm needs lam != 0")
-            if not q < (n + 1) / 2:
-                raise InvalidExponent(
-                    f"steady Oseen norm needs q in (1, (n+1)/2); got q={q}, n={n}"
-                )
-        elif self.tag == NormTag.STEADY_OSEEN_2D:
-            if n != 2:
-                raise InvalidExponent("2-d steady Oseen norm needs n == 2")
-            if lam == 0.0:
-                raise InvalidExponent("2-d steady Oseen norm needs lam != 0")
-            if not q < 1.5:
-                raise InvalidExponent(
-                    f"2-d steady Oseen norm needs q in (1, 3/2); got q={q}"
-                )
-        elif self.tag == NormTag.PRESSURE_XP:
-            if not q < n:
-                raise InvalidExponent(
-                    f"pressure norm needs q in (1, n); got q={q}, n={n}"
-                )
+        bound = _exponent_bound(self.tag, n, lam)
+        name = f"{self.tag.value} norm"
+        if bound is None:
+            raise InvalidExponent(
+                f"{name} does not exist at n={n}, lam={lam}; got q={self.q}"
+            )
+        if not 1.0 < self.q < bound:
+            raise InvalidExponent(f"{name} needs q in (1, {bound}); got q={self.q}")
 
 
 def _applicable_kinds(n: int, lam: float, q: float) -> list[NormKind]:
     """Every norm family that :meth:`NormKind.validate` admits for
     (n, lam, q), in ``NormTag`` order."""
-    kinds = []
-    for tag in NormTag:
-        kind = NormKind(tag, q)
-        try:
-            kind.validate(n, lam)
-        except InvalidExponent:
-            continue
-        kinds.append(kind)
-    return kinds
+    bounds = [(tag, _exponent_bound(tag, n, lam)) for tag in NormTag]
+    return [NormKind(tag, q) for tag, bound in bounds if bound and 1.0 < q < bound]
 
 
 def steady_kind_for(n: int, lam: float, q: float) -> NormKind | None:

@@ -154,7 +154,9 @@ def divergence_defect(spec: SpectralField) -> float:
 
 
 def _check_solenoidal(xi, coefficients: np.ndarray, tol: float) -> None:
-    scale = float(np.max(np.abs(coefficients)))
+    # |xi . c| <= |xi| |c|: relative to max|xi| max|c|, the box size drops out
+    top = np.hypot.reduce([np.max(np.abs(x)) for x in xi])
+    scale = float(np.max(np.abs(coefficients)) * top)
     defect = _divergence(xi, coefficients)
     if scale > 0.0 and defect > tol * scale:
         raise NonSolenoidal(
@@ -195,7 +197,8 @@ def solve_time_periodic(
     NotPurelyPeriodic
         If the time average of ``f`` exceeds ``tol`` relative to ``max|f|``.
     NonSolenoidal
-        If the spectral divergence exceeds ``tol`` relative to ``max|f^|``.
+        If the spectral divergence exceeds ``tol`` relative to
+        ``max|xi| max|f^|``.
     DomainMismatch
         If ``params.T`` is not the period of ``f``'s domain.
     ValueError
@@ -233,7 +236,8 @@ def solve_steady(
         If a component has nonzero spatial mean; the constant mode is not in
         the operator's range on the torus.
     NonSolenoidal
-        If the spectral divergence exceeds tolerance.
+        If the spectral divergence exceeds ``tol`` relative to
+        ``max|xi| max|f^|``.
     ValueError
         If ``tol`` is not positive and finite, or ``f`` is not time-constant
         within ``tol`` relative to ``max|f|``.
@@ -372,8 +376,9 @@ def solve_full(
     IncompatibleMean
         If the data's steady solenoidal part has nonzero spatial mean.
     DomainMismatch
-        If ``params.T`` is not the period of ``f``'s domain, or if u, p or
-        A(u, p) has a non-finite sample (the symbol overflowed).
+        If ``params.T`` is not the period of ``f``'s domain, if u, p or
+        A(u, p) has a non-finite sample (the symbol overflowed), or if a
+        reported norm is not finite.
     ResidualExceedsTol
         If the relative residual of the solution is not within ``tol``.
     ValueError
@@ -413,6 +418,8 @@ def solve_full(
     )
 
 
+# the check at the end, not numpy's warnings, reports a norm that overflows
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _norm_report(
     f: SpaceTimeField,
     u: SpaceTimeField,
@@ -437,4 +444,7 @@ def _norm_report(
             report["pressure_xp"] = norms.pressure_norm(p, kind.q)
         else:
             report[kind.tag.value] = norms.steady_norm(v, kind, lam)
+    bad = [name for name, value in report.items() if not np.isfinite(value)]
+    if bad:
+        raise DomainMismatch(f"norms {bad} are not finite: beyond the double range")
     return report

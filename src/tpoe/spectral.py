@@ -27,9 +27,9 @@ one-dimensional passes of ``rfftn``/``irfftn``, so their results equal
 those bitwise, and split each pass of an array of ``_THREAD_BYTES`` or more
 across the CPUs: the pass starts up to one thread per CPU and joins them
 before it returns, so no thread outlives the call.  The norm quadrature's
-oversampled inverse, ``_refined_derivatives``, shares ``_rfft`` and streams
-its inverse in one-dimensional passes over slabs instead of a full-grid
-``_irfft``.
+oversampled inverse, ``_refined_derivatives``, shares ``_rfft`` and returns
+one independent generator per slab, each running one-dimensional passes
+over its slab, instead of a full-grid ``_irfft``.
 """
 
 from __future__ import annotations
@@ -530,20 +530,21 @@ def _refined_derivatives(
     domain: TorusDomain,
     orders: Sequence[tuple[tuple[int, ...], int]],
     refinement: int,
-) -> Iterator[Iterator[np.ndarray]]:
+) -> list[Iterator[np.ndarray]]:
     """Real samples of (i*xi)^alpha (i*eta)^beta f on the r-refined grid,
     streamed in slabs of refined rows along the first spatial axis.
 
     ``coeff`` is the half spectrum of f as :func:`_rfft` returns it: the
     component axis first, followed either by ``domain.spectral_shape`` or,
     for a field with no time axis, by the half spectrum of the spatial grid
-    ``(N,) * n`` alone (then every beta must be 0).  One entry is yielded
-    per slab: an iterator over the ``orders`` ``(alpha, beta)`` and, within
-    an order, the components, each an array of shape ``(1, rows)`` plus the
+    ``(N,) * n`` alone (then every beta must be 0).  The list holds one
+    generator per slab, over the ``orders`` ``(alpha, beta)`` and, within an
+    order, the components, each an array of shape ``(1, rows)`` plus the
     refined grid after the first axis.  Joined along axis 1, the slabs of
     one order and component make its samples on the grid with
-    ``refinement`` times as many points per axis.  Every entry must be
-    consumed before the next one is asked for.
+    ``refinement`` times as many points per axis.  The first-axis transforms
+    are made in the call and the generators only read them, so each slab
+    can be consumed on its own, in any order or thread.
 
     The inverse is pruned: for each distinct ``alpha[0]``, the nonzero band
     is padded and transformed along the first spatial axis, in chunks of the
@@ -599,5 +600,4 @@ def _refined_derivatives(
                 yield tail(heads[alpha[0]][c:c + 1, start:start + rows], alpha, beta)
 
     heads = {a: head(a) for a in dict.fromkeys(alpha[0] for alpha, _ in orders)}
-    for start in range(0, fine[0], rows):
-        yield at(start)
+    return [at(start) for start in range(0, fine[0], rows)]

@@ -1,7 +1,10 @@
 """End-to-end tests of the batch command-line front door."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -456,7 +459,6 @@ class TestNonFiniteParameters:
 class TestScanOverflow:
     # the weighted derivatives overflow once the radius, or lambda times it,
     # is too large; no scan output may be written before that is known
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "subcommand, overrides",
         [
@@ -498,6 +500,62 @@ class TestScanOverflow:
         assert all(np.isfinite(float(row.split(",")[1])) for row in rows)
         grid = json.loads((outdir / "marcinkiewicz_grid.json").read_text())
         assert np.isfinite(grid["overall"])
+
+
+class TestSymbolOverflow:
+    # lam * xi_1 or |xi|^2 overflows in the transference check, or the norms
+    # of a sweep leave the double range: exit 2 with nothing but the record
+    @pytest.mark.parametrize(
+        "subcommand, overrides",
+        [
+            ("transference", ["N=8", "Nt=8", "lambda=1e300", "L=1e-10"]),
+            ("transference", ["N=6", "Nt=6", "lambda=1e10", "L=1e-300"]),
+            (
+                "sweep",
+                ["N=8", "Nt=8", "ensemble=1", "q=1.2", "L=1e10", "periods=1e300"],
+            ),
+        ],
+        ids=["lambda", "box", "sweep-norms"],
+    )
+    def test_overflow_is_config_error_before_any_output(
+        self, config_file, capsys, subcommand, overrides
+    ):
+        path = config_file()
+        argv = [subcommand, "--config", path]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        record = json.loads(line)
+        assert record["error"] == "DomainMismatch"
+        outdir = run_dir_of(path, overrides)
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "config.resolved.txt", "error.json"
+        ]
+
+    @pytest.mark.parametrize(
+        "subcommand, overrides",
+        [
+            ("marcinkiewicz", ["n=3", "radial_max=1e80"]),
+            ("transference", ["N=8", "Nt=8", "lambda=1e300", "L=1e-10"]),
+        ],
+        ids=["scan", "transference"],
+    )
+    def test_stderr_is_one_json_line(self, config_file, subcommand, overrides):
+        # in a fresh interpreter, where numpy's warnings reach stderr
+        argv = [sys.executable, "-m", "tpoe.cli", subcommand]
+        argv += ["--config", config_file()]
+        for item in overrides:
+            argv += ["--set", item]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            argv, env=env, timeout=120, capture_output=True, text=True
+        )
+        assert done.returncode == EXIT_CONFIG
+        (line,) = done.stderr.splitlines()
+        assert json.loads(line)["exit_code"] == EXIT_CONFIG
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("-inf")])

@@ -316,6 +316,12 @@ class TestExponentConstraints:
         (2, 1.0, 1.2, [LQ, SOB, OSEEN_2D, PRESSURE]),
         (2, 1.0, 1.5, [LQ, SOB, PRESSURE]),  # 2-d Oseen needs q < 3/2
         (2, 1.0, 2.0, [LQ, SOB]),
+        (3, 0.0, 1.0, []),  # every range is open at 1
+        (3, 1.0, float("inf"), []),
+        (2, 1.0, float("nan"), []),
+        (3, -2.5, 1.9, [LQ, SOB, OSEEN, PRESSURE]),
+        (2, -2.5, 1.2, [LQ, SOB, OSEEN_2D, PRESSURE]),
+        (2, 0.0, 2.0, [LQ, SOB]),  # the pressure bound n = 2 itself
     ]
 
     @pytest.mark.parametrize("n, lam, q, tags", APPLICABLE)
@@ -325,6 +331,18 @@ class TestExponentConstraints:
         steady = [tag for tag in tags if tag in STEADY_TAGS]
         expected = NormKind(steady[0], q) if steady else None
         assert steady_kind_for(n, lam, q) == expected
+
+    @pytest.mark.parametrize("n, lam", [(2, 0.0), (2, 1.0), (3, 0.0), (3, -2.5)])
+    def test_every_rejection_names_the_family(self, n, lam):
+        rejected = 0
+        for tag in NormTag:
+            for q in (1.0, 1.5, 2.5, 3.0, float("inf"), float("nan")):
+                try:
+                    NormKind(tag, q).validate(n, lam)
+                except InvalidExponent as error:
+                    rejected += 1
+                    assert tag.value in str(error) and f"q={q}" in str(error)
+        assert rejected > 12
 
     def test_lq_homogeneity_on_valid_sets(self):
         d = dom2()

@@ -1,5 +1,6 @@
 """Tests for projections, mode-wise solves, pressure recovery, solve_full."""
 
+import functools
 import sys
 import threading
 import tracemalloc
@@ -237,6 +238,30 @@ class TestSolveTimePeriodic:
 
         peak, _ = traced_peak(rejected)
         assert peak <= 0.1 * h.samples.nbytes
+
+
+class TestSolenoidalCheck:
+    # |xi . c| <= |xi| |c|: relative to max|xi| max|c|, the check neither
+    # tightens nor loosens as the box shrinks or grows
+    @pytest.mark.parametrize("L", [1e-8, TWO_PI, 1e8])
+    @pytest.mark.parametrize("steady", [False, True], ids=["periodic", "steady"])
+    def test_box_size_does_not_move_the_check(self, L, steady):
+        d = TorusDomain(n=2, L=L, N=16, T=TWO_PI, Nt=16)
+        if steady:
+            flags = {"time_constant": True, "zero_spatial_mean": True}
+            solve = functools.partial(solve_steady, lam=1.0)
+        else:
+            flags = {"purely_periodic": True}
+            solve = functools.partial(solve_time_periodic, params=params(lam=1.0))
+        f = rand_field(d, seed=2, solenoidal=True, **flags)
+        solve(f)
+        x1, _, t = d.meshgrid()
+        gradient = np.zeros((2,) + d.grid_shape)
+        gradient[0] = np.cos(2 * np.pi / L * x1)
+        if not steady:
+            gradient[0] *= np.sin(2 * np.pi / d.T * t)
+        with pytest.raises(NonSolenoidal):
+            solve(f + SpaceTimeField(d, 1e-6 * gradient))
 
 
 class TestSolveSteady:

@@ -569,6 +569,40 @@ class TestRefinedDerivatives:
         assert chunks == [5, 5, 2] * 2
         self.assert_matches(got, self.public_calculus(f, 2))
 
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_slabs_are_independent_across_threads(self, monkeypatch, threads):
+        # each thread takes every threads-th slab of one call; joined in slab
+        # order they equal the slabs consumed in order, bitwise
+        d = dom2(N=12, Nt=8, L=3.0, T=5.0)
+        monkeypatch.setattr(spectral, "_SLAB_BYTES", 7 * 8 * 24 * 16)
+        samples = np.random.default_rng(14).standard_normal((2,) + d.grid_shape)
+        coeff = _rfft(samples)
+        serial = [list(s) for s in _refined_derivatives(coeff, d, self.ORDERS, 2)]
+        slabs = _refined_derivatives(coeff, d, self.ORDERS, 2)
+        assert len(slabs) == 4
+        got = [None] * len(slabs)
+        start = threading.Barrier(threads, timeout=60)
+
+        def consume(first):
+            start.wait()
+            for i in range(first, len(slabs), threads):
+                got[i] = list(slabs[i])
+
+        workers = [threading.Thread(target=consume, args=(i,)) for i in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for mine, want in zip(got, serial, strict=True):
+            assert [a.shape for a in mine] == [b.shape for b in want]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(mine, want))
+
     def test_spatial_slice_matches_every_time_slice(self):
         d = dom2(N=12, Nt=8, L=3.0, T=5.0)
         spatial = np.random.default_rng(12).standard_normal((2, d.N, d.N))
