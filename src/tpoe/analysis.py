@@ -318,16 +318,14 @@ def marcinkiewicz_scan(params: OseenParams, grid: ScanGrid) -> MarcinkiewiczRepo
     points = grid.points()  # never empty: ScanGrid keeps a shell and 2(n+2) directions
     dim = grid.n + 1
     per_eps: dict[str, float] = {}
-    # an overflow is reported by the check below, not by numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for eps in itertools.product((0, 1), repeat=dim):
-            deriv = _mixed_partial(points, eps, params)
-            weight = np.ones(points.shape[1])
-            for i, e in enumerate(eps):
-                if e:
-                    weight = weight * points[i]
-            per_eps["".join(map(str, eps))] = float(np.max(np.abs(weight * deriv)))
-        overall = float(np.max(list(per_eps.values())))  # NaN propagates
+    for eps in itertools.product((0, 1), repeat=dim):
+        deriv = _mixed_partial(points, eps, params)
+        weight = np.ones(points.shape[1])
+        for i, e in enumerate(eps):
+            if e:
+                weight = weight * points[i]
+        per_eps["".join(map(str, eps))] = float(np.max(np.abs(weight * deriv)))
+    overall = float(np.max(list(per_eps.values())))  # NaN propagates
     if not np.isfinite(overall):
         raise InvalidGrid(f"scan overflowed to {overall}: lower radial_max or lambda")
     return MarcinkiewiczReport(per_epsilon=per_eps, overall=overall)
@@ -349,11 +347,9 @@ def transference_check(domain: TorusDomain, params: OseenParams) -> float:
         not finite (lam * xi_1 or |xi|^2 overflows).
     """
     _require_period(domain, params)
-    # an overflow is reported by the check below, not by numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        lhs = time_periodic_multiplier_grid(domain, params)
-        rhs = evaluate_m(domain.xi_grids(), domain.eta_grid(), params)
-        deviation = float(np.max(np.abs(lhs - rhs)[domain.nyquist_mask()]))
+    lhs = time_periodic_multiplier_grid(domain, params)
+    rhs = evaluate_m(domain.xi_grids(), domain.eta_grid(), params)
+    deviation = float(np.max(np.abs(lhs - rhs)[domain.nyquist_mask()]))
     if not np.isfinite(deviation):
         raise DomainMismatch(f"symbols overflow to {deviation}: lower lambda or N/L")
     return deviation
@@ -414,8 +410,7 @@ def constant_sweep(
                     dom, dom.n, rng, solenoidal=True, purely_periodic=True
                 )
                 w = solve_time_periodic(f, params)
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    value = sobolev_norm_21q(w, q) / lq_norm(f, q)
+                value = sobolev_norm_21q(w, q) / lq_norm(f, q)
                 if not 0.0 < value < np.inf:  # the fit takes its logarithm
                     raise DomainMismatch(f"sweep ratio {value} is outside (0, inf)")
                 ratio = max(ratio, value)

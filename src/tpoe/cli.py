@@ -413,7 +413,9 @@ def main(argv: list[str] | None = None) -> int:
         # an earlier failure's record must not outlive this run
         (outdir / "error.json").unlink(missing_ok=True)
         (outdir / "config.resolved.txt").write_text(_canonical_lines(config))
-        RUNNERS[args.subcommand](config, outdir)
+        # outputs are checked before writing: a warning could only precede the record
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            RUNNERS[args.subcommand](config, outdir)
     except Exception as exc:
         code = _classify(exc)
         _emit_error(exc, code, outdir)

@@ -40,9 +40,12 @@ def _write_json(path, payload: dict) -> None:
 def save_field(field: SpaceTimeField, path) -> None:
     """Write ``field`` as one snapshot.  Each component's buffer is written
     as it is; only a component that is not a C-contiguous float64 array,
-    such as a broadcast view, is copied, one at a time."""
+    such as a broadcast view, is copied, one at a time.  A file at ``path``
+    is unlinked, not truncated (which can force its writeback), so a symlink
+    there is replaced, not written through, as is a read-only file."""
     meta = dataclasses.asdict(field.domain)
     meta.update(components=field.components, dtype=DTYPE)
+    Path(path).unlink(missing_ok=True)
     with open(path, "wb") as handle:
         handle.write(MAGIC)
         handle.write(json.dumps(meta, sort_keys=True).encode("ascii"))

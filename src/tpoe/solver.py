@@ -165,12 +165,24 @@ def _check_solenoidal(xi, coefficients: np.ndarray, tol: float) -> None:
         )
 
 
+def _symbol(domain: TorusDomain, lam: float) -> np.ndarray:
+    """:func:`_denominator` on the half grid; ``DomainMismatch`` if not finite."""
+    symbol = _denominator(domain.xi_grids(), domain.eta_grid(), lam)
+    parts = symbol.view(float)  # real and imaginary; min and max need no grid
+    if not np.isfinite([parts.min(), parts.max()]).all():
+        raise DomainMismatch(f"symbol of A overflows on {domain}, lambda={lam!r}")
+    return symbol
+
+
 def _invert(gh: np.ndarray, domain: TorusDomain, lam: float) -> np.ndarray:
     """The half spectrum ``gh`` divided by the operator's symbol, in place:
     the steady inverse on k == 0 and the time-periodic multiplier elsewhere.
-    Only the mode (xi, k) = (0, 0), which has no inverse, is annihilated."""
-    denom = _denominator(domain.xi_grids(), domain.eta_grid(), lam)
+    Only the mode (xi, k) = (0, 0), which has no inverse, is annihilated;
+    ``DomainMismatch`` if the symbol overflows or vanishes at another mode."""
+    denom = _symbol(domain, lam)
     denom.flat[0] = 1.0  # the mode (xi, k) = (0, 0), zeroed below
+    if not denom.all():  # |xi|^2 rounds to 0 below |xi| = 1.6e-162 (L = 4e162)
+        raise DomainMismatch(f"symbol of A vanishes on {domain}, lambda={lam!r}")
     gh /= denom
     gh[(slice(None),) + (0,) * (domain.n + 1)] = 0.0
     return gh
@@ -277,7 +289,7 @@ def _operator_rows(
     one component's half spectrum and samples are alive at a time."""
     domain = u.domain
     xi = domain.xi_grids()
-    symbol = _denominator(xi, domain.eta_grid(), params.lam)
+    symbol = _symbol(domain, params.lam)
     ph = _rfft(p.samples)[0]
     for j in range(domain.n):
         uh = _rfft(u.samples[j : j + 1])
@@ -418,8 +430,6 @@ def solve_full(
     )
 
 
-# the check at the end, not numpy's warnings, reports a norm that overflows
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _norm_report(
     f: SpaceTimeField,
     u: SpaceTimeField,

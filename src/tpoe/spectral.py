@@ -34,6 +34,7 @@ over its slab, instead of a full-grid ``_irfft``.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import os
 import threading
@@ -477,10 +478,11 @@ def _slab_rows(row_bytes: int) -> int:
 def _pass(transform, src: np.ndarray, out: np.ndarray, axis: int) -> None:
     """One-dimensional ``transform`` (``norm="forward"``) of ``src`` along
     ``axis`` into ``out``, which may be ``src``.  From ``_THREAD_BYTES`` on,
-    the lines are split into ``_WORKERS`` contiguous chunks along axis 1,
-    or axis 2 when ``axis`` is 1: one thread per chunk after the first, which
-    the caller runs, all joined before a chunk's error is raised again.  Each
-    line is transformed alone, so the result does not depend on the split."""
+    the lines are split into ``_WORKERS`` contiguous chunks along axis 1, or
+    axis 2 when ``axis`` is 1.  The caller runs the first chunk, and a thread
+    in a copy of its context (so under its numpy error state) runs each other;
+    all are joined before a chunk's error is raised again.  Each line is
+    transformed alone, so the result does not depend on the split."""
     split = 2 if axis == 1 else 1
     size = src.shape[split]
     parts = min(_WORKERS, size)
@@ -500,7 +502,10 @@ def _pass(transform, src: np.ndarray, out: np.ndarray, axis: int) -> None:
         except BaseException as error:  # raised again in the caller
             errors.append(error)
 
-    threads = [threading.Thread(target=run, args=(chunk,)) for chunk in chunks[1:]]
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(run, chunk))
+        for chunk in chunks[1:]
+    ]
     for thread in threads:
         thread.start()
     run(chunks[0])

@@ -231,7 +231,6 @@ class TestSolveCommand:
         assert json.loads((outdir / "error.json").read_text()) == record
         assert not (outdir / "summary.json").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_symbol_is_config_error(self, config_file, capsys):
         # lam * xi_1 overflows: the solve stops on the non-finite samples
         # instead of reporting them
@@ -538,8 +537,18 @@ class TestSymbolOverflow:
         [
             ("marcinkiewicz", ["n=3", "radial_max=1e80"]),
             ("transference", ["N=8", "Nt=8", "lambda=1e300", "L=1e-10"]),
+            ("solve", ["lambda=1e300", "L=1e-10"]),
+            (
+                "roundtrip",
+                ["N=8", "Nt=8", "ensemble=1", "lambda=1e300", "L=1e-10"],
+            ),
+            ("solve", ["N=12", "Nt=12", "recipe=mixed", "L=1e200"]),
+            ("solve", ["n=3", "N=32", "Nt=32", "recipe=mixed", "L=1e200"]),
         ],
-        ids=["scan", "transference"],
+        ids=[
+            "scan", "transference", "solve-overflow", "roundtrip-overflow",
+            "solve-underflow", "solve-threaded",
+        ],
     )
     def test_stderr_is_one_json_line(self, config_file, subcommand, overrides):
         # in a fresh interpreter, where numpy's warnings reach stderr

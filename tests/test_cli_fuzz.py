@@ -2,9 +2,10 @@
 
 Every run must end in one of two ways: exit 0 with finite numbers in every
 file it wrote, or exit 2, 3 or 4 with exactly one JSON error record on
-stderr.  Exit 5 (internal error) is always a defect.  Each run draws a
-subcommand, a small base grid and a few ``--set`` overrides from a fixed
-list of values per schema key, extremes included.
+stderr.  Exit 5 (internal error) is always a defect; under the suite's
+``error::RuntimeWarning`` filter, a numpy warning in any subcommand ends
+in one.  Each run draws a subcommand, a small base grid and a few ``--set``
+overrides from a fixed list of values per schema key, extremes included.
 
 The grids are small (n = 2 or 3, N and Nt at most 16, ensembles of one or
 two, convergence resolutions at most 16x16) so that a run takes about
@@ -18,7 +19,6 @@ import io
 import json
 import math
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -171,15 +171,8 @@ def test_cli_exits_cleanly(scratch_files, subcommand, n, N, Nt, extremes, overri
         for key, value in drawn + overrides:  # a later --set wins
             value = value.format(**{k: str(v) for k, v in scratch_files.items()})
             argv += ["--set", f"{key}={value}"]
-        # numpy's RuntimeWarnings are recorded, not raised: an overflowing
-        # operator symbol (apply_operator, the solvers' inverse) still warns
-        # before its field is rejected.  The scan and the transference check
-        # must not warn at all.
         stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr), warnings.catch_warnings(
-            record=True
-        ) as caught:
-            warnings.simplefilter("always", RuntimeWarning)
+        with contextlib.redirect_stderr(stderr):
             code = main(argv)
         lines = stderr.getvalue().splitlines()
         if code == 0:
@@ -188,8 +181,6 @@ def test_cli_exits_cleanly(scratch_files, subcommand, n, N, Nt, extremes, overri
             assert code in (2, 3, 4), (argv, lines)
             assert len(lines) == 1, (argv, lines)
             assert finite_json(lines[0])["exit_code"] == code
-        if subcommand in ("marcinkiewicz", "transference"):
-            assert not caught, (argv, [str(w.message) for w in caught])
         check_outputs(root / "runs")
         if code == 0 and subcommand == "solve":
             (summary,) = (root / "runs").rglob("summary.json")

@@ -50,6 +50,33 @@ def test_bytes_are_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_rewrite_writes_a_fresh_file(tmp_path):
+    # the old file is unlinked, not truncated: an open handle keeps its bytes
+    d = dom()
+    old, new = (
+        random_band_limited_field(d, 2, np.random.default_rng(seed)) for seed in (2, 3)
+    )
+    path = tmp_path / "field.tpf"
+    save_field(old, path)
+    before = path.read_bytes()
+    with open(path, "rb") as handle:
+        save_field(new, path)
+        assert handle.read() == before
+    assert np.array_equal(load_field(path).samples, new.samples)
+
+
+def test_rewrite_replaces_a_symlink(tmp_path):
+    d = dom()
+    target = tmp_path / "target.tpf"
+    target.write_bytes(b"kept")
+    path = tmp_path / "field.tpf"
+    path.symlink_to(target)
+    f = random_band_limited_field(d, 2, np.random.default_rng(4))
+    save_field(f, path)
+    assert not path.is_symlink() and target.read_bytes() == b"kept"
+    assert np.array_equal(load_field(path).samples, f.samples)
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.tpf"
     path.write_bytes(b"not a snapshot at all")

@@ -264,6 +264,32 @@ class TestSolenoidalCheck:
             solve(f + SpaceTimeField(d, 1e-6 * gradient))
 
 
+class TestSymbolFaults:
+    # lam * xi_1 overflows at lam = 1e300, L = 1e-10; at L = 1e200, |xi|^2
+    # rounds to 0 on every mode, so the symbol vanishes on k == 0.  numpy's
+    # warnings are the caller's to silence; the error names the cause
+    CASES = [(1e-10, 1e300, "overflows"), (1e200, 0.0, "vanishes")]
+
+    @pytest.mark.parametrize("L, lam, cause", CASES, ids=["overflow", "underflow"])
+    def test_solve_full_names_the_cause(self, L, lam, cause):
+        d = TorusDomain(n=2, L=L, N=8, T=TWO_PI, Nt=8)
+        f = rand_field(d, seed=4)
+        f = f - time_average(f)  # zero mean, so the solve reaches the inverse
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainMismatch) as info:
+                solve_full(f, params(lam=lam))
+        # the domain's repr names L and T
+        assert str(info.value) == f"symbol of A {cause} on {d!r}, lambda={lam!r}"
+
+    def test_apply_operator_names_an_overflow(self):
+        L, lam, cause = self.CASES[0]
+        d = TorusDomain(n=2, L=L, N=8, T=TWO_PI, Nt=8)
+        u, p = rand_field(d, seed=5), rand_field(d, components=1, seed=6)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainMismatch, match=f"symbol of A {cause} on "):
+                apply_operator(u, p, params(lam=lam))
+
+
 class TestSolveSteady:
     def test_stokes_closed_form(self):
         d = dom2(16, 16)

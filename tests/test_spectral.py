@@ -461,6 +461,21 @@ class TestThreadedPasses:
         workers = seen - {threading.current_thread()}
         assert workers and not any(thread.is_alive() for thread in workers)
 
+    @pytest.mark.parametrize("state", ["raise", "ignore"])
+    def test_chunk_threads_keep_the_callers_error_state(self, monkeypatch, state):
+        # the first pass, along axis 1, is split along axis 2: the inf is in
+        # the last chunk's lines, which a chunk thread transforms to inf and NaN
+        monkeypatch.setattr(spectral, "_WORKERS", 2)
+        coeff = np.zeros((1, 32, 32, 32, 17), dtype=complex)
+        assert coeff.nbytes >= spectral._THREAD_BYTES
+        coeff[0, 1, -1, 1, 1] = np.inf
+        with np.errstate(invalid=state):
+            if state == "raise":
+                with pytest.raises(FloatingPointError):
+                    _irfft(coeff)
+            else:  # a warning would be an error under the suite's filter
+                assert np.isnan(_irfft(coeff)).any()
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_forked_child_runs_threaded_passes(self, monkeypatch):
