@@ -89,8 +89,10 @@ def random_band_limited_field(
         band[center] = 0.0
 
     if solenoidal:
-        xi = [domain._axis_view(2.0 * np.pi / domain.L * modes, j) for j in range(n)]
-        _project(xi, band, _potential(xi, band))
+        # xi (xi . c)/|xi|^2 does not change when xi is scaled, so project on
+        # the integer modes, whose |m|^2 cannot underflow at any L
+        m = [domain._axis_view(modes, j) for j in range(n)]
+        _project(m, band, _potential(m, band))
     defect = np.max(np.abs(band - np.conj(np.flip(band, axis=band_axes))))
     if defect > _HERMITIAN_TOL * np.max(np.abs(band)):
         raise NonHermitian("band coefficients are not conjugate-symmetric")

@@ -13,14 +13,17 @@ Every norm is a list of derivative blocks plus their combination, and
 block.  It makes one real forward transform and takes each block's
 derivatives and oversampled samples from the spectral module's streamed
 inverse (``_refined_derivatives``): a pruned inverse of the zero-padded half
-spectrum, one generator per slab of refined rows, summed slab by slab.  Memory
-therefore scales with the half spectrum and one slab, not with the refined
-grid.  A steady norm acts on a time-constant field, so it is integrated over
-the time-mean spatial slice alone.  Every square and q-th power is taken of
-values at most 1: divided by their largest magnitude, a running maximum over
-the slabs, which is multiplied back after the root.  So no norm overflows or
-underflows in the double range (``TestNoOverflow``, q up to 1e4, and
-``TestReportValues``, scales 1e+-300, in ``tests/test_norms.py``).
+spectrum, one generator per slab of refined rows.  The slabs are summed in
+parallel, up to one thread per CPU (``spectral._map``), and combined in slab
+order, so every value is bitwise equal for any thread count.  Memory
+therefore scales with the half spectrum and one slab per thread, not with
+the refined grid.  A steady norm acts on a time-constant field, so it is
+integrated over the time-mean spatial slice alone.  Every square and q-th
+power is taken of values at most 1: divided by their largest magnitude, a
+running maximum over the slabs, which is multiplied back after the root.
+So no norm overflows or underflows in the double range (``TestNoOverflow``,
+q up to 1e4, and ``TestReportValues``, scales 1e+-300, in
+``tests/test_norms.py``).
 
 Spatial Lebesgue norms are taken verbatim over the periodic box.  On the
 whole space these exponents encode decay at infinity; a periodic box has no
@@ -40,7 +43,7 @@ import numpy as np
 
 from .errors import InvalidExponent
 from .spectral import SpaceTimeField, TorusDomain, _distinct, _rfft
-from .spectral import _refined_derivatives
+from .spectral import _map, _refined_derivatives
 
 
 class NormTag(str, Enum):
@@ -194,10 +197,13 @@ def _block_norms(
 
     This is the one quadrature of the module: exact at exponent 2 (r=1) and
     4 (r=2); aliasing bounded elsewhere.  All blocks share one forward
-    transform, each block's grid is refined by ``_auto_refine`` of its own
-    exponent, and each block is summed slab by slab as the pruned inverse
-    streams it, with the running maximum as scale: when a slab raises it,
-    the sum so far is multiplied by ``(old / new)^q``.  With a time axis the
+    transform, and each block's grid is refined by ``_auto_refine`` of its
+    own exponent.  Threads of the call (``spectral._map``) take the slabs of
+    a block as the pruned inverse streams them, and each returns a slab's
+    sum of ``(|f| / top)^q`` with its ``top``.  The caller combines them in
+    slab order with the running maximum as scale: when a slab raises it,
+    the sum so far is multiplied by ``(old / new)^q``.  So the values do not
+    depend on the thread count, bitwise.  With a time axis the
     cell carries the 1/T-normalized time step.  ``per_slice`` sums over the
     spatial axes only and gives each block's norms as an array over time
     slices, to be combined slice by slice, so all blocks then share one
@@ -212,16 +218,21 @@ def _block_norms(
         cell = (domain.dx / r) ** domain.n
         if samples.ndim == domain.n + 2 and not per_slice:
             cell /= domain.Nt * r
-        total, scale = 0.0, 0.0
-        for slab in _refined_derivatives(coeff, domain, orders, r):
+
+        def partial(slab):
+            # the slab's sum of (|f| / top)^q, and top
             squares, top = _squared_magnitude(slab)
+            np.power(squares, q / 2.0, out=squares)
+            return np.sum(squares, axis=axes), top
+
+        total, scale = 0.0, 0.0
+        slabs = _refined_derivatives(coeff, domain, orders, r)
+        for part, top in _map(partial, slabs):
             if top > scale:
                 total = total * (scale / top) ** q
                 scale = top
             if top > 0.0:
-                np.power(squares, q / 2.0, out=squares)
-                total = total + np.sum(squares, axis=axes) * (top / scale) ** q
-            del squares  # free it before the next slab's transforms
+                total = total + part * (top / scale) ** q
         values.append(scale * (total * cell) ** (1.0 / q))
     return values
 

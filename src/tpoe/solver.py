@@ -174,15 +174,26 @@ def _symbol(domain: TorusDomain, lam: float) -> np.ndarray:
     return symbol
 
 
+def _require_invertible(domain: TorusDomain, lam: float) -> None:
+    """``DomainMismatch`` unless 1/|xi|^2 is finite for the least nonzero
+    |xi|^2, (2*pi/L)^2, at the mode m = (0, 1, ...), where the steady symbol
+    is |xi|^2 too.  numpy divides by a complex d as a product with 1/d, so
+    past that point the quotients by |xi|^2 (the potential) and by the
+    symbol are not finite there, even for zero data."""
+    step = 2.0 * np.pi / domain.L
+    least = step * step  # unlike **, a product overflows to inf
+    if least * float(np.finfo(float).max) < 1.0:  # L above about 8.4e154
+        cause = "vanishes" if least == 0.0 else "underflows"
+        raise DomainMismatch(f"symbol of A {cause} on {domain}, lambda={lam!r}")
+
+
 def _invert(gh: np.ndarray, domain: TorusDomain, lam: float) -> np.ndarray:
     """The half spectrum ``gh`` divided by the operator's symbol, in place:
     the steady inverse on k == 0 and the time-periodic multiplier elsewhere.
     Only the mode (xi, k) = (0, 0), which has no inverse, is annihilated;
-    ``DomainMismatch`` if the symbol overflows or vanishes at another mode."""
+    callers check :func:`_require_invertible` first."""
     denom = _symbol(domain, lam)
     denom.flat[0] = 1.0  # the mode (xi, k) = (0, 0), zeroed below
-    if not denom.all():  # |xi|^2 rounds to 0 below |xi| = 1.6e-162 (L = 4e162)
-        raise DomainMismatch(f"symbol of A vanishes on {domain}, lambda={lam!r}")
     gh /= denom
     gh[(slice(None),) + (0,) * (domain.n + 1)] = 0.0
     return gh
@@ -219,6 +230,7 @@ def solve_time_periodic(
     _require_tol(tol)
     _require_vector(f)
     _require_period(f.domain, params)
+    _require_invertible(f.domain, params.lam)
     scale = f.max_abs()
     # max|time_average(f)|, without broadcasting the mean over the grid
     mean = np.mean(f.samples, axis=-1)
@@ -256,6 +268,7 @@ def solve_steady(
     """
     _require_tol(tol)
     _require_vector(f)
+    _require_invertible(f.domain, lam)
     norms._time_mean(f, tol)
     _require_compatible_mean(f, tol, f.max_abs())
     gh = _rfft(f.samples)
@@ -399,6 +412,7 @@ def solve_full(
     _require_tol(tol)
     _require_vector(f)
     _require_period(f.domain, params)
+    _require_invertible(f.domain, params.lam)
     scale = f.max_abs()
     _require_compatible_mean(f, tol, scale)
     domain = f.domain

@@ -25,11 +25,14 @@ Parseval's identity reads::
 and :func:`inverse` validate around them.  They make numpy's
 one-dimensional passes of ``rfftn``/``irfftn``, so their results equal
 those bitwise, and split each pass of an array of ``_THREAD_BYTES`` or more
-across the CPUs: the pass starts up to one thread per CPU and joins them
-before it returns, so no thread outlives the call.  The norm quadrature's
-oversampled inverse, ``_refined_derivatives``, shares ``_rfft`` and returns
-one independent generator per slab, each running one-dimensional passes
-over its slab, instead of a full-grid ``_irfft``.
+across the CPUs.  The norm quadrature's oversampled inverse,
+``_refined_derivatives``, shares ``_rfft`` and returns one independent
+generator per slab, each running one-dimensional passes over its slab,
+instead of a full-grid ``_irfft``; the quadrature sums the slabs in
+parallel and combines them in slab order, so its values are bitwise equal
+for any thread count.  Both run their threads through :func:`_map`, which
+starts up to one thread per CPU and joins them before it returns, so no
+thread outlives the call.
 """
 
 from __future__ import annotations
@@ -475,44 +478,61 @@ def _slab_rows(row_bytes: int) -> int:
     return max(1, _SLAB_BYTES // row_bytes)
 
 
+def _map(function, items: Sequence) -> list:
+    """``[function(item) for item in items]``, run by up to ``_WORKERS``
+    threads: thread i takes items i, i + W, ... in turn, and the caller runs
+    the first share.  Each other thread runs in a copy of the caller's
+    context (so under its numpy error state); all are joined before an error
+    is raised again, so no thread outlives the call.  After an error, every
+    thread stops at its next item."""
+    workers = max(1, min(_WORKERS, len(items)))
+    results = [None] * len(items)
+    errors = []
+
+    def run(first):
+        try:
+            for i in range(first, len(items), workers):
+                if errors:
+                    return
+                results[i] = function(items[i])
+        except BaseException as error:  # raised again in the caller
+            errors.append(error)
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(run, first))
+        for first in range(1, workers)
+    ]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def _pass(transform, src: np.ndarray, out: np.ndarray, axis: int) -> None:
     """One-dimensional ``transform`` (``norm="forward"``) of ``src`` along
     ``axis`` into ``out``, which may be ``src``.  From ``_THREAD_BYTES`` on,
     the lines are split into ``_WORKERS`` contiguous chunks along axis 1, or
-    axis 2 when ``axis`` is 1.  The caller runs the first chunk, and a thread
-    in a copy of its context (so under its numpy error state) runs each other;
-    all are joined before a chunk's error is raised again.  Each line is
-    transformed alone, so the result does not depend on the split."""
+    axis 2 when ``axis`` is 1, and :func:`_map` runs one chunk per thread.
+    Each line is transformed alone, so the result does not depend on the
+    split."""
     split = 2 if axis == 1 else 1
     size = src.shape[split]
-    parts = min(_WORKERS, size)
-    if parts < 2 or max(src.nbytes, out.nbytes) < _THREAD_BYTES:
-        transform(src, axis=axis, norm="forward", out=out)
-        return
+    large = max(src.nbytes, out.nbytes) >= _THREAD_BYTES
+    parts = min(_WORKERS, size) if large else 1
     lead = (slice(None),) * split
     chunks = [
         lead + (slice(size * i // parts, size * (i + 1) // parts),)
         for i in range(parts)
     ]
-    errors = []
 
     def run(chunk):
-        try:
-            transform(src[chunk], axis=axis, norm="forward", out=out[chunk])
-        except BaseException as error:  # raised again in the caller
-            errors.append(error)
+        transform(src[chunk], axis=axis, norm="forward", out=out[chunk])
 
-    threads = [
-        threading.Thread(target=contextvars.copy_context().run, args=(run, chunk))
-        for chunk in chunks[1:]
-    ]
-    for thread in threads:
-        thread.start()
-    run(chunks[0])
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    _map(run, chunks)
 
 
 def _pad(band: np.ndarray, axis: int, size: int) -> np.ndarray:
@@ -559,8 +579,8 @@ def _refined_derivatives(
     every order's samples equal ``inverse(embed_spectrum(
     spectral_derivative(forward(f), alpha, beta), fine))`` up to rounding.
     Memory therefore scales with the half spectrum, the first-axis
-    transforms and one slab (``_SLAB_BYTES``, or one refined row of one
-    component if that is larger), not with the refined grid.  Each
+    transforms and each slab in flight (``_SLAB_BYTES``, or one refined row
+    of one component if that is larger), not with the refined grid.  Each
     one-dimensional pass scales by its length, so no intermediate exceeds
     the samples by more than the longest axis.
     """

@@ -533,6 +533,22 @@ class TestSymbolOverflow:
         ]
 
     @pytest.mark.parametrize(
+        "L, cause", [("1e158", "underflows"), ("1e163", "vanishes")]
+    )
+    def test_huge_box_names_its_cause(self, config_file, capsys, L, cause):
+        # the least |xi|^2 is subnormal or 0: the error names L, T and lambda,
+        # not the layout check that a non-finite quotient would reach
+        argv = ["solve", "--config", config_file()]
+        for item in ["N=12", "Nt=12", "recipe=mixed", f"L={L}"]:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        record = json.loads(line)
+        assert record["error"] == "DomainMismatch"
+        domain = f"TorusDomain(n=2, L={float(L)!r}, N=12, T={2 * np.pi!r}, Nt=12)"
+        assert record["message"] == f"symbol of A {cause} on {domain}, lambda=1.0"
+
+    @pytest.mark.parametrize(
         "subcommand, overrides",
         [
             ("marcinkiewicz", ["n=3", "radial_max=1e80"]),

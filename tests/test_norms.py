@@ -9,6 +9,9 @@ level while the quadrature itself honestly carries its documented aliasing
 error.
 """
 
+import itertools
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -34,6 +37,7 @@ from tpoe import (
     steady_kind_for,
     steady_norm,
 )
+from tpoe import norms, spectral
 from tpoe.norms import STEADY_TAGS, _applicable_kinds, _time_mean
 from tpoe.spectral import _SLAB_BYTES
 
@@ -569,3 +573,100 @@ class TestQuadratureWork:
         finally:
             tracemalloc.stop()
         assert peak <= 96 * f.samples.nbytes
+
+
+def report_hex(f, params):
+    """The default norm report of ``solve_full`` with each value as
+    ``float.hex``, so that equal reports are equal bitwise."""
+    report = solve_full(f, params).norm_report
+    return {key: float(value).hex() for key, value in report.items()}
+
+
+class TestThreadedQuadrature:
+    # each slab's (sum, top) is computed in some thread and the caller
+    # combines them in slab order, so no value depends on the thread count
+    @pytest.mark.parametrize(
+        "n, N, L, T",
+        [(2, 16, TWO_PI, TWO_PI), (2, 16, 3.0, 5.0),
+         (3, 12, TWO_PI, TWO_PI), (3, 12, 3.0, 5.0)],
+    )
+    def test_reports_are_bitwise_equal_across_thread_counts(
+        self, monkeypatch, n, N, L, T
+    ):
+        d = TorusDomain(n=n, L=L, N=N, T=T, Nt=N)
+        for lam, q in itertools.product([0.0, 1.0, -2.5], [1.2, 1.5, 2.0, 3.0, 4.0]):
+            pr = OseenParams(lam=lam, T=T, q=q)
+            _, _, f = manufactured_case("mixed", d, pr, seed=3)
+            reports = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(spectral, "_WORKERS", workers)
+                reports.append(report_hex(f, pr))
+            assert reports[1] == reports[0] and reports[2] == reports[0], (lam, q)
+
+    def test_fine_grid_report_is_bitwise_equal_across_thread_counts(
+        self, monkeypatch
+    ):
+        d = TorusDomain(n=3, L=TWO_PI, N=32, T=TWO_PI, Nt=32)
+        pr = OseenParams(lam=0.0, T=TWO_PI, q=1.2)
+        _, _, f = manufactured_case("mixed", d, pr, seed=3)
+        reports = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(spectral, "_WORKERS", workers)
+            reports.append(report_hex(f, pr))
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    def test_each_worker_adds_at_most_one_slab_to_the_peak(self, monkeypatch):
+        # norm-report's shape: a slab holds 8 refined rows of 32 KiB, and
+        # each one in flight adds about 2.6 slabs to the peak (lq_norm 5.72,
+        # 6.37 and 7.01 MiB, pressure_norm 3.48, 4.12 and 4.76 MiB at 1, 2
+        # and 3 workers)
+        d = TorusDomain(n=3, L=TWO_PI, N=16, T=TWO_PI, Nt=16)
+        pr = OseenParams(lam=0.0, T=TWO_PI, q=1.2)
+        _, _, f = manufactured_case("mixed", d, pr, seed=0)
+        bundle = solve_full(f, pr, norm_kinds=[])
+
+        def peak(norm, field):
+            tracemalloc.start()
+            try:
+                norm(field, 1.2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for norm, field in ((lq_norm, bundle.u), (pressure_norm, bundle.p)):
+            monkeypatch.setattr(spectral, "_WORKERS", 1)
+            serial = peak(norm, field)
+            for workers in (2, 3):
+                monkeypatch.setattr(spectral, "_WORKERS", workers)
+                bound = serial + (workers - 1) * 3 * _SLAB_BYTES
+                assert peak(norm, field) <= bound, (norm.__name__, workers)
+
+    def test_slab_error_is_raised_after_every_thread_ends(self, monkeypatch):
+        # one worker fails at its first slab while another is still busy
+        # with one: the caller must wait for it before raising
+        monkeypatch.setattr(spectral, "_WORKERS", 3)
+        original = norms._squared_magnitude
+        seen, lock = [], threading.Lock()
+        start = threading.Barrier(2, timeout=60)
+
+        def failing(arrays):
+            thread = threading.current_thread()
+            if thread is not threading.main_thread():
+                with lock:
+                    seen.append(thread)
+                    first = len(seen) == 1
+                start.wait()  # both workers hold a slab
+                if first:
+                    raise ArithmeticError("a slab failed")
+                time.sleep(0.1)
+            return original(arrays)
+
+        monkeypatch.setattr(norms, "_squared_magnitude", failing)
+        d = dom3(12, 12)
+        u = random_band_limited_field(d, 3, np.random.default_rng(6))
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="a slab failed"):
+            lq_norm(u, 1.2)
+        assert threading.active_count() == before
+        assert len(set(seen)) == 2
+        assert not any(thread.is_alive() for thread in seen)

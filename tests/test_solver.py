@@ -281,6 +281,22 @@ class TestSymbolFaults:
         # the domain's repr names L and T
         assert str(info.value) == f"symbol of A {cause} on {d!r}, lambda={lam!r}"
 
+    @pytest.mark.parametrize("solver", ["full", "periodic", "steady"])
+    def test_subnormal_symbol_is_named_before_any_quotient(self, solver):
+        # at L = 1e158 the least |xi|^2 is subnormal, and numpy's complex
+        # quotient by it (through its reciprocal) is not finite
+        d = TorusDomain(n=2, L=1e158, N=8, T=TWO_PI, Nt=8)
+        f = rand_field(d, seed=4)
+        f = f - time_average(f)
+        call = {
+            "full": lambda: solve_full(f, params()),
+            "periodic": lambda: solve_time_periodic(f, params()),
+            "steady": lambda: solve_steady(time_average(f), 0.0),
+        }[solver]
+        with pytest.raises(DomainMismatch) as info:
+            call()
+        assert str(info.value) == f"symbol of A underflows on {d!r}, lambda=0.0"
+
     def test_apply_operator_names_an_overflow(self):
         L, lam, cause = self.CASES[0]
         d = TorusDomain(n=2, L=L, N=8, T=TWO_PI, Nt=8)

@@ -520,6 +520,34 @@ class TestThreadedPasses:
         assert done.returncode == 0, done.stderr
 
 
+class TestMap:
+    def test_thread_i_takes_every_wth_item(self, monkeypatch):
+        # results in item order; the caller runs items 0, 3, 6, ..., and each
+        # other share runs in one thread of its own, more threads than CPUs
+        monkeypatch.setattr(spectral, "_WORKERS", 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = spectral._map(
+                lambda item: (item, threading.current_thread()), range(300)
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert [item for item, _ in got] == list(range(300))
+        threads = [thread for _, thread in got]
+        assert threads[0] is threading.current_thread()
+        assert len(set(threads)) == 3
+        assert all(threads[i] is threads[i % 3] for i in range(300))
+        assert not any(thread.is_alive() for thread in threads[1:3])
+
+    def test_no_thread_for_one_item(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_WORKERS", 3)
+        assert spectral._map(lambda item: threading.current_thread(), [0]) == [
+            threading.current_thread()
+        ]
+        assert spectral._map(lambda item: item, []) == []
+
+
 class TestRefinedDerivatives:
     # the streamed inverse of the norm quadrature against the public
     # calculus: forward, spectral_derivative, embed_spectrum, inverse
