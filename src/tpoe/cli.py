@@ -45,7 +45,7 @@ from .errors import (
     SnapshotFormatError,
     UnknownRecipe,
 )
-from .snapshot import _write_json, load_field, save_bundle
+from .snapshot import _create, _write_json, load_field, save_bundle
 from .spectral import TorusDomain
 from .symbols import OseenParams
 
@@ -203,11 +203,11 @@ def _params(config: dict) -> OseenParams:
 
 def _write_csv(path: Path, header, rows) -> None:
     # csv writes floats with repr, so every value round-trips exactly; a
-    # non-finite one raises before the file is opened, as in ``_write_json``
+    # non-finite one raises before ``_create`` touches the file, as in JSON
     rows = list(rows)
     if any(isinstance(v, float) and not np.isfinite(v) for row in rows for v in row):
         raise ValueError(f"{path.name}: non-finite value; nothing written")
-    with open(path, "w", newline="") as handle:
+    with _create(path, "w") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
@@ -412,7 +412,8 @@ def main(argv: list[str] | None = None) -> int:
         # one config shares its directory across subcommands and reruns, so
         # an earlier failure's record must not outlive this run
         (outdir / "error.json").unlink(missing_ok=True)
-        (outdir / "config.resolved.txt").write_text(_canonical_lines(config))
+        with _create(outdir / "config.resolved.txt", "w") as handle:
+            handle.write(_canonical_lines(config))
         # outputs are checked before writing: a warning could only precede the record
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             RUNNERS[args.subcommand](config, outdir)

@@ -29,24 +29,32 @@ MAGIC = b"TPOE-FIELD v1\n"
 DTYPE = "<f8"
 
 
+def _create(path, mode: str):
+    """The one writer: a new file at ``path`` in ``mode``, ``"w"`` (no newline
+    translation) or ``"wb"``.  A file there is unlinked, never truncated (on
+    ext4 that waits for a rewritten file's writeback), so an open reader
+    keeps its bytes and a symlink or read-only file is replaced."""
+    Path(path).unlink(missing_ok=True)
+    return open(path, mode, newline=None if "b" in mode else "")
+
+
 def _write_json(path, payload: dict) -> None:
-    """The one JSON file layout: sorted keys, indent 2, trailing newline;
-    a non-finite value raises ``ValueError`` before the file is opened."""
+    """The one JSON file layout: sorted keys, indent 2, trailing newline,
+    written by :func:`_create`; a non-finite value raises ``ValueError``
+    before the file is touched."""
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w") as handle:
+    with _create(path, "w") as handle:
         handle.write(text + "\n")
 
 
 def save_field(field: SpaceTimeField, path) -> None:
     """Write ``field`` as one snapshot.  Each component's buffer is written
     as it is; only a component that is not a C-contiguous float64 array,
-    such as a broadcast view, is copied, one at a time.  A file at ``path``
-    is unlinked, not truncated (which can force its writeback), so a symlink
-    there is replaced, not written through, as is a read-only file."""
+    such as a broadcast view, is copied, one at a time.  The file is
+    written fresh by :func:`_create`."""
     meta = dataclasses.asdict(field.domain)
     meta.update(components=field.components, dtype=DTYPE)
-    Path(path).unlink(missing_ok=True)
-    with open(path, "wb") as handle:
+    with _create(path, "wb") as handle:
         handle.write(MAGIC)
         handle.write(json.dumps(meta, sort_keys=True).encode("ascii"))
         handle.write(b"\n")

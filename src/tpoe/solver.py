@@ -129,10 +129,12 @@ def project_solenoidal(spec: SpectralField) -> SpectralField:
     """Spectral Helmholtz projection: remove xi (xi . c)/|xi|^2 mode-wise.
 
     The zero spatial mode is left untouched (a constant is solenoidal).
+    ``DomainMismatch`` names a box too large for 1/|xi|^2 to be finite.
     """
     domain = spec.domain
     if spec.components != domain.n:
         raise DomainMismatch("Helmholtz projection acts on vector fields")
+    _require_invertible(domain)
     xi, coeff = domain.xi_grids(), spec.coefficients.copy()
     return SpectralField(domain, _project(xi, coeff, _potential(xi, coeff)))
 
@@ -174,16 +176,20 @@ def _symbol(domain: TorusDomain, lam: float) -> np.ndarray:
     return symbol
 
 
-def _require_invertible(domain: TorusDomain, lam: float) -> None:
+def _require_invertible(domain: TorusDomain, lam: float | None = None) -> None:
     """``DomainMismatch`` unless 1/|xi|^2 is finite for the least nonzero
     |xi|^2, (2*pi/L)^2, at the mode m = (0, 1, ...), where the steady symbol
     is |xi|^2 too.  numpy divides by a complex d as a product with 1/d, so
     past that point the quotients by |xi|^2 (the potential) and by the
-    symbol are not finite there, even for zero data."""
+    symbol are not finite there, even for zero data.  The error names the
+    symbol of A and ``lam`` for a solver, and |xi|^2 for a projection
+    (``lam`` None)."""
     step = 2.0 * np.pi / domain.L
     least = step * step  # unlike **, a product overflows to inf
     if least * float(np.finfo(float).max) < 1.0:  # L above about 8.4e154
         cause = "vanishes" if least == 0.0 else "underflows"
+        if lam is None:
+            raise DomainMismatch(f"|xi|^2 {cause} on {domain}")
         raise DomainMismatch(f"symbol of A {cause} on {domain}, lambda={lam!r}")
 
 
@@ -289,6 +295,7 @@ def recover_pressure(f: SpaceTimeField) -> SpaceTimeField:
     on each time slice (in particular zero space-time mean).
     """
     _require_vector(f)
+    _require_invertible(f.domain)
     ph = _pressure_coefficients(_potential(f.domain.xi_grids(), _rfft(f.samples)))
     return SpaceTimeField(f.domain, _irfft(ph))
 
@@ -434,7 +441,8 @@ def solve_full(
     residual_norm = _residual(u, p, f, params) / (scale if scale > 0.0 else 1.0)
     if not residual_norm <= tol:
         raise ResidualExceedsTol(
-            f"relative residual {residual_norm:.3e} exceeds tol {tol:.3e}"
+            f"relative residual {residual_norm:.3e} exceeds tol {tol:.3e} "
+            f"on {domain}, lambda={params.lam!r}"
         )
     w = u - v
 

@@ -231,6 +231,27 @@ class TestSolveCommand:
         assert json.loads((outdir / "error.json").read_text()) == record
         assert not (outdir / "summary.json").exists()
 
+    def test_residual_error_names_the_box(self, config_file, capsys):
+        # below the underflow check the solve still fails its residual
+        # outright; the record names L, T and lambda as _symbol's errors do
+        overrides = ["L=1e154", "recipe=mixed", "N=12", "Nt=12"]
+        path = config_file()
+        argv = ["solve", "--config", path]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_PRECONDITION
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        record = json.loads(line)
+        domain = f"TorusDomain(n=2, L=1e+154, N=12, T={2 * np.pi!r}, Nt=12)"
+        assert record == {
+            "error": "ResidualExceedsTol",
+            "message": "relative residual 1.000e+00 exceeds tol 1.000e-10 "
+            f"on {domain}, lambda=1.0",
+            "exit_code": EXIT_PRECONDITION,
+        }
+        outdir = run_dir_of(path, overrides)
+        assert json.loads((outdir / "error.json").read_text()) == record
+
     def test_overflowing_symbol_is_config_error(self, config_file, capsys):
         # lam * xi_1 overflows: the solve stops on the non-finite samples
         # instead of reporting them
@@ -382,6 +403,57 @@ class TestAnalysisCommands:
         lines = (outdir / "convergence.csv").read_text().splitlines()
         assert lines[0] == "N,Nt,residual,recovery_error,fd_residual"
         assert len(lines) == 3
+
+
+class TestFreshOutputs:
+    # every output file is unlinked and created anew, never truncated: a
+    # reader of the first run keeps its bytes, and the rerun's file is a new
+    # inode with the same bytes
+    @pytest.mark.parametrize(
+        "subcommand, overrides",
+        [
+            ("solve", ["N=12", "Nt=12"]),
+            ("transference", ["N=8", "Nt=8"]),
+            ("roundtrip", ["N=8", "Nt=8", "ensemble=2"]),
+            ("marcinkiewicz", ["shells=4", "directions=2"]),
+            (
+                "sweep",
+                ["N=8", "Nt=8", "lambdas=0,1", "periods=6.283185307179586",
+                 "ensemble=2", "shells=4", "directions=2"],
+            ),
+            ("convergence", ["resolutions=10x10,12x12"]),
+        ],
+        ids=[
+            "solve", "transference", "roundtrip", "marcinkiewicz", "sweep",
+            "convergence",
+        ],
+    )
+    def test_rerun_writes_every_file_fresh(self, config_file, subcommand, overrides):
+        path = config_file()
+        argv = [subcommand, "--config", path]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_OK
+        outdir = run_dir_of(path, overrides)
+        files = sorted(outdir.iterdir())
+        assert len(files) >= 2  # config.resolved.txt and the outputs
+        old = {p: (p.read_bytes(), p.stat().st_ino) for p in files}
+        handles = {p: open(p, "rb") for p in files}
+        try:
+            assert main(argv) == EXIT_OK
+            assert sorted(outdir.iterdir()) == files
+            assert {p: p.read_bytes() for p in files} == {
+                p: data for p, (data, _) in old.items()
+            }
+            fresh = [
+                p.name
+                for p, (data, inode) in old.items()
+                if handles[p].read() == data and p.stat().st_ino != inode
+            ]
+            assert fresh == [p.name for p in files]
+        finally:
+            for handle in handles.values():
+                handle.close()
 
 
 class TestRecipeBand:
@@ -591,7 +663,8 @@ def test_non_finite_csv_writes_nothing(tmp_path, bad):
         _write_csv(path, ("key", "value"), [("a", 1.0), ("b", bad)])
     assert not path.exists()
     _write_csv(path, ("key", "value"), [("a", 1.0)])
-    before = path.read_bytes()
+    before, inode = path.read_bytes(), path.stat().st_ino
     with pytest.raises(ValueError):
         _write_csv(path, ("key", "value"), iter([("a", 1.0), ("b", bad)]))
     assert path.read_bytes() == before
+    assert path.stat().st_ino == inode  # not even replaced

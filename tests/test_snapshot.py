@@ -1,6 +1,9 @@
 """Tests for the field snapshot container."""
 
+import inspect
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from tpoe import (
     save_field,
     solve_full,
 )
+from tpoe import snapshot
 from tpoe.snapshot import MAGIC, _write_json
 
 
@@ -182,7 +186,28 @@ def test_non_finite_json_writes_nothing(tmp_path):
         _write_json(path, {"finite": 1.0, "overall": float("nan")})
     assert not path.exists()
     _write_json(path, {"finite": 1.0})
-    before = path.read_bytes()
+    before, inode = path.read_bytes(), path.stat().st_ino
     with pytest.raises(ValueError):
         _write_json(path, {"finite": 1.0, "overall": float("nan")})
     assert path.read_bytes() == before
+    assert path.stat().st_ino == inode  # not even replaced
+
+
+def test_the_package_has_one_writer():
+    # every file the package writes goes through snapshot._create, which
+    # unlinks instead of truncating; the one reader opens with "rb"
+    package = Path(__file__).resolve().parents[1] / "src" / "tpoe"
+    lines = [
+        (source.name, line.strip())
+        for source in sorted(package.glob("*.py"))
+        for line in source.read_text().splitlines()
+    ]
+    opens = [
+        (name, line)
+        for name, line in lines
+        if re.search(r"\bopen\(", line) and '"rb"' not in line
+    ]
+    assert [name for name, _ in opens] == ["snapshot.py"]
+    writer = inspect.getsource(snapshot._create)
+    assert opens[0][1] in writer and "unlink" in writer
+    assert [line for _, line in lines if re.search(r"write_(text|bytes)", line)] == []

@@ -35,7 +35,7 @@ from tpoe import (
     inverse,
 )
 from tpoe import spectral
-from tpoe.solver import divergence_defect
+from tpoe.solver import divergence_defect, project_solenoidal
 
 TWO_PI = 2.0 * np.pi
 
@@ -296,6 +296,21 @@ class TestSymbolFaults:
         with pytest.raises(DomainMismatch) as info:
             call()
         assert str(info.value) == f"symbol of A underflows on {d!r}, lambda=0.0"
+
+    @pytest.mark.parametrize("L, cause", [(1e158, "underflows"), (1e163, "vanishes")])
+    @pytest.mark.parametrize("projection", ["helmholtz", "solenoidal", "pressure"])
+    def test_huge_box_is_named_before_a_projection(self, L, cause, projection):
+        # the potential divides by |xi|^2 like the solvers' quotients do
+        d = TorusDomain(n=2, L=L, N=8, T=TWO_PI, Nt=8)
+        f = rand_field(d, seed=4)
+        call = {
+            "helmholtz": lambda: apply_helmholtz(f),
+            "solenoidal": lambda: project_solenoidal(forward(f)),
+            "pressure": lambda: recover_pressure(f),
+        }[projection]
+        with pytest.raises(DomainMismatch) as info:
+            call()
+        assert str(info.value) == f"|xi|^2 {cause} on {d!r}"
 
     def test_apply_operator_names_an_overflow(self):
         L, lam, cause = self.CASES[0]
