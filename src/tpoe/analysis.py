@@ -29,7 +29,8 @@ from .solver import (
     solve_time_periodic,
 )
 from .spectral import _HERMITIAN_TOL, SpaceTimeField, TorusDomain, _irfft
-from .symbols import OseenParams, evaluate_m, time_periodic_multiplier_grid
+from .symbols import OseenParams, _denominator, _quotient, _weight, evaluate_m
+from .symbols import time_periodic_multiplier_grid
 
 GENERATOR_NAME = "numpy-pcg64"
 
@@ -284,39 +285,32 @@ def _mixed_partial(
     eps: tuple[int, ...],
     params: OseenParams,
 ) -> np.ndarray:
-    """d^eps m at each point by nested central differences.
+    """d^eps m at each point, in closed form.
 
-    Step per variable is 1e-4 * max(1, |coordinate|), Richardson-extrapolated
-    once (h and h/2), which lifts the leading error to fourth order.
+    D = |xi|^2 + i*(eta - lam*xi_1) has no mixed second derivatives, so for
+    the set S of active variables d_S(1/D) = (-1)^|S| |S|! (1/D) prod_{i in S}
+    (d_i D / D), with d_{xi_j} D = 2*xi_j - i*lam*[j == 1] and d_eta D = i.
+    The numerator w = 1 - chi(T*eta/(2*pi)) depends on eta alone, so
+    d_S m = w d_S(1/D), plus w' d_{S minus eta}(1/D) when eta is in S.  The
+    value is exactly 0 wherever w and w' both vanish (the plateau), as m is.
     """
-    active = [i for i, e in enumerate(eps) if e]
-    n = points.shape[0] - 1
-
-    def evaluate(shifted: np.ndarray) -> np.ndarray:
-        return evaluate_m(shifted[:n], shifted[n], params)
-
-    if not active:
-        return evaluate(points)
-
-    base_h = 1e-4 * np.maximum(1.0, np.abs(points[active]))
-
-    def stencil(scale: float) -> np.ndarray:
-        h = base_h * scale
-        total = np.zeros(points.shape[1], dtype=complex)
-        for signs in itertools.product((-1.0, 1.0), repeat=len(active)):
-            shifted = points.copy()
-            for s, (row, i) in zip(signs, enumerate(active)):
-                shifted[i] = shifted[i] + s * h[row]
-            total += np.prod(signs) * evaluate(shifted)
-        return total / np.prod(2.0 * h, axis=0)
-
-    return (4.0 * stencil(0.5) - stencil(1.0)) / 3.0
+    *xi, eta = points
+    weight, slope = _weight(eta, params.T)
+    plateau = (weight == 0.0) & (slope == 0.0)
+    recip = _quotient(1.0, _denominator(xi, eta, params.lam), plateau)
+    term = recip  # d_S(1/D) for the active xi, one factor d_j D / D at a time
+    for order, j in enumerate((j for j in range(len(xi)) if eps[j]), start=1):
+        grad = 2.0 * xi[j] - (1j * params.lam if j == 0 else 0.0)
+        term = -order * term * (grad * recip)
+    if eps[-1]:  # d_eta D = i
+        return weight * (-sum(eps) * term * (1j * recip)) + slope * term
+    return weight * term
 
 
 def marcinkiewicz_scan(params: OseenParams, grid: ScanGrid) -> MarcinkiewiczReport:
     """Scan every derivative pattern eps in {0,1}^(n+1) for grid suprema of
     the multiplier products |xi_1^eps1 ... eta^eps_{n+1} d^eps m|; raises
-    ``InvalidGrid`` if one is not finite (too large a radial_max or lambda)."""
+    ``InvalidGrid`` if one is not finite (too large a radial_max, lambda or T)."""
     points = grid.points()  # never empty: ScanGrid keeps a shell and 2(n+2) directions
     dim = grid.n + 1
     per_eps: dict[str, float] = {}
@@ -329,7 +323,9 @@ def marcinkiewicz_scan(params: OseenParams, grid: ScanGrid) -> MarcinkiewiczRepo
         per_eps["".join(map(str, eps))] = float(np.max(np.abs(weight * deriv)))
     overall = float(np.max(list(per_eps.values())))  # NaN propagates
     if not np.isfinite(overall):
-        raise InvalidGrid(f"scan overflowed to {overall}: lower radial_max or lambda")
+        raise InvalidGrid(
+            f"scan overflowed to {overall}: lower radial_max, lambda or T"
+        )
     return MarcinkiewiczReport(per_epsilon=per_eps, overall=overall)
 
 

@@ -106,16 +106,6 @@ def _applicable_kinds(n: int, lam: float, q: float) -> list[NormKind]:
     return [NormKind(tag, q) for tag, bound in bounds if bound and 1.0 < q < bound]
 
 
-def steady_kind_for(n: int, lam: float, q: float) -> NormKind | None:
-    """Steady norm family applicable to (n, lam, q), or None.
-
-    There is no steady space for n == 2 with lam == 0; that combination is
-    intentionally absent.
-    """
-    kinds = _applicable_kinds(n, lam, q)
-    return next((kind for kind in kinds if kind.tag in STEADY_TAGS), None)
-
-
 # relative tolerance of the time-constancy check, and the default ``tol`` of
 # the solver's contract checks
 _TOL = 1e-10

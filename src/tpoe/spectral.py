@@ -108,11 +108,6 @@ class TorusDomain:
     def dt(self) -> float:
         return self.T / self.Nt
 
-    @property
-    def cell_volume(self) -> float:
-        """Space-time quadrature weight (L/N)^n * (1/Nt) of one grid cell."""
-        return self.dx**self.n / self.Nt
-
     def spatial_axis(self) -> np.ndarray:
         """Sample points 0, L/N, ..., L - L/N along one spatial axis."""
         return np.arange(self.N) * self.dx

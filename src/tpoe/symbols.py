@@ -5,10 +5,10 @@ with scalars as its 0-d case; on the dual grid the arrays are those of
 ``TorusDomain``, so they span the half spectrum k = 0 .. Nt/2 that
 ``SpectralField`` holds.  ``_denominator`` is the one arithmetic path for
 |xi|^2 + i*(eta - lam*xi_1): the time-periodic multiplier M on the dual
-grid, its Euclidean counterpart m, and the solver's quotient and forward
-operator all call it.  So M and m agree exactly, not approximately, at
-integer time frequencies: there the cut-off bump, fixed at the radii
-(1/2, 1), collapses to the k == 0 indicator.
+grid, its Euclidean counterpart m and the scan's derivatives of m, and the
+solver's quotient and forward operator all call it.  So M and m agree
+exactly, not approximately, at integer time frequencies: there the cut-off
+bump, fixed at the radii (1/2, 1), collapses to the k == 0 indicator.
 """
 
 from __future__ import annotations
@@ -74,6 +74,25 @@ def cutoff_chi(eta):
     return out
 
 
+def _weight(eta, T: float):
+    """The numerator w = 1 - chi((T/(2*pi))*eta) of m, and dw/d eta.
+
+    On the ramp chi is s(t), t = (outer - |T*eta/(2*pi)|)/(outer - inner), and
+    s' = (g'(t) g(1-t) + g(t) g'(1-t)) / (g(t) + g(1-t))^2 with g' = g/t^2;
+    off the ramp g(t) or g(1-t) is 0, and so is dw/d eta, exactly.
+    """
+    inner, outer = _CUTOFF_RADII
+    scale = T / (2.0 * np.pi)
+    scaled = scale * np.asarray(eta, dtype=float)
+    t = (outer - np.abs(scaled)) / (outer - inner)
+    g, h = _bump_seed(t), _bump_seed(1.0 - t)
+    u = np.where((t > 0.0) & (t < 1.0), t, 0.5)
+    # g(u)/u/u, not g(u)/u**2: 1/u**2 overflows only where g(u) is 0 already
+    ramp = (g / u / u * h + g * (h / (1.0 - u) / (1.0 - u))) / (g + h) ** 2
+    slope = np.sign(scaled) * ramp * (scale / (outer - inner))
+    return 1.0 - np.asarray(cutoff_chi(scaled)), slope
+
+
 def _denominator(xi, eta, lam: float):
     """|xi|^2 + i*(eta - lam*xi_1); the single shared arithmetic path.
 
@@ -101,9 +120,9 @@ def evaluate_m(xi, eta, params: OseenParams):
     array counts as one) and ``eta`` broadcasts against them; scalar
     arguments give a complex scalar.
     """
-    eta_arr = np.asarray(eta, dtype=float)
-    weight = 1.0 - np.asarray(cutoff_chi(params.T / (2.0 * np.pi) * eta_arr))
-    out = _quotient(weight, _denominator(xi, eta_arr, params.lam), weight == 0.0)
+    eta = np.asarray(eta, dtype=float)
+    weight, _ = _weight(eta, params.T)
+    out = _quotient(weight, _denominator(xi, eta, params.lam), weight == 0.0)
     if out.ndim == 0:
         return complex(out)
     return out

@@ -1,5 +1,7 @@
 """Tests for the verification harness: scans, manufactured cases, sweeps."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -194,9 +196,47 @@ class TestMarcinkiewiczScan:
             else:
                 closed = _dm_deta(xi, eta, pr)
             if abs(closed) > 1e-8:
-                assert abs(fd[j] - closed) <= 1e-6 * abs(closed)
+                assert abs(fd[j] - closed) <= 1e-13 * abs(closed)
             else:
                 assert abs(fd[j]) <= 1e-8
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("lam", [0.0, 1.0, -2.5])
+    @pytest.mark.parametrize("T", [TWO_PI, 5.0, 1e3], ids=["2pi", "5", "1e3"])
+    def test_each_derivative_is_a_difference_of_the_one_below(self, n, lam, T):
+        # one central difference of d_S m along i, not in S, is d_{S+i} m to
+        # 1e-7 relative (1e-9 of the largest value where it passes near 0);
+        # the points keep off the cut-off ramp's ends, |T*eta/(2*pi)| in
+        # (0.6, 0.9) on the ramp and (1.1, 3) past it, and the eta step
+        # scales with the ramp's width 2*pi/T
+        pr = params(lam=lam, T=T)
+        rng = np.random.default_rng(7)
+        dirs = rng.standard_normal((n, 40))
+        xi = dirs / np.linalg.norm(dirs, axis=0) * np.geomspace(0.2, 5.0, 40)
+        scaled = np.concatenate([rng.uniform(0.6, 0.9, 20), rng.uniform(1.1, 3.0, 20)])
+        eta = rng.choice([-1.0, 1.0], 40) * scaled * TWO_PI / T
+        points = np.vstack([xi, eta])
+        for eps in itertools.product((0, 1), repeat=n + 1):
+            for i in (i for i in range(n + 1) if not eps[i]):
+                exact = _mixed_partial(points, eps[:i] + (1,) + eps[i + 1 :], pr)
+                step = np.zeros((n + 1, 1))
+                step[i] = 1e-5 * TWO_PI / T if i == n else 2e-6
+                diff = _mixed_partial(points + step, eps, pr)
+                diff = (diff - _mixed_partial(points - step, eps, pr)) / (2 * step[i])
+                bound = 1e-7 * np.abs(exact) + 1e-9 * np.max(np.abs(exact))
+                assert np.all(np.abs(diff - exact) <= bound), (eps, i)
+
+    @pytest.mark.parametrize("lam, sup", [(0.0, 1.98802), (1.0, 5.83271)])
+    def test_fourth_order_pattern_of_the_default_grid(self, lam, sup):
+        # the exact grid suprema (40-digit mpmath) to the digits shown
+        report = marcinkiewicz_scan(params(lam=lam), ScanGrid(n=3))
+        assert report.per_epsilon["1111"] == pytest.approx(sup, abs=5e-6)
+
+    def test_a_narrow_cut_off_ramp(self):
+        # at T = 1e3 the cut-off ramp is about 2*pi/T wide; 40-digit mpmath
+        # gives 6.7039239e8
+        report = marcinkiewicz_scan(params(lam=1.0, T=1e3), ScanGrid(n=2))
+        assert report.overall == pytest.approx(6.7039239e8, rel=1e-6)
 
     def test_zero_pattern_matches_plain_evaluation(self):
         pr = params(lam=2.0)

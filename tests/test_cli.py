@@ -529,7 +529,8 @@ class TestNonFiniteParameters:
 
 class TestScanOverflow:
     # the weighted derivatives overflow once the radius, or lambda times it,
-    # is too large; no scan output may be written before that is known
+    # is too large, or T is (d_eta m = 1e320 at T = 1e300, eta = 1e-160); no
+    # scan output may be written before that is known
     @pytest.mark.parametrize(
         "subcommand, overrides",
         [
@@ -537,8 +538,9 @@ class TestScanOverflow:
             ("sweep", ["ensemble=1", "radial_max=1e300"]),
             ("marcinkiewicz", ["lambda=1e300", "radial_max=1e10"]),
             ("sweep", ["ensemble=1", "lambdas=1e300", "radial_max=1e10"]),
+            ("marcinkiewicz", ["T=1e300", "radial_min=1e-160"]),
         ],
-        ids=["radius-n3", "radius-sweep", "lambda", "lambda-sweep"],
+        ids=["radius-n3", "radius-sweep", "lambda", "lambda-sweep", "period"],
     )
     def test_overflow_is_config_error_before_any_output(
         self, config_file, capsys, subcommand, overrides
@@ -550,15 +552,24 @@ class TestScanOverflow:
         assert main(argv) == EXIT_CONFIG
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "InvalidGrid"
-        assert "radial_max" in record["message"] and "lambda" in record["message"]
+        assert record["message"].endswith("lower radial_max, lambda or T")
         outdir = run_dir_of(path, overrides)
         assert sorted(p.name for p in outdir.iterdir()) == [
             "config.resolved.txt", "error.json"
         ]
 
+    # at radial_min = 1e-300, 1/D overflows, but only where |eta| <= pi/T:
+    # there m and w' vanish, and every derivative of m is exactly 0
     @pytest.mark.parametrize(
-        "overrides", [["n=3", "radial_max=1e76"], ["lambda=1e300"]],
-        ids=["radius-n3", "lambda"],
+        "overrides",
+        [["n=3", "radial_max=1e76"], ["lambda=1e300"]]
+        + [
+            [f"n={n}", f"lambda={lam}", "radial_min=1e-300"]
+            for n in (2, 3)
+            for lam in ("0", "1e300")
+        ],
+        ids=["radius-n3", "lambda"]
+        + [f"plateau-n{n}-lambda-{lam}" for n in (2, 3) for lam in ("0", "1e300")],
     )
     def test_largest_finite_scans_still_succeed(self, config_file, overrides):
         path = config_file()
