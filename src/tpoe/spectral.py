@@ -24,15 +24,16 @@ Parseval's identity reads::
 ``_rfft``/``_irfft`` are the one full-grid transform pair; :func:`forward`
 and :func:`inverse` validate around them.  They make numpy's
 one-dimensional passes of ``rfftn``/``irfftn``, so their results equal
-those bitwise, and split each pass of an array of ``_THREAD_BYTES`` or more
-across the CPUs.  The norm quadrature's oversampled inverse,
-``_refined_derivatives``, shares ``_rfft`` and returns one independent
-generator per slab, each running one-dimensional passes over its slab,
-instead of a full-grid ``_irfft``; the quadrature sums the slabs in
-parallel and combines them in slab order, so its values are bitwise equal
-for any thread count.  Both run their threads through :func:`_map`, which
-starts up to one thread per CPU and joins them before it returns, so no
-thread outlives the call.
+those bitwise.  Every pass over a whole array is one :func:`_pass`, which
+splits an array of ``_THREAD_BYTES`` or more across the CPUs.  The norm
+quadrature's oversampled inverse, ``_refined_derivatives``, shares
+``_rfft``, makes its first-axis passes with :func:`_pass` as well, and
+returns one independent generator per slab, each running numpy's
+one-dimensional passes over its slab, instead of a full-grid ``_irfft``;
+the quadrature sums the slabs in parallel and combines them in slab order,
+so its values are bitwise equal for any thread count.  Both run their
+threads through :func:`_map`, which starts up to one thread per CPU and
+joins them before it returns, so no thread outlives the call.
 """
 
 from __future__ import annotations
@@ -469,10 +470,6 @@ _WORKERS = (
 _SLAB_BYTES = 256 * 1024
 
 
-def _slab_rows(row_bytes: int) -> int:
-    return max(1, _SLAB_BYTES // row_bytes)
-
-
 def _map(function, items: Sequence) -> list:
     """``[function(item) for item in items]``, run by up to ``_WORKERS``
     threads: thread i takes items i, i + W, ... in turn, and the caller runs
@@ -531,10 +528,8 @@ def _pass(transform, src: np.ndarray, out: np.ndarray, axis: int) -> None:
 
 
 def _pad(band: np.ndarray, axis: int, size: int) -> np.ndarray:
-    """Zero-pad the FFT-ordered modes along ``axis`` to ``size`` entries,
-    mode m at m % size."""
-    if band.shape[axis] == size:
-        return band
+    """A new array of the FFT-ordered modes of ``band`` zero-padded along
+    ``axis`` to ``size`` entries, mode m at m % size."""
     half = band.shape[axis] // 2
     shape = list(band.shape)
     shape[axis] = size
@@ -567,12 +562,13 @@ def _refined_derivatives(
     can be consumed on its own, in any order or thread.
 
     The inverse is pruned: for each distinct ``alpha[0]``, the nonzero band
-    is padded and transformed along the first spatial axis, in chunks of the
-    second (``refinement`` times ``coeff`` per distinct ``alpha[0]``).  Then
-    each slab is padded and transformed along each further axis in turn,
-    the half axis last.  The padding is that of :func:`embed_spectrum`, so
-    every order's samples equal ``inverse(embed_spectrum(
-    spectral_derivative(forward(f), alpha, beta), fine))`` up to rounding.
+    is padded along the first spatial axis into one new array (``refinement``
+    times ``coeff``), multiplied there by its factor and transformed in place
+    by one :func:`_pass`, threaded like any other.  Then each slab is padded
+    and transformed along each further axis in turn, the half axis last.
+    The padding is that of :func:`embed_spectrum`, so every order's samples
+    equal ``inverse(embed_spectrum(spectral_derivative(forward(f), alpha,
+    beta), fine))`` up to rounding.
     Memory therefore scales with the half spectrum, the first-axis
     transforms and each slab in flight (``_SLAB_BYTES``, or one refined row
     of one component if that is larger), not with the refined grid.  Each
@@ -588,21 +584,14 @@ def _refined_derivatives(
     fine = [refinement * size for size in sizes]
     freqs = np.ix_(*(1j * step * m for step, m in zip(steps, modes)))
     components = coeff.shape[0]
-    head_shape = (components, fine[0]) + coeff.shape[2:]
-    chunk = _slab_rows(16 * components * fine[0] * int(np.prod(coeff.shape[3:])))
-    rows = _slab_rows(8 * int(np.prod(fine[1:])))
+    rows = max(1, _SLAB_BYTES // (8 * int(np.prod(fine[1:]))))
 
     def head(order: int) -> np.ndarray:
-        # the band along the first spatial axis, in chunks along the second
-        out = np.empty(head_shape, dtype=complex)
-        for start in range(0, coeff.shape[2], chunk):
-            band = coeff[:, :, start:start + chunk]
-            if order:
-                band = band * freqs[0] ** order
-            np.fft.ifft(
-                _pad(band, 1, fine[0]), axis=1, norm="forward",
-                out=out[:, :, start:start + chunk],
-            )
+        # the band padded along the first axis, times its factor padded alike
+        out = _pad(coeff, 1, fine[0])
+        if order:
+            out *= _pad(freqs[0] ** order, 0, fine[0])
+        _pass(np.fft.ifft, out, out, 1)
         return out
 
     def tail(band: np.ndarray, alpha: tuple[int, ...], beta: int) -> np.ndarray:

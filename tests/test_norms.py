@@ -481,40 +481,51 @@ class TestQuadratureWork:
             assert all(len(shape) == d.n + 1 for _, shape in calls), calls
 
     @staticmethod
-    def assert_streamed(calls, forward):
-        # first the passes ``forward`` of one forward transform; the inverse
-        # is pruned and streamed, so no inverse input is larger than one slab
+    def assert_streamed(calls, forward, shape, heads):
+        # first the passes ``forward`` of one forward transform of samples
+        # of ``shape``; the inverse is pruned and streamed: ``heads`` padded
+        # first-axis transforms at r = 2, each block's first, and slabs, so
+        # no other inverse input is larger than one slab
         assert calls[: len(forward)] == forward, calls
         inverse = calls[len(forward):]
-        assert {name for name, _ in inverse} == {"ifft", "irfft"}, calls
-        inverse_bytes = [16 * int(np.prod(shape)) for _, shape in inverse]
-        assert max(inverse_bytes) <= _SLAB_BYTES
+        coeff = shape[:-1] + (shape[-1] // 2 + 1,)
+        head = ("ifft", (coeff[0], 2 * coeff[1]) + coeff[2:])
+        assert inverse[0] == head, calls
+        assert inverse.count(head) == heads, calls
+        slabs = [call for call in inverse if call != head]
+        assert {name for name, _ in slabs} == {"ifft", "irfft"}, calls
+        assert max(16 * int(np.prod(slab)) for _, slab in slabs) <= _SLAB_BYTES
 
     def test_sobolev_shares_one_forward_transform(
         self, record_transforms, transform_passes
     ):
+        # one block per derivative, each with its own head
         d = dom3(12, 12)
         u = random_band_limited_field(d, 3, np.random.default_rng(6))
         calls = record_transforms()
         sobolev_norm_21q(u, 1.2)
-        self.assert_streamed(calls, transform_passes(("rfftn", u.samples.shape)))
+        shape = u.samples.shape
+        self.assert_streamed(calls, transform_passes(("rfftn", shape)), shape, 11)
 
     def test_lq_makes_one_forward_transform(self, record_transforms, transform_passes):
         d = dom3(12, 12)
         u = random_band_limited_field(d, 3, np.random.default_rng(6))
         calls = record_transforms()
         lq_norm(u, 1.2)
-        self.assert_streamed(calls, transform_passes(("rfftn", u.samples.shape)))
+        shape = u.samples.shape
+        self.assert_streamed(calls, transform_passes(("rfftn", shape)), shape, 1)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_pressure_shares_one_forward_transform(
         self, n, record_transforms, transform_passes
     ):
+        # the gradient block's alpha[0] is 1 for d1 and 0 for the others
         d = dom2() if n == 2 else dom3(12, 12)
         p = random_band_limited_field(d, 1, np.random.default_rng(6))
         calls = record_transforms()
         pressure_norm(p, 1.2)
-        self.assert_streamed(calls, transform_passes(("rfftn", p.samples.shape)))
+        shape = p.samples.shape
+        self.assert_streamed(calls, transform_passes(("rfftn", shape)), shape, 3)
 
     def test_block_sums_are_freed_between_blocks(self):
         # Holding one block's sum through the next block's inverse adds a

@@ -1,12 +1,16 @@
 """Tests for the space-time torus transform and spectral calculus."""
 
+import ast
+import inspect
 import itertools
 import os
+import re
 import signal
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -597,8 +601,7 @@ class TestRefinedDerivatives:
         self.assert_matches(got, self.public_calculus(f, refinement))
 
     def test_short_last_slab(self, monkeypatch, record_transforms):
-        # 7 refined rows per slab (24 = 7 + 7 + 7 + 3) and 5 band columns
-        # per first-axis chunk (12 = 5 + 5 + 2)
+        # 7 refined rows per slab (24 = 7 + 7 + 7 + 3)
         d = dom2(N=12, Nt=8, L=3.0, T=5.0)
         monkeypatch.setattr(spectral, "_SLAB_BYTES", 7 * 8 * 24 * 16)
         f = SpaceTimeField(
@@ -607,10 +610,40 @@ class TestRefinedDerivatives:
         calls = record_transforms()
         got, rows = self.joined(f.samples, d, self.ORDERS, 2)
         assert rows == [7, 7, 7, 3]
-        # both components at once only along the first axis, once per alpha[0]
-        chunks = [shape[2] for name, shape in calls if name == "ifft" and shape[0] == 2]
-        assert chunks == [5, 5, 2] * 2
+        # both components at once only along the first axis, once per
+        # alpha[0], over all 12 band columns
+        heads = [shape for name, shape in calls if name == "ifft" and shape[0] == 2]
+        assert heads == [(2, 24, 12, 5)] * 2
         self.assert_matches(got, self.public_calculus(f, 2))
+
+    def test_head_threads_like_any_pass(self, monkeypatch, record_transforms):
+        # with every array threaded, each first-axis transform is split
+        # along the second axis into one call per thread, and the slabs
+        # equal the serial ones bitwise
+        d = dom2(N=12, Nt=8, L=3.0, T=5.0)
+        coeff = _rfft(np.random.default_rng(15).standard_normal((2,) + d.grid_shape))
+        monkeypatch.setattr(spectral, "_WORKERS", 1)
+        serial = [list(s) for s in _refined_derivatives(coeff, d, self.ORDERS, 2)]
+        monkeypatch.setattr(spectral, "_WORKERS", 2)
+        monkeypatch.setattr(spectral, "_THREAD_BYTES", 0)
+        calls = record_transforms()
+        threaded = [list(s) for s in _refined_derivatives(coeff, d, self.ORDERS, 2)]
+        heads = [shape for name, shape in calls if name == "ifft" and shape[0] == 2]
+        assert heads == [(2, 24, 6, 5)] * 4  # two per distinct alpha[0]
+        for mine, want in zip(threaded, serial, strict=True):
+            assert [a.tobytes() for a in mine] == [b.tobytes() for b in want]
+
+    @pytest.mark.parametrize("n, N", [(3, 16), (2, 32)])
+    @pytest.mark.parametrize("a1", [0, 1])
+    def test_head_allocates_only_its_output(self, traced_peak, n, N, a1):
+        # each head is padded once and transformed in place: r = 2 times
+        # coeff, and no copy of the band (multiplying before padding would
+        # add one)
+        d = TorusDomain(n=n, L=TWO_PI, N=N, T=TWO_PI, Nt=N)
+        coeff = _rfft(np.random.default_rng(16).standard_normal((n,) + d.grid_shape))
+        alpha = (a1,) + (0,) * (n - 1)
+        peak, _ = traced_peak(lambda: _refined_derivatives(coeff, d, [(alpha, 0)], 2))
+        assert peak <= 2.3 * coeff.nbytes
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_slabs_are_independent_across_threads(self, monkeypatch, threads):
@@ -656,3 +689,24 @@ class TestRefinedDerivatives:
         got, _ = self.joined(spatial, d, orders, 2)
         got = [np.repeat(g[..., np.newaxis], 2 * d.Nt, axis=-1) for g in got]
         self.assert_matches(got, self.public_calculus(f, 2)[:4])
+
+
+def test_every_full_array_pass_goes_through_pass():
+    # numpy's one-dimensional transforms are called directly only on the
+    # slabs of the streamed inverse; every other pass is spectral._pass,
+    # which splits arrays of _THREAD_BYTES or more across the CPUs
+    package = Path(__file__).resolve().parents[1] / "src" / "tpoe"
+    calls = [
+        (source.name, line.strip())
+        for source in sorted(package.glob("*.py"))
+        for line in source.read_text().splitlines()
+        if re.search(r"np\.fft\.i?r?fft\(", line)
+    ]
+    source = inspect.getsource(spectral._refined_derivatives)
+    (tail,) = [
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == "tail"
+    ]
+    tail = ast.get_source_segment(source, tail)
+    assert calls, "the slab passes call numpy directly"
+    assert all(name == "spectral.py" and line in tail for name, line in calls), calls
