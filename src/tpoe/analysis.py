@@ -393,22 +393,32 @@ def constant_sweep(
     parameters.  No ordering or specific value is asserted anywhere; the
     records feed a descriptive fit only.  Raises ``DomainMismatch`` if a
     ratio is not positive and finite.
+
+    The ensemble is drawn afresh from ``seed`` in every cell, so member i
+    of period T is the same field for every lam: its ``||f||_q`` is taken
+    in the first lam and reused, ``ensemble_size * len(T_list)`` norms in
+    all.  The loop stays lam-major, so the records, the draws and the order
+    in which errors can arise do not depend on the reuse.
     """
     if not lambda_list or not T_list or ensemble_size < 1:
         raise EmptySweep("sweep needs non-empty parameter lists and ensemble")
     records: list[SweepRecord] = []
+    data_norms: dict[tuple[float, int], float] = {}  # ||f||_q by (T, member)
     for lam in lambda_list:
         for T in T_list:
             dom = dataclasses.replace(domain, T=T)
             params = OseenParams(lam=lam, T=T, q=q)
             rng = np.random.default_rng(seed)
             ratio = 0.0
-            for _ in range(ensemble_size):
+            for member in range(ensemble_size):
                 f = random_band_limited_field(
                     dom, dom.n, rng, solenoidal=True, purely_periodic=True
                 )
                 w = solve_time_periodic(f, params)
-                value = sobolev_norm_21q(w, q) / lq_norm(f, q)
+                value = sobolev_norm_21q(w, q)
+                if (T, member) not in data_norms:
+                    data_norms[T, member] = lq_norm(f, q)
+                value /= data_norms[T, member]
                 if not 0.0 < value < np.inf:  # the fit takes its logarithm
                     raise DomainMismatch(f"sweep ratio {value} is outside (0, inf)")
                 ratio = max(ratio, value)

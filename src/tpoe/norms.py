@@ -13,9 +13,11 @@ Every norm is a list of derivative blocks plus their combination, and
 block.  It makes one real forward transform and takes each block's
 derivatives and oversampled samples from the spectral module's streamed
 inverse (``_refined_derivatives``): a pruned inverse of the zero-padded half
-spectrum, one generator per slab of refined rows.  The slabs are summed in
-parallel, up to one thread per CPU (``spectral._map``), and combined in slab
-order, so every value is bitwise equal for any thread count.  Memory
+spectrum, one generator per slab of refined rows.  The blocks share the
+inverse's first-axis transforms, so each is built once per forward
+transform.  The slabs are summed in parallel, up to one thread per CPU
+(``spectral._map``), and combined in slab order, so every value is bitwise
+equal for any thread count.  Memory
 therefore scales with the half spectrum and one slab per thread, not with
 the refined grid.  A steady norm acts on a time-constant field, so it is
 integrated over the time-mean spatial slice alone.  Every square and q-th
@@ -188,23 +190,34 @@ def _block_norms(
     This is the one quadrature of the module: exact at exponent 2 (r=1) and
     4 (r=2); aliasing bounded elsewhere.  All blocks share one forward
     transform, and each block's grid is refined by ``_auto_refine`` of its
-    own exponent.  Threads of the call (``spectral._map``) take the slabs of
-    a block as the pruned inverse streams them, and each returns a slab's
-    sum of ``(|f| / top)^q`` with its ``top``.  The caller combines them in
-    slab order with the running maximum as scale: when a slab raises it,
-    the sum so far is multiplied by ``(old / new)^q``.  So the values do not
-    depend on the thread count, bitwise.  With a time axis the
-    cell carries the 1/T-normalized time step.  ``per_slice`` sums over the
+    own exponent.  They also share its heads, the streamed inverse's
+    first-axis transforms, one per (r, alpha[0]): the blocks are visited in
+    the order of their r and then of their set of alpha[0], so each head is
+    built once, and a head is dropped before the first block that builds
+    one and does not read it (see ``_refined_derivatives``).  The values
+    are returned in the order of ``blocks``.  Threads of the call
+    (``spectral._map``) take the slabs of a block as the pruned inverse
+    streams them, and each returns a slab's sum of ``(|f| / top)^q`` with
+    its ``top``.  The caller combines them in slab order with the running
+    maximum as scale: when a slab raises it, the sum so far is multiplied by
+    ``(old / new)^q``.  So the values do not depend on the thread count,
+    bitwise.  With a time axis the cell carries the 1/T-normalized time
+    step.  ``per_slice`` sums over the
     spatial axes only and gives each block's norms as an array over time
     slices, to be combined slice by slice, so all blocks then share one
     factor, ``_auto_refine`` of every exponent.
     """
     coeff = _rfft(samples)
     shared = _auto_refine(*(q for _, q in blocks))
+    refinements = [shared if per_slice else _auto_refine(q) for _, q in blocks]
     axes = tuple(range(domain.n)) if per_slice else None
-    values = []
-    for orders, q in blocks:
-        r = shared if per_slice else _auto_refine(q)
+    heads = {}  # the first-axis transforms of coeff, kept across blocks
+    values = [0.0] * len(blocks)
+    for i in sorted(
+        range(len(blocks)),
+        key=lambda i: (refinements[i], sorted({a[0] for a, _ in blocks[i][0]})),
+    ):
+        (orders, q), r = blocks[i], refinements[i]
         cell = (domain.dx / r) ** domain.n
         if samples.ndim == domain.n + 2 and not per_slice:
             cell /= domain.Nt * r
@@ -216,14 +229,14 @@ def _block_norms(
             return np.sum(squares, axis=axes), top
 
         total, scale = 0.0, 0.0
-        slabs = _refined_derivatives(coeff, domain, orders, r)
+        slabs = _refined_derivatives(coeff, domain, orders, r, heads)
         for part, top in _map(partial, slabs):
             if top > scale:
                 total = total * (scale / top) ** q
                 scale = top
             if top > 0.0:
                 total = total + part * (top / scale) ** q
-        values.append(scale * (total * cell) ** (1.0 / q))
+        values[i] = scale * (total * cell) ** (1.0 / q)
     return values
 
 

@@ -545,6 +545,7 @@ def _refined_derivatives(
     domain: TorusDomain,
     orders: Sequence[tuple[tuple[int, ...], int]],
     refinement: int,
+    heads: dict | None = None,
 ) -> list[Iterator[np.ndarray]]:
     """Real samples of (i*xi)^alpha (i*eta)^beta f on the r-refined grid,
     streamed in slabs of refined rows along the first spatial axis.
@@ -564,14 +565,22 @@ def _refined_derivatives(
     The inverse is pruned: for each distinct ``alpha[0]``, the nonzero band
     is padded along the first spatial axis into one new array (``refinement``
     times ``coeff``), multiplied there by its factor and transformed in place
-    by one :func:`_pass`, threaded like any other.  Then each slab is padded
+    by one :func:`_pass`, threaded like any other.  That array, the head,
+    depends only on ``coeff``, ``refinement`` and ``alpha[0]``, so a caller
+    that streams several sets of orders from one ``coeff`` passes the same
+    dict ``heads`` to each call, keyed by ``(refinement, alpha[0])``: a call
+    reuses the heads it finds there and adds the ones it builds.  Before it
+    builds one, it drops every head it will not read, so no more heads are
+    alive at once than this call's distinct ``alpha[0]``; the caller must
+    have consumed the slabs of an earlier call before the next call.  With
+    no ``heads`` the call keeps its own.  Then each slab is padded
     and transformed along each further axis in turn, the half axis last.
     The padding is that of :func:`embed_spectrum`, so every order's samples
     equal ``inverse(embed_spectrum(spectral_derivative(forward(f), alpha,
     beta), fine))`` up to rounding.
-    Memory therefore scales with the half spectrum, the first-axis
-    transforms and each slab in flight (``_SLAB_BYTES``, or one refined row
-    of one component if that is larger), not with the refined grid.  Each
+    Memory therefore scales with the half spectrum, the heads and each slab
+    in flight (``_SLAB_BYTES``, or one refined row of one component if that
+    is larger), not with the refined grid.  Each
     one-dimensional pass scales by its length, so no intermediate exceeds
     the samples by more than the longest axis.
     """
@@ -606,7 +615,14 @@ def _refined_derivatives(
     def at(start: int) -> Iterator[np.ndarray]:
         for alpha, beta in orders:
             for c in range(components):
-                yield tail(heads[alpha[0]][c:c + 1, start:start + rows], alpha, beta)
+                band = heads[refinement, alpha[0]][c:c + 1, start:start + rows]
+                yield tail(band, alpha, beta)
 
-    heads = {a: head(a) for a in dict.fromkeys(alpha[0] for alpha, _ in orders)}
+    heads = {} if heads is None else heads
+    keys = {(refinement, alpha[0]) for alpha, _ in orders}
+    if not keys <= heads.keys():
+        for key in heads.keys() - keys:
+            del heads[key]  # so no head this call does not read outlives a build
+        for key in keys - heads.keys():
+            heads[key] = head(key[1])
     return [at(start) for start in range(0, fine[0], rows)]

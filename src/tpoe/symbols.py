@@ -77,9 +77,12 @@ def cutoff_chi(eta):
 def _weight(eta, T: float):
     """The numerator w = 1 - chi((T/(2*pi))*eta) of m, and dw/d eta.
 
-    On the ramp chi is s(t), t = (outer - |T*eta/(2*pi)|)/(outer - inner), and
-    s' = (g'(t) g(1-t) + g(t) g'(1-t)) / (g(t) + g(1-t))^2 with g' = g/t^2;
-    off the ramp g(t) or g(1-t) is 0, and so is dw/d eta, exactly.
+    On the ramp chi is s(t), t = (outer - |T*eta/(2*pi)|)/(outer - inner), so
+    w = s(1-t) = g(1-t) / (g(t) + g(1-t)), taken as that quotient and not as
+    1 - s(t), which cancels where w is small (near |T*eta/(2*pi)| = inner);
+    off the ramp g(t) or g(1-t) is 0, so the quotient is exactly 0 or 1.
+    s' = (g'(t) g(1-t) + g(t) g'(1-t)) / (g(t) + g(1-t))^2 with g' = g/t^2,
+    and off the ramp dw/d eta is 0, exactly.
     """
     inner, outer = _CUTOFF_RADII
     scale = T / (2.0 * np.pi)
@@ -90,7 +93,7 @@ def _weight(eta, T: float):
     # g(u)/u/u, not g(u)/u**2: 1/u**2 overflows only where g(u) is 0 already
     ramp = (g / u / u * h + g * (h / (1.0 - u) / (1.0 - u))) / (g + h) ** 2
     slope = np.sign(scaled) * ramp * (scale / (outer - inner))
-    return 1.0 - np.asarray(cutoff_chi(scaled)), slope
+    return h / (g + h), slope
 
 
 def _denominator(xi, eta, lam: float):

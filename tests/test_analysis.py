@@ -65,22 +65,21 @@ def _g_prime(t):
     return np.exp(-1.0 / t) / t**2 if t > 0 else 0.0
 
 
-def _step(t):
-    return _g(t) / (_g(t) + _g(1.0 - t))
-
-
 def _step_prime(t):
     denom = (_g(t) + _g(1.0 - t)) ** 2
     return (_g_prime(t) * _g(1.0 - t) + _g(t) * _g_prime(1.0 - t)) / denom
 
 
-def _chi(s):
+def _one_minus_chi(s):
+    # on the ramp s(1 - t) = g(1-t) / (g(t) + g(1-t)), which does not cancel
+    # where it is small, as 1 - s(t) does
     a = abs(s)
     if a <= INNER:
-        return 1.0
-    if a >= OUTER:
         return 0.0
-    return _step((OUTER - a) / (OUTER - INNER))
+    if a >= OUTER:
+        return 1.0
+    t = (OUTER - a) / (OUTER - INNER)
+    return _g(1.0 - t) / (_g(t) + _g(1.0 - t))
 
 
 def _chi_prime(s):
@@ -93,13 +92,13 @@ def _chi_prime(s):
 
 
 def _m_closed(xi, eta, pr):
-    w = 1.0 - _chi(pr.T / TWO_PI * eta)
+    w = _one_minus_chi(pr.T / TWO_PI * eta)
     d = np.dot(xi, xi) + 1j * (eta - pr.lam * xi[0])
     return w / d if w != 0.0 else 0.0
 
 
 def _dm_dxi(xi, eta, pr, i):
-    w = 1.0 - _chi(pr.T / TWO_PI * eta)
+    w = _one_minus_chi(pr.T / TWO_PI * eta)
     if w == 0.0:
         return 0.0
     d = np.dot(xi, xi) + 1j * (eta - pr.lam * xi[0])
@@ -109,7 +108,7 @@ def _dm_dxi(xi, eta, pr, i):
 
 def _dm_deta(xi, eta, pr):
     scale = pr.T / TWO_PI
-    w = 1.0 - _chi(scale * eta)
+    w = _one_minus_chi(scale * eta)
     wp = -_chi_prime(scale * eta) * scale
     d = np.dot(xi, xi) + 1j * (eta - pr.lam * xi[0])
     if w == 0.0 and wp == 0.0:

@@ -1,5 +1,6 @@
 """End-to-end tests of the batch command-line front door."""
 
+import csv
 import json
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tpoe import SpaceTimeField, TorusDomain, save_field
+from tpoe import SpaceTimeField, TorusDomain, analysis, lq_norm, save_field
 from tpoe.cli import (
     EXIT_CONFIG,
     EXIT_INTERNAL,
@@ -391,6 +392,35 @@ class TestAnalysisCommands:
         assert main(["sweep", "--config", path]) == EXIT_OK
         assert (outdir / "sweep.csv").read_bytes() == first
         assert (outdir / "sweep_fit.json").read_bytes() == first_fit
+
+    def test_sweep_takes_each_data_norm_once(self, config_file, monkeypatch):
+        # member i of period T is the same field for every lambda, so its
+        # ||f||_q is taken once: ensemble x periods = 4 calls for 3 lambdas
+        # (12 when each cell took its own); the ratios are unchanged
+        calls = []
+
+        def counted(f, q):
+            calls.append(f.domain.T)
+            return lq_norm(f, q)
+
+        monkeypatch.setattr(analysis, "lq_norm", counted)
+        sets = ["q=1.5", "lambdas=0,1,10", "periods=6.283185307179586,20",
+                "ensemble=2", "shells=6", "directions=2"]
+        path = config_file()
+        argv = ["sweep", "--config", path]
+        assert main(argv + [arg for s in sets for arg in ("--set", s)]) == EXIT_OK
+        assert sorted(calls) == [6.283185307179586] * 2 + [20.0] * 2
+        with open(run_dir_of(path, sets) / "sweep.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        ratios = [
+            float(row["value"]).hex() for row in rows
+            if row["statistic"] == "max_ratio_sobolev21q_over_lq"
+        ]
+        # recorded before the data norms were shared
+        assert ratios == [
+            "0x1.6211a07fdfa1bp+0", "0x1.8f480e7be6a25p+0", "0x1.5d8546d0af19dp+0",
+            "0x1.7f30f4dda852dp+0", "0x1.b5e46b85d30c3p-1", "0x1.ffcfc20d1aab5p-1",
+        ]
 
     def test_empty_sweep_is_config_error(self, config_file):
         path = config_file(extra="lambdas =\n")

@@ -484,7 +484,8 @@ class TestQuadratureWork:
     def assert_streamed(calls, forward, shape, heads):
         # first the passes ``forward`` of one forward transform of samples
         # of ``shape``; the inverse is pruned and streamed: ``heads`` padded
-        # first-axis transforms at r = 2, each block's first, and slabs, so
+        # first-axis transforms at r = 2, one per distinct alpha[0] of the
+        # call (each built once, the first before any slab), and slabs, so
         # no other inverse input is larger than one slab
         assert calls[: len(forward)] == forward, calls
         inverse = calls[len(forward):]
@@ -499,13 +500,22 @@ class TestQuadratureWork:
     def test_sobolev_shares_one_forward_transform(
         self, record_transforms, transform_passes
     ):
-        # one block per derivative, each with its own head
+        # one block per derivative (11), visited by alpha[0], so the blocks
+        # share one head for each alpha[0] in 0..2
         d = dom3(12, 12)
         u = random_band_limited_field(d, 3, np.random.default_rng(6))
         calls = record_transforms()
         sobolev_norm_21q(u, 1.2)
         shape = u.samples.shape
-        self.assert_streamed(calls, transform_passes(("rfftn", shape)), shape, 11)
+        self.assert_streamed(calls, transform_passes(("rfftn", shape)), shape, 3)
+
+    def test_sobolev_2d_shares_its_heads(self, record_transforms, transform_passes):
+        # 7 blocks at n=2, and again one head for each alpha[0] in 0..2
+        u = random_band_limited_field(dom2(), 2, np.random.default_rng(6))
+        calls = record_transforms()
+        sobolev_norm_21q(u, 1.2)
+        shape = u.samples.shape
+        self.assert_streamed(calls, transform_passes(("rfftn", shape)), shape, 3)
 
     def test_lq_makes_one_forward_transform(self, record_transforms, transform_passes):
         d = dom3(12, 12)
@@ -519,12 +529,32 @@ class TestQuadratureWork:
     def test_pressure_shares_one_forward_transform(
         self, n, record_transforms, transform_passes
     ):
-        # the gradient block's alpha[0] is 1 for d1 and 0 for the others
+        # the gradient block's alpha[0] is 1 for d1 and 0 for the others,
+        # and it reuses the underived block's alpha[0] = 0 head
         d = dom2() if n == 2 else dom3(12, 12)
         p = random_band_limited_field(d, 1, np.random.default_rng(6))
         calls = record_transforms()
         pressure_norm(p, 1.2)
         shape = p.samples.shape
+        self.assert_streamed(calls, transform_passes(("rfftn", shape)), shape, 2)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_steady_norm_shares_its_heads(
+        self, lam, record_transforms, transform_passes
+    ):
+        # Stokes: blocks v, grad v, grad^2 v, with alpha[0] in {0}, {0, 1}
+        # and {0, 1, 2} (6 heads if each block built its own); Oseen adds
+        # d1 v, alpha[0] = 1 (7).  At q = 1.4 no exponent is 2, so every
+        # block is refined by 2 and the slice's three heads serve them all.
+        d = dom3(12, 12)
+        v = random_band_limited_field(
+            d, 3, np.random.default_rng(4), solenoidal=True,
+            time_constant=True, zero_spatial_mean=True,
+        )
+        (kind,) = steady_kinds(3, lam, 1.4)
+        calls = record_transforms()
+        steady_norm(v, kind, lam)
+        shape = (3,) + (d.N,) * 3
         self.assert_streamed(calls, transform_passes(("rfftn", shape)), shape, 3)
 
     def test_block_sums_are_freed_between_blocks(self):
@@ -630,10 +660,10 @@ class TestThreadedQuadrature:
         assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_each_worker_adds_at_most_one_slab_to_the_peak(self, monkeypatch):
-        # norm-report's shape: a slab holds 8 refined rows of 32 KiB, and
-        # each one in flight adds about 2.6 slabs to the peak (lq_norm 5.72,
-        # 6.37 and 7.01 MiB, pressure_norm 3.48, 4.12 and 4.76 MiB at 1, 2
-        # and 3 workers)
+        # norm-report's shape: one refined row is 256 KiB, so a slab holds
+        # one row, and each one in flight adds about 2.6 slabs to the peak
+        # (lq_norm 5.72, 6.37 and 7.01 MiB, pressure_norm 3.48, 4.12 and
+        # 4.76 MiB at 1, 2 and 3 workers)
         d = TorusDomain(n=3, L=TWO_PI, N=16, T=TWO_PI, Nt=16)
         pr = OseenParams(lam=0.0, T=TWO_PI, q=1.2)
         _, _, f = manufactured_case("mixed", d, pr, seed=0)

@@ -25,7 +25,7 @@ from tpoe.solver import (
     _pressure_coefficients,
     project_solenoidal,
 )
-from tpoe.symbols import time_periodic_multiplier_grid
+from tpoe.symbols import _weight, time_periodic_multiplier_grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -210,6 +210,38 @@ class TestEuclideanMultiplier:
         vec = evaluate_m(xi, eta, p)
         for j in range(3):
             assert vec[j] == evaluate_m(xi[:, j], eta[j], p)
+
+    # (T, eta, w): the numerator w = s(1 - t) of m on the ramp of the
+    # cut-off, taken at 60 digits with mpmath for these double inputs.  Near
+    # the inner end, |T*eta/(2*pi)| just above 1/2, w is tiny and 1 - chi
+    # cancels to 0; the last two lie mid-ramp and at its outer end.
+    RAMP = [
+        (1e3, -0.00321, 3.1555935863947756e-20),
+        (TWO_PI, 0.5035, 2.4847753521254769e-62),
+        (TWO_PI, -0.5015, 4.6856946597974431e-145),
+        (5.0, 0.6295, 2.9680233489287895e-231),
+        (5.0, 0.9, 0.36565192666745434),
+        (TWO_PI, 0.999, 1.0),
+    ]
+
+    def test_numerator_on_the_ramp(self):
+        # relative error 1e-10: exp(-1/(1 - t)) magnifies the rounding of t
+        # by 1/(1 - t), up to 1/0.0016 at the fourth point (5e-11 there)
+        for T, eta, w in self.RAMP:
+            assert _weight(eta, T)[0] == pytest.approx(w, rel=1e-10, abs=0.0), (T, eta)
+
+    def test_small_values_near_the_inner_radius(self):
+        # m = w / (|xi|^2 + i*(eta - lam*xi_1)) at xi = (0.3, -0.2), lam = 1,
+        # at the first three points of RAMP, where 1 - chi read 0
+        p = [params(lam=1.0, T=T) for T, _, _ in self.RAMP[:3]]
+        expected = [
+            3.7692125768475158e-20 + 8.7912534263533481e-20j,
+            5.5395014902754068e-62 - 8.6714504097772699e-62j,
+            9.2391661908277682e-146 + 5.6963013091911198e-145j,
+        ]
+        for pr, (_, eta, _), m in zip(p, self.RAMP, expected):
+            value = evaluate_m((0.3, -0.2), eta, pr)
+            assert value == pytest.approx(m, rel=1e-10, abs=0.0)
 
 
 class TestTransferenceIdentity:
