@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .errors import DomainMismatch, EmptySweep, InvalidGrid, NonHermitian, UnknownRecipe
 from .norms import lq_norm, sobolev_norm_21q
 from .solver import (
@@ -62,21 +63,51 @@ def random_band_limited_field(
     keeps only the k == 0 stratum, ``zero_spatial_mean`` zeroes every m == 0
     column.
     """
-    n = domain.n
+    return _band_field(
+        domain, _band_draws(domain, components, rng, m_max, k_max),
+        solenoidal=solenoidal, purely_periodic=purely_periodic,
+        time_constant=time_constant, zero_spatial_mean=zero_spatial_mean,
+    )
+
+
+def _band_draws(
+    domain: TorusDomain,
+    components: int,
+    rng: np.random.Generator,
+    m_max: int | None = None,
+    k_max: int | None = None,
+) -> np.ndarray:
+    """The one draw of :func:`random_band_limited_field` from ``rng``: the
+    standard normal real and imaginary parts, last axis, of every band mode,
+    of shape ``(components,) + (2 m_max + 1,) * n + (2 k_max + 1, 2)``."""
     m_max = domain.N // 4 if m_max is None else m_max
     k_max = domain.Nt // 4 if k_max is None else k_max
     if not 1 <= m_max < domain.N // 2:
         raise ValueError(f"m_max must be in [1, N/2), got {m_max}")
     if not 1 <= k_max < domain.Nt // 2:
         raise ValueError(f"k_max must be in [1, Nt/2), got {k_max}")
+    band_shape = (components,) + (2 * m_max + 1,) * domain.n + (2 * k_max + 1,)
+    return rng.standard_normal(band_shape + (2,))
+
+
+def _band_field(
+    domain: TorusDomain,
+    draws: np.ndarray,
+    *,
+    solenoidal: bool = False,
+    purely_periodic: bool = False,
+    time_constant: bool = False,
+    zero_spatial_mean: bool = False,
+) -> SpaceTimeField:
+    """The field :func:`random_band_limited_field` builds from its
+    :func:`_band_draws` ``draws``."""
+    n, components = domain.n, draws.shape[0]
     if purely_periodic and time_constant:
         raise ValueError("a field cannot be both purely periodic and steady")
     if solenoidal and components != n:
         raise ValueError("solenoidal projection needs a vector field")
-
-    band_shape = (components,) + (2 * m_max + 1,) * n + (2 * k_max + 1,)
+    m_max, k_max = draws.shape[1] // 2, draws.shape[-2] // 2
     modes = np.arange(-m_max, m_max + 1)
-    draws = rng.standard_normal(band_shape + (2,))
     band = draws[..., 0] + 1j * draws[..., 1]
     band_axes = tuple(range(1, band.ndim))
     band = 0.5 * (band + np.conj(np.flip(band, axis=band_axes)))
@@ -101,14 +132,45 @@ def random_band_limited_field(
     coeff = np.zeros((components,) + domain.spectral_shape, dtype=complex)
     index = [np.arange(components)] + [modes % domain.N] * n
     coeff[np.ix_(*index, np.arange(k_max + 1))] = band[..., k_max:]
-    field = SpaceTimeField(domain, _irfft(coeff))
+    field = SpaceTimeField(domain, _irfft(coeff, overwrite_x=True))
     # every accepted flag combination keeps band modes with m != 0 (and a
     # divergence-free direction of each), so the draw vanishes with
     # probability zero
     scale_phys = field.max_abs()
     if not scale_phys > 1e-12:
         raise RuntimeError("random band-limited field degenerated to zero")
-    return field * (1.0 / scale_phys)
+    np.multiply(field.samples, 1.0 / scale_phys, out=field.samples)  # its own
+    return field
+
+
+def _ensemble(domain: TorusDomain, rng: np.random.Generator, size: int, run) -> list:
+    """``[run(i, w_i) for i in range(size)]``, where w_i is the i-th of
+    ``size`` random solenoidal, purely periodic vector fields on ``domain``
+    drawn from ``rng`` by :func:`random_band_limited_field`, so member i
+    gets the i-th draw for any thread count.
+
+    A field below ``_THREAD_BYTES`` starts no thread in its transform
+    passes, so its members run on threads of the call: round by round,
+    the caller draws ``_WORKERS`` members' normals in member order, and
+    :func:`spectral._map` builds and runs them, one per thread.  From that
+    size on, members run one at a time, their passes threaded, so memory
+    stays that of one member.  Errors are raised as the loop would raise
+    them: the lowest failing member's, after every member below it ran.
+    """
+    field_bytes = 8 * domain.n * int(np.prod(domain.grid_shape))
+    per_round = spectral._WORKERS if field_bytes < spectral._THREAD_BYTES else 1
+
+    def member(i):
+        # popped, so the normals are freed once the field is built
+        w = _band_field(domain, draws.pop(i), solenoidal=True, purely_periodic=True)
+        return run(i, w)
+
+    results = []
+    for start in range(0, size, per_round):
+        members = range(start, min(size, start + per_round))
+        draws = {i: _band_draws(domain, domain.n, rng) for i in members}
+        results += spectral._map(member, members)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -202,21 +264,22 @@ def roundtrip_verify(
 ) -> float:
     """Worst relative error of solve(apply(w)) == w over a random ensemble.
 
-    Fields are random band-limited, solenoidal and purely periodic.
+    Fields are random band-limited, solenoidal and purely periodic; the
+    members run concurrently as :func:`_ensemble` describes, and the value
+    is the serial loop's for any thread count.
     """
     if ensemble_size < 1:
         raise ValueError("ensemble must contain at least one field")
-    rng = np.random.default_rng(seed)
-    p_zero = SpaceTimeField.zeros(domain, 1)
-    worst = 0.0
-    for _ in range(ensemble_size):
-        w = random_band_limited_field(
-            domain, domain.n, rng, solenoidal=True, purely_periodic=True
-        )
-        f = apply_operator(w, p_zero, params)
-        back = solve_time_periodic(f, params)
-        worst = max(worst, (back - w).max_abs() / w.max_abs())
-    return worst
+    # a read-only view: no grid of zeros
+    p_zero = SpaceTimeField(domain, np.broadcast_to(0.0, (1,) + domain.grid_shape))
+
+    def error(_, w: SpaceTimeField) -> float:
+        back = solve_time_periodic(apply_operator(w, p_zero, params), params)
+        np.subtract(back.samples, w.samples, out=back.samples)  # its own
+        return back.max_abs() / w.max_abs()
+
+    errors = _ensemble(domain, np.random.default_rng(seed), ensemble_size, error)
+    return max([0.0, *errors])  # the serial fold, which keeps 0.0 over a NaN
 
 
 # ---------------------------------------------------------------------------
@@ -285,25 +348,33 @@ def _mixed_partial(
     eps: tuple[int, ...],
     params: OseenParams,
 ) -> np.ndarray:
-    """d^eps m at each point, in closed form.
+    """x^eps d^eps m at each point, in closed form: the derivative times
+    the variables it is taken in, as the scan weighs it.
 
     D = |xi|^2 + i*(eta - lam*xi_1) has no mixed second derivatives, so for
-    the set S of active variables d_S(1/D) = (-1)^|S| |S|! (1/D) prod_{i in S}
-    (d_i D / D), with d_{xi_j} D = 2*xi_j - i*lam*[j == 1] and d_eta D = i.
-    The numerator w = 1 - chi(T*eta/(2*pi)) depends on eta alone, so
-    d_S m = w d_S(1/D), plus w' d_{S minus eta}(1/D) when eta is in S.  The
+    the set S of active variables x^S d_S(1/D) = (-1)^|S| |S|! (1/D)
+    prod_{i in S} (x_i d_i D / D), with d_{xi_j} D = 2*xi_j - i*lam*[j == 1]
+    and d_eta D = i.  The numerator w = 1 - chi(T*eta/(2*pi)) depends on eta
+    alone, so x^S d_S m = w x^S d_S(1/D), plus (eta w') x^(S minus eta)
+    d_(S minus eta)(1/D) when eta is in S.  Each weight is folded into its
+    ratio x_i (d_i D / D), which stays near 1, so the product is finite where
+    its value is, though d^eps m alone can leave the double range.  The
     value is exactly 0 wherever w and w' both vanish (the plateau), as m is.
     """
     *xi, eta = points
     weight, slope = _weight(eta, params.T)
     plateau = (weight == 0.0) & (slope == 0.0)
     recip = _quotient(1.0, _denominator(xi, eta, params.lam), plateau)
-    term = recip  # d_S(1/D) for the active xi, one factor d_j D / D at a time
+    term = recip  # x^S d_S(1/D) for the active xi, one ratio at a time
     for order, j in enumerate((j for j in range(len(xi)) if eps[j]), start=1):
-        grad = 2.0 * xi[j] - (1j * params.lam if j == 0 else 0.0)
-        term = -order * term * (grad * recip)
+        # xi_j d_j D / D, each factor of xi_j next to 1/D, where it is finite
+        ratio = xi[j] * (2.0 * xi[j] * recip)
+        if j == 0:
+            ratio -= 1j * params.lam * (xi[0] * recip)
+        term = -order * term * ratio
     if eps[-1]:  # d_eta D = i
-        return weight * (-sum(eps) * term * (1j * recip)) + slope * term
+        ratio = eta * (1j * recip)
+        return weight * (-sum(eps) * term * ratio) + (eta * slope) * term
     return weight * term
 
 
@@ -312,15 +383,10 @@ def marcinkiewicz_scan(params: OseenParams, grid: ScanGrid) -> MarcinkiewiczRepo
     the multiplier products |xi_1^eps1 ... eta^eps_{n+1} d^eps m|; raises
     ``InvalidGrid`` if one is not finite (too large a radial_max, lambda or T)."""
     points = grid.points()  # never empty: ScanGrid keeps a shell and 2(n+2) directions
-    dim = grid.n + 1
     per_eps: dict[str, float] = {}
-    for eps in itertools.product((0, 1), repeat=dim):
-        deriv = _mixed_partial(points, eps, params)
-        weight = np.ones(points.shape[1])
-        for i, e in enumerate(eps):
-            if e:
-                weight = weight * points[i]
-        per_eps["".join(map(str, eps))] = float(np.max(np.abs(weight * deriv)))
+    for eps in itertools.product((0, 1), repeat=grid.n + 1):
+        product = _mixed_partial(points, eps, params)
+        per_eps["".join(map(str, eps))] = float(np.max(np.abs(product)))
     overall = float(np.max(list(per_eps.values())))  # NaN propagates
     if not np.isfinite(overall):
         raise InvalidGrid(
@@ -398,7 +464,9 @@ def constant_sweep(
     of period T is the same field for every lam: its ``||f||_q`` is taken
     in the first lam and reused, ``ensemble_size * len(T_list)`` norms in
     all.  The loop stays lam-major, so the records, the draws and the order
-    in which errors can arise do not depend on the reuse.
+    in which errors can arise do not depend on the reuse.  Within a cell
+    the members run concurrently as :func:`_ensemble` describes, and the
+    records are the serial loop's for any thread count.
     """
     if not lambda_list or not T_list or ensemble_size < 1:
         raise EmptySweep("sweep needs non-empty parameter lists and ensemble")
@@ -408,20 +476,21 @@ def constant_sweep(
         for T in T_list:
             dom = dataclasses.replace(domain, T=T)
             params = OseenParams(lam=lam, T=T, q=q)
-            rng = np.random.default_rng(seed)
-            ratio = 0.0
-            for member in range(ensemble_size):
-                f = random_band_limited_field(
-                    dom, dom.n, rng, solenoidal=True, purely_periodic=True
-                )
+
+            def member_ratio(member: int, f: SpaceTimeField) -> float:
                 w = solve_time_periodic(f, params)
                 value = sobolev_norm_21q(w, q)
+                # only this member's thread reads or writes its key
                 if (T, member) not in data_norms:
                     data_norms[T, member] = lq_norm(f, q)
                 value /= data_norms[T, member]
                 if not 0.0 < value < np.inf:  # the fit takes its logarithm
                     raise DomainMismatch(f"sweep ratio {value} is outside (0, inf)")
-                ratio = max(ratio, value)
+                return value
+
+            rng = np.random.default_rng(seed)
+            ratios = _ensemble(dom, rng, ensemble_size, member_ratio)
+            ratio = max([0.0, *ratios])  # the serial fold
             records.append(
                 SweepRecord(lam, T, q, dom.N, dom.Nt, RATIO_STATISTIC, ratio, seed)
             )

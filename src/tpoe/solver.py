@@ -142,7 +142,8 @@ def project_solenoidal(spec: SpectralField) -> SpectralField:
 def apply_helmholtz(f: SpaceTimeField) -> SpaceTimeField:
     """Helmholtz projection of a sampled vector field onto solenoidal fields."""
     _require_vector(f)
-    return SpaceTimeField(f.domain, _irfft(project_solenoidal(forward(f)).coefficients))
+    coeff = project_solenoidal(forward(f)).coefficients
+    return SpaceTimeField(f.domain, _irfft(coeff, overwrite_x=True))
 
 
 def _divergence(xi, coefficients: np.ndarray) -> float:
@@ -244,12 +245,13 @@ def solve_time_periodic(
         raise NotPurelyPeriodic(
             "data has nonzero time average; only the oscillating part is invertible"
         )
-    xi = f.domain.xi_grids()
+    domain, xi = f.domain, f.domain.xi_grids()
     gh = _rfft(f.samples)
+    del f  # not read again, so data passed as a temporary is freed here
     _check_solenoidal(xi, gh, tol)
     gh[..., 0] = 0.0  # the multiplier vanishes on the steady stratum
-    uh = _invert(_project(xi, gh, _potential(xi, gh)), f.domain, params.lam)
-    return SpaceTimeField(f.domain, _irfft(uh))
+    uh = _invert(_project(xi, gh, _potential(xi, gh)), domain, params.lam)
+    return SpaceTimeField(domain, _irfft(uh, overwrite_x=True))
 
 
 def solve_steady(
@@ -297,7 +299,7 @@ def recover_pressure(f: SpaceTimeField) -> SpaceTimeField:
     _require_vector(f)
     _require_invertible(f.domain)
     ph = _pressure_coefficients(_potential(f.domain.xi_grids(), _rfft(f.samples)))
-    return SpaceTimeField(f.domain, _irfft(ph))
+    return SpaceTimeField(f.domain, _irfft(ph, overwrite_x=True))
 
 
 def _operator_rows(
@@ -316,7 +318,7 @@ def _operator_rows(
         # symbol first: numpy's complex product is not bitwise commutative
         np.multiply(symbol, uh[0], out=uh[0])
         uh[0] += 1j * xi[j] * ph
-        yield _irfft(uh)[0]
+        yield _irfft(uh, overwrite_x=True)[0]
 
 
 def apply_operator(
@@ -432,11 +434,11 @@ def solve_full(
     ph = _pressure_coefficients(potential)
     _project(xi, fh, potential)
     del potential
-    p = SpaceTimeField(domain, _irfft(ph))
+    p = SpaceTimeField(domain, _irfft(ph, overwrite_x=True))
     del ph
     uh = _invert(fh, domain, params.lam)  # in place on fh
-    u = SpaceTimeField(domain, _irfft(uh))
-    v = _steady_slice(uh, domain)
+    v = _steady_slice(uh, domain)  # before u's inverse consumes uh
+    u = SpaceTimeField(domain, _irfft(uh, overwrite_x=True))
     del fh, uh
     residual_norm = _residual(u, p, f, params) / (scale if scale > 0.0 else 1.0)
     if not residual_norm <= tol:

@@ -33,7 +33,11 @@ one-dimensional passes over its slab, instead of a full-grid ``_irfft``;
 the quadrature sums the slabs in parallel and combines them in slab order,
 so its values are bitwise equal for any thread count.  Both run their
 threads through :func:`_map`, which starts up to one thread per CPU and
-joins them before it returns, so no thread outlives the call.
+joins them before it returns, so no thread outlives the call; so do the
+ensembles of ``analysis``, whose members run on threads of the call when
+their field is below ``_THREAD_BYTES``.  A map called inside a threaded map
+runs in its caller alone, so no more threads run at once than there are
+CPUs.
 """
 
 from __future__ import annotations
@@ -438,15 +442,19 @@ def _rfft(samples: np.ndarray) -> np.ndarray:
     return coeff
 
 
-def _irfft(coeff: np.ndarray) -> np.ndarray:
+def _irfft(coeff: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     """Real samples of a half spectrum laid out as :func:`_rfft` returns
     it; every grid size is even, so the halved axis has ``2 * (len - 1)``
     points.
 
     The passes are ``irfftn``'s: ``ifft`` along each axis but the last, from
-    the first, the first pass out of ``coeff`` into a work array and the
-    others in place, then ``irfft`` along the last axis."""
-    work = np.empty(coeff.shape, dtype=complex)
+    the first, then ``irfft`` along the last axis.  The complex passes run in
+    a work array, the first out of ``coeff``, the others in place.  With
+    ``overwrite_x`` (scipy.fft's name and meaning) ``coeff`` is the work
+    array, so a caller that owns the spectrum and never reads it again saves
+    a half spectrum; ``coeff`` then holds an intermediate, and the samples
+    are bitwise those of the copy."""
+    work = coeff if overwrite_x else np.empty(coeff.shape, dtype=complex)
     for axis in range(1, coeff.ndim - 1):
         _pass(np.fft.ifft, coeff if axis == 1 else work, work, axis)
     samples = np.empty(coeff.shape[:-1] + (2 * (coeff.shape[-1] - 1),))
@@ -470,37 +478,51 @@ _WORKERS = (
 _SLAB_BYTES = 256 * 1024
 
 
+# set while a map runs threads, in the caller and in each thread it starts
+_THREADED = contextvars.ContextVar("_THREADED", default=False)
+
+
 def _map(function, items: Sequence) -> list:
     """``[function(item) for item in items]``, run by up to ``_WORKERS``
     threads: thread i takes items i, i + W, ... in turn, and the caller runs
     the first share.  Each other thread runs in a copy of the caller's
-    context (so under its numpy error state); all are joined before an error
-    is raised again, so no thread outlives the call.  After an error, every
-    thread stops at its next item."""
-    workers = max(1, min(_WORKERS, len(items)))
+    context (so under its numpy error state); all are joined before the call
+    returns or raises, so no thread outlives it.  A map called while a
+    threaded map runs, by its caller or by one of its threads, runs in its
+    own caller alone, so no more than ``_WORKERS`` threads run at once.
+    After an item fails, a thread stops at its next item above the lowest
+    failed index; every item below it still runs, and the lowest failed
+    index's error is raised, as the loop would raise it."""
+    workers = 1 if _THREADED.get() else max(1, min(_WORKERS, len(items)))
     results = [None] * len(items)
-    errors = []
+    failed = []  # (index, error); each thread appends only its own
 
     def run(first):
-        try:
-            for i in range(first, len(items), workers):
-                if errors:
-                    return
+        for i in range(first, len(items), workers):
+            if any(j < i for j, _ in failed):
+                return
+            try:
                 results[i] = function(items[i])
-        except BaseException as error:  # raised again in the caller
-            errors.append(error)
+            except BaseException as error:  # raised again in the caller
+                failed.append((i, error))
+                return
 
-    threads = [
-        threading.Thread(target=contextvars.copy_context().run, args=(run, first))
-        for first in range(1, workers)
-    ]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    token = _THREADED.set(_THREADED.get() or workers > 1)
+    threads = []
+    try:
+        for first in range(1, workers):
+            thread = threading.Thread(
+                target=contextvars.copy_context().run, args=(run, first)
+            )
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+        _THREADED.reset(token)
+    if failed:
+        raise min(failed, key=lambda entry: entry[0])[1]
     return results
 
 

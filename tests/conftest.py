@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tpoe import OseenParams, TorusDomain, manufactured_case
+from tpoe import OseenParams, TorusDomain, manufactured_case, spectral
 
 
 @pytest.fixture
@@ -81,3 +81,11 @@ def bound_case():
     pr = OseenParams(lam=-2.5, T=5.0, q=2.0)
     _, _, f = manufactured_case("mixed", d, pr, seed=0)
     return d, pr, f
+
+
+@pytest.fixture(params=[1, 2, 3], ids=lambda count: f"workers-{count}")
+def workers(request, monkeypatch):
+    """``spectral._WORKERS`` set to 1, 2 and 3 in turn for the test, which
+    gets the count."""
+    monkeypatch.setattr(spectral, "_WORKERS", request.param)
+    return request.param

@@ -1,6 +1,10 @@
 """Tests for the verification harness: scans, manufactured cases, sweeps."""
 
+import dataclasses
+import functools
 import itertools
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from tpoe import (
     solve_time_periodic,
     transference_check,
 )
+from tpoe import analysis, spectral
 from tpoe.analysis import (
     MARCINKIEWICZ_STATISTIC,
     RATIO_STATISTIC,
@@ -176,7 +181,8 @@ class TestMarcinkiewiczScan:
 
     @pytest.mark.parametrize("var", [0, 1, 2])
     def test_fd_matches_closed_form_single_derivatives(self, var):
-        # quotient-rule oracle implemented independently above
+        # quotient-rule oracle implemented independently above, times the
+        # variable the derivative is taken in
         pr = params(lam=1.5, T=TWO_PI)
         points = np.array(
             [
@@ -191,9 +197,9 @@ class TestMarcinkiewiczScan:
             xi = points[:2, j]
             eta = points[2, j]
             if var < 2:
-                closed = _dm_dxi(xi, eta, pr, var)
+                closed = points[var, j] * _dm_dxi(xi, eta, pr, var)
             else:
-                closed = _dm_deta(xi, eta, pr)
+                closed = eta * _dm_deta(xi, eta, pr)
             if abs(closed) > 1e-8:
                 assert abs(fd[j] - closed) <= 1e-13 * abs(closed)
             else:
@@ -203,8 +209,9 @@ class TestMarcinkiewiczScan:
     @pytest.mark.parametrize("lam", [0.0, 1.0, -2.5])
     @pytest.mark.parametrize("T", [TWO_PI, 5.0, 1e3], ids=["2pi", "5", "1e3"])
     def test_each_derivative_is_a_difference_of_the_one_below(self, n, lam, T):
-        # one central difference of d_S m along i, not in S, is d_{S+i} m to
-        # 1e-7 relative (1e-9 of the largest value where it passes near 0);
+        # x_i times one central difference of x^S d_S m along i, not in S,
+        # is x^(S+i) d_{S+i} m to 1e-7 relative (1e-9 of the largest value
+        # where it passes near 0);
         # the points keep off the cut-off ramp's ends, |T*eta/(2*pi)| in
         # (0.6, 0.9) on the ramp and (1.1, 3) past it, and the eta step
         # scales with the ramp's width 2*pi/T
@@ -222,6 +229,7 @@ class TestMarcinkiewiczScan:
                 step[i] = 1e-5 * TWO_PI / T if i == n else 2e-6
                 diff = _mixed_partial(points + step, eps, pr)
                 diff = (diff - _mixed_partial(points - step, eps, pr)) / (2 * step[i])
+                diff *= points[i]
                 bound = 1e-7 * np.abs(exact) + 1e-9 * np.max(np.abs(exact))
                 assert np.all(np.abs(diff - exact) <= bound), (eps, i)
 
@@ -236,6 +244,41 @@ class TestMarcinkiewiczScan:
         # gives 6.7039239e8
         report = marcinkiewicz_scan(params(lam=1.0, T=1e3), ScanGrid(n=2))
         assert report.overall == pytest.approx(6.7039239e8, rel=1e-6)
+
+    # at T = 1e300, d^eps m alone leaves the double range (d_eta m = 1e320
+    # at eta = 1e-160) where its products with the weights do not; the
+    # suprema of 40-digit mpmath over every point of each grid
+    @pytest.mark.parametrize(
+        "n, lam, radial_min, radial_max, expected",
+        [
+            (2, 0.0, 1e-160, 1e4, {
+                "000": 3.4147882046776044e161, "001": 3.4147882046776044e161,
+                "010": 454.92767013027058, "011": 909.85534026054116,
+                "100": 1875.2280264307893, "101": 3750.4560528615785,
+                "110": 2.65977108499215e-7, "111": 1.0230826907483346e-9,
+            }),
+            (3, -2.5, 1e-310, 1e76, {
+                "0000": 3.1871546453161225e255, "1001": 5.2587201648308498e256,
+                "1011": 1094.9804983167993, "1111": 8.7134424678362238e-32,
+            }),
+            (2, 1e10, 1e-300, 1e4, {
+                "000": 3.7275937203148006e256, "100": 2.3266318367970583e247,
+                "111": 1.0786224175727605e-27,
+            }),
+        ],
+    )
+    def test_weights_fold_into_the_ratios(
+        self, n, lam, radial_min, radial_max, expected
+    ):
+        grid = ScanGrid(
+            n=n, radial_min=radial_min, radial_max=radial_max, shells=8,
+            directions=4,
+        )
+        with np.errstate(over="ignore"):  # T * eta overflows, as in cli.main
+            report = marcinkiewicz_scan(params(lam=lam, T=1e300), grid)
+        for bits, value in expected.items():
+            assert report.per_epsilon[bits] == pytest.approx(value, rel=1e-14)
+        assert report.overall == pytest.approx(max(expected.values()), rel=1e-14)
 
     def test_zero_pattern_matches_plain_evaluation(self):
         pr = params(lam=2.0)
@@ -465,6 +508,180 @@ class TestConstantSweep:
         assert np.isfinite(fit["rms_residual"])
         with pytest.raises(EmptySweep):
             fit_log_trend([r for r in records if r.statistic != RATIO_STATISTIC])
+
+
+def serial_roundtrip(domain, pr, size, seed):
+    """The ensemble loop of ``roundtrip_verify``, one member at a time."""
+    rng = np.random.default_rng(seed)
+    p_zero = SpaceTimeField.zeros(domain, 1)
+    worst = 0.0
+    for _ in range(size):
+        w = random_band_limited_field(
+            domain, domain.n, rng, solenoidal=True, purely_periodic=True
+        )
+        back = solve_time_periodic(apply_operator(w, p_zero, pr), pr)
+        worst = max(worst, (back - w).max_abs() / w.max_abs())
+    return worst
+
+
+def serial_ratios(domain, q, lambdas, periods, size, seed):
+    """The ratio of each ``constant_sweep`` cell, lam-major, from the loop
+    that runs one member at a time."""
+    ratios = []
+    for lam in lambdas:
+        for T in periods:
+            dom = dataclasses.replace(domain, T=T)
+            pr = OseenParams(lam=lam, T=T, q=q)
+            rng = np.random.default_rng(seed)
+            ratio = 0.0
+            for _ in range(size):
+                f = random_band_limited_field(
+                    dom, dom.n, rng, solenoidal=True, purely_periodic=True
+                )
+                w = solve_time_periodic(f, pr)
+                ratio = max(ratio, sobolev_norm_21q(w, q) / lq_norm(f, q))
+            ratios.append(ratio)
+    return ratios
+
+
+class TestConcurrentEnsembles:
+    # fields below _THREAD_BYTES run their members on threads of the call;
+    # every value and error must be the serial loop's
+
+    def test_member_i_gets_the_ith_draw(self, monkeypatch, workers):
+        d = dom2(16, 16)
+        rng = np.random.default_rng(8)
+        expected = [
+            random_band_limited_field(
+                d, 2, rng, solenoidal=True, purely_periodic=True
+            ).samples.tobytes()
+            for _ in range(7)
+        ]
+        # draws in the calling thread wait, so that a member drawing in
+        # another thread would take an earlier member's draw
+        band_draws, caller = analysis._band_draws, threading.current_thread()
+
+        def draw(*args, **kwargs):
+            if threading.current_thread() is caller:
+                time.sleep(0.01)
+            return band_draws(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "_band_draws", draw)
+        got = analysis._ensemble(
+            d, np.random.default_rng(8), 7, lambda i, w: (i, w.samples.tobytes())
+        )
+        assert got == list(enumerate(expected))
+
+    def test_roundtrip_equals_the_serial_loop(self, workers):
+        d, pr = dom2(16, 16), params(lam=1.0)
+        expected = serial_roundtrip(d, pr, 7, seed=5)
+        assert roundtrip_verify(d, pr, 7, seed=5).hex() == expected.hex()
+
+    def test_sweep_equals_the_serial_loop(self, workers):
+        d, grid = dom2(16, 16), ScanGrid(n=2, shells=4, directions=0)
+        lambdas, periods = [0.0, 1.0], [TWO_PI, 5.0]
+        records = constant_sweep(d, 1.5, lambdas, periods, 5, 3, grid)
+        ratios = [r.value for r in records if r.statistic == RATIO_STATISTIC]
+        expected = serial_ratios(d, 1.5, lambdas, periods, 5, 3)
+        assert [v.hex() for v in ratios] == [v.hex() for v in expected]
+
+    @pytest.mark.parametrize("command", ["roundtrip", "sweep"])
+    def test_two_failing_members_raise_the_loops_error(
+        self, monkeypatch, workers, command
+    ):
+        # members 3 and 6 fail after their draws, on different threads; the
+        # loop raises member 3's error after members 0 to 2 ran
+        drawn, started, threads = [], set(), set()
+        band_draws, band_field = analysis._band_draws, analysis._band_field
+
+        def draw(*args, **kwargs):
+            drawn.append(band_draws(*args, **kwargs))
+            return drawn[-1]
+
+        def build(domain, draws, **flags):
+            member = next(i for i, d in enumerate(drawn) if d is draws)
+            started.add(member)
+            threads.add(threading.current_thread())
+            if member in (3, 6):
+                raise ArithmeticError(f"member {member} failed")
+            return band_field(domain, draws, **flags)
+
+        monkeypatch.setattr(analysis, "_band_draws", draw)
+        monkeypatch.setattr(analysis, "_band_field", build)
+        d, pr = dom2(16, 16), params(lam=1.0)
+        if command == "roundtrip":
+            call = functools.partial(roundtrip_verify, d, pr, 9, 2)
+        else:
+            grid = ScanGrid(n=2, shells=4, directions=0)
+            sweep = (d, 2.0, [1.0], [TWO_PI], 9, 2, grid)
+            call = functools.partial(constant_sweep, *sweep)
+        raised = []
+
+        def run():
+            try:
+                call()
+            except ArithmeticError as error:
+                raised.append(str(error))
+
+        before = threading.active_count()
+        caller = threading.Thread(target=run)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert raised == ["member 3 failed"]
+        assert {0, 1, 2, 3} <= started
+        assert threading.active_count() == before
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_no_more_threads_than_workers(self, monkeypatch, workers):
+        # each member's Sobolev quadrature maps its slabs inside the
+        # member's thread, where a map runs in its caller alone
+        counts = []
+        irfft = np.fft.irfft
+
+        def counting(*args, **kwargs):
+            counts.append(threading.active_count())
+            return irfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", counting)
+        grid = ScanGrid(n=2, shells=4, directions=0)
+        before = threading.active_count()
+        constant_sweep(dom2(16, 16), 1.5, [1.0], [TWO_PI], 6, 0, grid)
+        assert counts and max(counts) <= before + workers - 1
+        assert threading.active_count() == before
+
+    def test_each_member_in_flight_holds_under_four_fields(self, traced_peak, workers):
+        # measured 3.92x, 3.88x and 3.71x the samples per worker: a member
+        # holds w and A(w) until the solve has transformed A(w), which it
+        # then frees, and every inverse runs in the spectrum it consumes;
+        # one member held 7.0x with the inverses' work arrays and A(w)
+        d = TorusDomain(n=3, L=TWO_PI, N=16, T=TWO_PI, Nt=16)
+        roundtrip_verify(d, params(lam=1.0), 2, seed=1)  # numpy's lazy set-up
+        peak, _ = traced_peak(lambda: roundtrip_verify(d, params(lam=1.0), 4, 1))
+        assert peak <= 4.0 * workers * (d.n * 8 * 16**4)
+
+    def test_members_of_a_large_field_run_one_at_a_time(self, monkeypatch, workers):
+        # a field of _THREAD_BYTES or more: its passes thread, so its members
+        # run in the calling thread, one at a time
+        d, pr = dom2(16, 16), params(lam=1.0)
+        expected = serial_roundtrip(d, pr, 4, seed=1)
+        monkeypatch.setattr(spectral, "_THREAD_BYTES", d.n * 8 * 16**3)
+        members, passes = set(), set()
+        solve, ifft = analysis.solve_time_periodic, np.fft.ifft
+
+        def solving(*args, **kwargs):
+            members.add(threading.current_thread())
+            return solve(*args, **kwargs)
+
+        def transforming(*args, **kwargs):
+            passes.add(threading.current_thread())
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "solve_time_periodic", solving)
+        monkeypatch.setattr(np.fft, "ifft", transforming)
+        assert roundtrip_verify(d, pr, 4, seed=1).hex() == expected.hex()
+        assert members == {threading.current_thread()}
+        assert (passes != {threading.current_thread()}) == (workers > 1)
 
 
 class TestConvergence:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tpoe import SpaceTimeField, TorusDomain, analysis, lq_norm, save_field
+from tpoe import SpaceTimeField, TorusDomain, analysis, lq_norm, save_field, spectral
 from tpoe.cli import (
     EXIT_CONFIG,
     EXIT_INTERNAL,
@@ -486,6 +486,32 @@ class TestFreshOutputs:
                 handle.close()
 
 
+class TestConcurrentEnsembles:
+    # members run on threads of the call; the files must be the serial run's
+    @pytest.mark.parametrize(
+        "subcommand, overrides",
+        [
+            ("roundtrip", ["ensemble=5"]),
+            ("sweep", ["ensemble=3", "lambdas=0,1", "shells=4", "directions=0"]),
+        ],
+    )
+    def test_files_equal_the_serial_run(
+        self, config_file, monkeypatch, workers, subcommand, overrides
+    ):
+        def run():
+            path = config_file()
+            argv = [subcommand, "--config", path]
+            for item in overrides:
+                argv += ["--set", item]
+            assert main(argv) == EXIT_OK
+            outdir = run_dir_of(path, overrides)
+            return {p.name: p.read_bytes() for p in outdir.iterdir()}
+
+        files = run()
+        monkeypatch.setattr(spectral, "_WORKERS", 1)
+        assert run() == files
+
+
 class TestRecipeBand:
     @pytest.mark.parametrize(
         "subcommand, overrides",
@@ -558,14 +584,16 @@ class TestNonFiniteParameters:
 
 
 class TestScanOverflow:
-    # the weighted derivatives overflow once the radius, or lambda times it,
-    # is too large, or T is (d_eta m = 1e320 at T = 1e300, eta = 1e-160); no
-    # scan output may be written before that is known
+    # the weighted derivatives overflow once 2 xi_j does (radius above
+    # 8.99e307, half the largest double), once lambda times the radius does,
+    # or where m itself does (at T = 1e300 and lambda = 1, D = |xi|^2 is
+    # 6.7e-321 where eta = xi_1 = 5.8e-161); no scan output may be written
+    # before that is known
     @pytest.mark.parametrize(
         "subcommand, overrides",
         [
-            ("marcinkiewicz", ["n=3", "radial_max=1e80"]),
-            ("sweep", ["ensemble=1", "radial_max=1e300"]),
+            ("marcinkiewicz", ["n=3", "radial_max=9e307"]),
+            ("sweep", ["ensemble=1", "radial_max=9e307"]),
             ("marcinkiewicz", ["lambda=1e300", "radial_max=1e10"]),
             ("sweep", ["ensemble=1", "lambdas=1e300", "radial_max=1e10"]),
             ("marcinkiewicz", ["T=1e300", "radial_min=1e-160"]),
@@ -592,7 +620,7 @@ class TestScanOverflow:
     # there m and w' vanish, and every derivative of m is exactly 0
     @pytest.mark.parametrize(
         "overrides",
-        [["n=3", "radial_max=1e76"], ["lambda=1e300"]]
+        [["n=3", "radial_max=8.9e307"], ["lambda=1e300"]]
         + [
             [f"n={n}", f"lambda={lam}", "radial_min=1e-300"]
             for n in (2, 3)
@@ -664,7 +692,7 @@ class TestSymbolOverflow:
     @pytest.mark.parametrize(
         "subcommand, overrides",
         [
-            ("marcinkiewicz", ["n=3", "radial_max=1e80"]),
+            ("marcinkiewicz", ["n=3", "radial_max=9e307"]),
             ("transference", ["N=8", "Nt=8", "lambda=1e300", "L=1e-10"]),
             ("solve", ["lambda=1e300", "L=1e-10"]),
             (

@@ -414,6 +414,22 @@ class TestThreadedPasses:
         assert np.array_equal(_irfft(coeff), expected)
         assert spectrum.tobytes() == before
 
+    @pytest.mark.parametrize(
+        "workers, shape",
+        [(1, (2, 16, 16, 9)), (2, (3, 64, 64, 33))],
+        ids=["contiguous", "threaded"],
+    )
+    def test_overwriting_inverse_equals_the_copying_one(
+        self, monkeypatch, workers, shape
+    ):
+        # the shapes of test_inverse_leaves_its_input_unchanged whose
+        # spectrum a caller owns
+        monkeypatch.setattr(spectral, "_WORKERS", workers)
+        rng = np.random.default_rng(27)
+        coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expected = _irfft(coeff).tobytes()
+        assert _irfft(coeff, overwrite_x=True).tobytes() == expected
+
     def test_small_arrays_run_one_call_per_pass(
         self, monkeypatch, record_transforms, transform_passes
     ):
@@ -550,6 +566,51 @@ class TestMap:
             threading.current_thread()
         ]
         assert spectral._map(lambda item: item, []) == []
+
+
+    def test_a_map_in_a_threaded_map_runs_in_its_caller(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_WORKERS", 3)
+        before = threading.active_count()
+
+        def inner(item):
+            return [threading.active_count(), threading.current_thread()]
+
+        def outer(item):
+            return threading.current_thread(), spectral._map(inner, range(5))
+
+        got = spectral._map(outer, range(6))
+        for thread, runs in got:
+            assert all(ran is thread for _, ran in runs)
+            assert all(count <= before + 2 for count, _ in runs)
+        assert len({thread for thread, _ in got}) == 3
+        # a map that runs no thread leaves its items' maps free to thread
+        inside = spectral._map(lambda item: spectral._map(inner, range(3)), [0])
+        assert len({ran for _, ran in inside[0]}) == 3
+
+    def test_the_lowest_failed_index_is_raised(self, monkeypatch):
+        # items 7 and 13 fail in thread 1, item 11 in thread 2, which
+        # fails first while item 7 sleeps: every item below 7 runs and
+        # item 7's error is raised
+        monkeypatch.setattr(spectral, "_WORKERS", 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                ran = set()
+
+                def run(item):
+                    ran.add(item)
+                    if item == 7:
+                        time.sleep(0.05)
+                    if item in (7, 11, 13):
+                        raise ArithmeticError(f"item {item}")
+                    return item
+
+                with pytest.raises(ArithmeticError, match="^item 7$"):
+                    spectral._map(run, range(30))
+                assert set(range(8)) <= ran
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestRefinedDerivatives:
