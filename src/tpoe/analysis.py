@@ -21,9 +21,8 @@ from .errors import DomainMismatch, EmptySweep, InvalidGrid, NonHermitian, Unkno
 from .norms import lq_norm, sobolev_norm_21q
 from .solver import (
     SolutionBundle,
-    _potential,
-    _project,
     _require_period,
+    _split,
     apply_operator,
     apply_operator_fd,
     solve_full,
@@ -124,7 +123,7 @@ def _band_field(
         # xi (xi . c)/|xi|^2 does not change when xi is scaled, so project on
         # the integer modes, whose |m|^2 cannot underflow at any L
         m = [domain._axis_view(modes, j) for j in range(n)]
-        _project(m, band, _potential(m, band))
+        _split(m, band)
     defect = np.max(np.abs(band - np.conj(np.flip(band, axis=band_axes))))
     if defect > _HERMITIAN_TOL * np.max(np.abs(band)):
         raise NonHermitian("band coefficients are not conjugate-symmetric")

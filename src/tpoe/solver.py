@@ -5,6 +5,10 @@ acting on solenoidal fields, together with a pressure gradient.  Everything
 is applied mode by mode in spectral space; fields are band-limited, so the
 applications are exact up to rounding.
 
+Every solve, the projection and pressure recovery rest on one Helmholtz
+split, ``_split``, which forms xi . c once; the pressure's coefficients are
+-i times the potential (xi . c)/|xi|^2 that it returns.
+
 Contract tolerances are relative to max norms and default to 1e-10, two
 orders above double-precision accumulation error at the grid sizes this
 package targets.
@@ -106,23 +110,38 @@ def fluctuation(f: SpaceTimeField) -> SpaceTimeField:
 
 
 def _xi_dot(xi, coefficients: np.ndarray) -> np.ndarray:
-    """The contraction xi . c over the component axis of ``coefficients``."""
-    return sum(x * c for x, c in zip(xi, coefficients))
+    """The contraction xi . c over the component axis of ``coefficients``:
+    the first product plus +0, as ``sum()`` starts, then the rest in place."""
+    total = xi[0] * coefficients[0] + 0.0
+    for x, c in zip(xi[1:], coefficients[1:]):
+        total += x * c
+    return total
 
 
-def _potential(xi, coefficients: np.ndarray) -> np.ndarray:
-    """(xi . c)/|xi|^2 mode-wise (0 at xi = 0) on any layout ``xi``
-    broadcasts against; the gradient part of c is xi times it."""
+def _split(xi, coefficients: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """The Helmholtz split of the spectrum c = ``coefficients`` on any layout
+    ``xi`` broadcasts against: remove the gradient part xi (xi . c)/|xi|^2
+    of c in place and return the potential (xi . c)/|xi|^2 (0 at xi = 0),
+    whose -i multiple is the pressure's coefficients.  With ``tol``, first
+    ``NonSolenoidal`` if max|xi . c| exceeds ``tol`` relative to
+    max|xi| max|c|."""
+    dot = _xi_dot(xi, coefficients)
+    if tol is not None:
+        # |xi . c| <= |xi| |c|: relative to max|xi| max|c|, the box size drops out
+        top = np.hypot.reduce([np.max(np.abs(x)) for x in xi])
+        scale = float(np.max(np.abs(coefficients)) * top)
+        defect = float(np.max(np.abs(dot)))
+        if scale > 0.0 and defect > tol * scale:
+            raise NonSolenoidal(
+                "input is not divergence-free within tolerance "
+                f"(defect {defect:.3e}, scale {scale:.3e})"
+            )
     xi_sq = sum(x * x for x in xi)
-    return _quotient(_xi_dot(xi, coefficients), xi_sq, xi_sq == 0.0)
-
-
-def _project(xi, coefficients: np.ndarray, potential: np.ndarray) -> np.ndarray:
-    """Remove the gradient part, xi times ``potential`` (the
-    :func:`_potential` of ``coefficients``), of ``coefficients``, in place."""
+    potential = _quotient(dot, xi_sq, xi_sq == 0.0)
+    del dot  # freed before the projection's temporaries
     for j, x in enumerate(xi):
         coefficients[j] -= x * potential
-    return coefficients
+    return potential
 
 
 def project_solenoidal(spec: SpectralField) -> SpectralField:
@@ -135,8 +154,9 @@ def project_solenoidal(spec: SpectralField) -> SpectralField:
     if spec.components != domain.n:
         raise DomainMismatch("Helmholtz projection acts on vector fields")
     _require_invertible(domain)
-    xi, coeff = domain.xi_grids(), spec.coefficients.copy()
-    return SpectralField(domain, _project(xi, coeff, _potential(xi, coeff)))
+    coeff = spec.coefficients.copy()
+    _split(domain.xi_grids(), coeff)
+    return SpectralField(domain, coeff)
 
 
 def apply_helmholtz(f: SpaceTimeField) -> SpaceTimeField:
@@ -146,26 +166,9 @@ def apply_helmholtz(f: SpaceTimeField) -> SpaceTimeField:
     return SpaceTimeField(f.domain, _irfft(coeff, overwrite_x=True))
 
 
-def _divergence(xi, coefficients: np.ndarray) -> float:
-    """:func:`divergence_defect` on any layout ``xi`` broadcasts against."""
-    return float(np.max(np.abs(_xi_dot(xi, coefficients))))
-
-
 def divergence_defect(spec: SpectralField) -> float:
     """max over modes of |xi . c(xi, k)|, the spectral divergence size."""
-    return _divergence(spec.domain.xi_grids(), spec.coefficients)
-
-
-def _check_solenoidal(xi, coefficients: np.ndarray, tol: float) -> None:
-    # |xi . c| <= |xi| |c|: relative to max|xi| max|c|, the box size drops out
-    top = np.hypot.reduce([np.max(np.abs(x)) for x in xi])
-    scale = float(np.max(np.abs(coefficients)) * top)
-    defect = _divergence(xi, coefficients)
-    if scale > 0.0 and defect > tol * scale:
-        raise NonSolenoidal(
-            "input is not divergence-free within tolerance "
-            f"(defect {defect:.3e}, scale {scale:.3e})"
-        )
+    return float(np.max(np.abs(_xi_dot(spec.domain.xi_grids(), spec.coefficients))))
 
 
 def _symbol(domain: TorusDomain, lam: float) -> np.ndarray:
@@ -248,9 +251,9 @@ def solve_time_periodic(
     domain, xi = f.domain, f.domain.xi_grids()
     gh = _rfft(f.samples)
     del f  # not read again, so data passed as a temporary is freed here
-    _check_solenoidal(xi, gh, tol)
+    _split(xi, gh, tol)  # mode by mode, so it commutes with the next line
     gh[..., 0] = 0.0  # the multiplier vanishes on the steady stratum
-    uh = _invert(_project(xi, gh, _potential(xi, gh)), domain, params.lam)
+    uh = _invert(gh, domain, params.lam)
     return SpaceTimeField(domain, _irfft(uh, overwrite_x=True))
 
 
@@ -280,14 +283,8 @@ def solve_steady(
     norms._time_mean(f, tol)
     _require_compatible_mean(f, tol, f.max_abs())
     gh = _rfft(f.samples)
-    _check_solenoidal(f.domain.xi_grids(), gh, tol)
+    _split(f.domain.xi_grids(), gh, tol)
     return _steady_slice(_invert(gh, f.domain, lam), f.domain)
-
-
-def _pressure_coefficients(potential: np.ndarray) -> np.ndarray:
-    """-i (xi . f^)/|xi|^2, given the :func:`_potential` of f^; the zero
-    covector at xi = 0."""
-    return -1j * potential[np.newaxis]
 
 
 def recover_pressure(f: SpaceTimeField) -> SpaceTimeField:
@@ -298,7 +295,7 @@ def recover_pressure(f: SpaceTimeField) -> SpaceTimeField:
     """
     _require_vector(f)
     _require_invertible(f.domain)
-    ph = _pressure_coefficients(_potential(f.domain.xi_grids(), _rfft(f.samples)))
+    ph = -1j * _split(f.domain.xi_grids(), _rfft(f.samples))[np.newaxis]
     return SpaceTimeField(f.domain, _irfft(ph, overwrite_x=True))
 
 
@@ -391,19 +388,19 @@ def solve_full(
 ) -> SolutionBundle:
     """Full solve of the momentum system for arbitrary vector data.
 
-    Pipeline, on the half spectrum of ``f``: the gradient part determines
-    the pressure, and one quotient by the operator's symbol inverts the
-    Helmholtz projection (the steady symbol on k == 0, the time-periodic
-    multiplier elsewhere); v is the k == 0 slice of u, held as a read-only
-    view of one spatial slice, and w = u - v.  The relative residual
-    max|A(u, p) - f| / max|f| is taken one velocity component at a time, so
-    no full-size A(u, p) is formed.  The report contains ``lq_data`` (the
-    Lq norm of ``f``) and every norm applicable to ``(n, lam, q)``:
-    ``lq_velocity`` of u, ``sobolev_21q_periodic`` of w, the steady
-    family's tag (for example ``steady_stokes``) of v and ``pressure_xp``
-    of p.  Pass ``norm_kinds`` to request specific ones instead; they are
-    reported under the same names, without ``lq_data`` (invalid requests
-    raise ``InvalidExponent``).
+    Pipeline, on the half spectrum of ``f``: one Helmholtz split removes the
+    gradient part, whose potential gives the pressure, and one quotient by
+    the operator's symbol inverts the projected part (the steady symbol on
+    k == 0, the time-periodic multiplier elsewhere); v is the k == 0 slice
+    of u, held as a read-only view of one spatial slice, and w = u - v.  The
+    relative residual max|A(u, p) - f| / max|f| is taken one velocity
+    component at a time, so no full-size A(u, p) is formed.  The report
+    contains ``lq_data`` (the Lq norm of ``f``) and every norm applicable to
+    ``(n, lam, q)``: ``lq_velocity`` of u, ``sobolev_21q_periodic`` of w,
+    the steady family's tag (for example ``steady_stokes``) of v and
+    ``pressure_xp`` of p.  Pass ``norm_kinds`` to request specific ones
+    instead; they are reported under the same names, without ``lq_data``
+    (invalid requests raise ``InvalidExponent``).
 
     Raises
     ------
@@ -425,15 +422,8 @@ def solve_full(
     scale = f.max_abs()
     _require_compatible_mean(f, tol, scale)
     domain = f.domain
-    xi = domain.xi_grids()
     fh = _rfft(f.samples)
-    # one potential serves the pressure and the projection; it and the
-    # pressure's coefficients are freed before the next allocation of a
-    # full grid, which would otherwise sit above them in the heap
-    potential = _potential(xi, fh)
-    ph = _pressure_coefficients(potential)
-    _project(xi, fh, potential)
-    del potential
+    ph = -1j * _split(domain.xi_grids(), fh)[np.newaxis]
     p = SpaceTimeField(domain, _irfft(ph, overwrite_x=True))
     del ph
     uh = _invert(fh, domain, params.lam)  # in place on fh

@@ -51,24 +51,18 @@ def _bump_seed(t: np.ndarray) -> np.ndarray:
     return np.where(t > 0.0, np.exp(-1.0 / safe), 0.0)
 
 
-def _smoothstep(t: np.ndarray) -> np.ndarray:
-    """C-infinity monotone ramp: 0 for t <= 0, 1 for t >= 1."""
-    g = _bump_seed(t)
-    return g / (g + _bump_seed(1.0 - t))
-
-
 def cutoff_chi(eta):
     """Smooth even bump in the temporal frequency; values in [0, 1].
 
     Plateau value 1 on ``|eta| <= inner``, 0 on ``|eta| >= outer`` for the
-    fixed radii ``(inner, outer) = (1/2, 1)``, and the smoothstep ramp
-    ``s((outer - |eta|)/(outer - inner))`` in between with
-    ``s(t) = g(t)/(g(t) + g(1-t))``, ``g(t) = exp(-1/t)``.
+    fixed radii ``(inner, outer) = (1/2, 1)``: ``g(t)/(g(t) + g(1-t))`` with
+    ``g(t) = exp(-1/t)`` and ``t = (outer - |eta|)/(outer - inner)``, which
+    off the ramp is exactly 1 or 0, as g(1-t) or g(t) is 0 there.
     """
     inner, outer = _CUTOFF_RADII
-    a = np.abs(np.asarray(eta, dtype=float))
-    ramp = _smoothstep((outer - a) / (outer - inner))
-    out = np.where(a <= inner, 1.0, np.where(a >= outer, 0.0, ramp))
+    t = (outer - np.abs(np.asarray(eta, dtype=float))) / (outer - inner)
+    g = _bump_seed(t)
+    out = g / (g + _bump_seed(1.0 - t))
     if out.ndim == 0:
         return float(out)
     return out
@@ -107,9 +101,10 @@ def _denominator(xi, eta, lam: float):
 
 
 def _quotient(numerator, denom, annihilated):
-    """numerator / denom, and exactly 0 wherever ``annihilated`` holds."""
-    safe = np.where(annihilated, 1.0, denom)
-    return np.where(annihilated, 0.0 + 0.0j, numerator / safe)
+    """numerator / denom, zeroed in place wherever ``annihilated`` holds."""
+    out = np.asarray(numerator / np.where(annihilated, 1.0, denom))
+    np.copyto(out, 0.0, where=annihilated)
+    return out
 
 
 def evaluate_m(xi, eta, params: OseenParams):

@@ -416,11 +416,10 @@ class TestManufactured:
     def test_band_symmetry_is_checked(self, monkeypatch):
         import tpoe.analysis as analysis_module
 
-        def lopsided(xi, band, potential):
+        def lopsided(xi, band):
             band[(0,) * band.ndim] += 1.0j  # one corner mode, not its mirror
-            return band
 
-        monkeypatch.setattr(analysis_module, "_project", lopsided)
+        monkeypatch.setattr(analysis_module, "_split", lopsided)
         with pytest.raises(NonHermitian):
             random_band_limited_field(
                 dom2(16, 16), 2, np.random.default_rng(0), solenoidal=True

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import tpoe
@@ -41,6 +42,53 @@ def test_no_module_imports_an_unused_name():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_definitions(tree):
+    """(name, node) for each private module-level function, class and
+    constant, and each private method of a module-level class."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            found += [(m.name, m) for m in node.body if isinstance(m, ast.FunctionDef)]
+        if isinstance(node, ast.Assign):
+            found += [(t.id, node) for t in node.targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            found.append((node.target.id, node))
+    return [(name, node) for name, node in found if _private(name)]
+
+
+def _reads(node):
+    """Each name and attribute name in the subtree of ``node``, with
+    repeats; a mention in a string or docstring is not one."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_private_name_is_used():
+    # a helper that only its own definition reads is dead code
+    trees = [
+        ast.parse(path.read_text())
+        for path in sorted(Path(tpoe.__file__).parent.glob("*.py"))
+    ]
+    reads = Counter(name for tree in trees for name in _reads(tree))
+    definitions = [d for tree in trees for d in _private_definitions(tree)]
+    assert len(definitions) > 50  # the walk finds them
+    dead = [
+        name
+        for name, node in definitions
+        if reads[name] == Counter(_reads(node))[name]
+    ]
+    assert dead == []
 
 
 def test_import_loads_no_scipy_and_starts_no_thread():

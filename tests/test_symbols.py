@@ -19,12 +19,7 @@ from tpoe import (
     cutoff_chi,
     evaluate_m,
 )
-from tpoe.solver import (
-    _invert,
-    _potential,
-    _pressure_coefficients,
-    project_solenoidal,
-)
+from tpoe.solver import _invert, _split, project_solenoidal
 from tpoe.symbols import _weight, time_periodic_multiplier_grid
 
 TWO_PI = 2.0 * np.pi
@@ -82,9 +77,9 @@ def projector_at(d, m):
 def pressure_covector_at(d, m):
     """Pressure coefficient of each unit forcing e_j at spatial mode m."""
     return np.array([
-        _pressure_coefficients(
-            _potential(d.xi_grids(), single_mode(d, m, j).coefficients)
-        )[(0,) + position(d, m, 1)]
+        -1j * _split(d.xi_grids(), single_mode(d, m, j).coefficients.copy())[
+            position(d, m, 1)
+        ]
         for j in range(d.n)
     ])
 
