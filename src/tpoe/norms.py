@@ -10,22 +10,20 @@ removing it.  The exponents alone decide the factor (:func:`_auto_refine`).
 
 Every norm is a list of derivative blocks plus their combination, and
 :func:`_block_norms` is the one quadrature: it returns one Lq value per
-block.  It makes one real forward transform and takes each block's
-derivatives and oversampled samples from the spectral module's streamed
-inverse (``_refined_derivatives``): a pruned inverse of the zero-padded half
-spectrum, one generator per slab of refined rows.  The blocks share the
-inverse's first-axis transforms, so each is built once per forward
-transform.  The slabs are summed in parallel, up to one thread per CPU
+block.  It makes one real forward transform and one call of the spectral
+module's streamed inverse (``_refined_derivatives``) for all its blocks: a
+pruned inverse of the zero-padded half spectrum, one generator per slab of
+refined rows, which builds each of its first-axis transforms once per call.
+The slabs are summed in parallel, up to one thread per CPU
 (``spectral._map``), and combined in slab order, so every value is bitwise
-equal for any thread count.  Memory
-therefore scales with the half spectrum and one slab per thread, not with
-the refined grid.  A steady norm acts on a time-constant field, so it is
-integrated over the time-mean spatial slice alone.  Every square and q-th
-power is taken of values at most 1: divided by their largest magnitude, a
-running maximum over the slabs, which is multiplied back after the root.
-So no norm overflows or underflows in the double range (``TestNoOverflow``,
-q up to 1e4, and ``TestReportValues``, scales 1e+-300, in
-``tests/test_norms.py``).
+equal for any thread count.  Memory therefore scales with the half spectrum
+and one slab per thread, not with the refined grid.  A steady norm acts on
+a time-constant field, so it is integrated over the time-mean spatial slice
+alone.  Every square and q-th power is taken of values at most 1: divided
+by their largest magnitude, a running maximum over the slabs, which is
+multiplied back after the root.  So no norm overflows or underflows in the
+double range (``TestNoOverflow``, q up to 1e4, and ``TestReportValues``,
+scales 1e+-300, in ``tests/test_norms.py``).
 
 Spatial Lebesgue norms are taken verbatim over the periodic box.  On the
 whole space these exponents encode decay at infinity; a periodic box has no
@@ -189,13 +187,10 @@ def _block_norms(
 
     This is the one quadrature of the module: exact at exponent 2 (r=1) and
     4 (r=2); aliasing bounded elsewhere.  All blocks share one forward
-    transform, and each block's grid is refined by ``_auto_refine`` of its
-    own exponent.  They also share its heads, the streamed inverse's
-    first-axis transforms, one per (r, alpha[0]): the blocks are visited in
-    the order of their r and then of their set of alpha[0], so each head is
-    built once, and a head is dropped before the first block that builds
-    one and does not read it (see ``_refined_derivatives``).  The values
-    are returned in the order of ``blocks``.  Threads of the call
+    transform and one call of the streamed inverse (``_refined_derivatives``),
+    which builds each of its first-axis transforms once for all of them; each
+    block's grid is refined by ``_auto_refine`` of its own exponent.  The
+    values are returned in the order of ``blocks``.  Threads of the call
     (``spectral._map``) take the slabs of a block as the pruned inverse
     streams them, and each returns a slab's sum of ``(|f| / top)^q`` with
     its ``top``.  The caller combines them in slab order with the running
@@ -211,13 +206,10 @@ def _block_norms(
     shared = _auto_refine(*(q for _, q in blocks))
     refinements = [shared if per_slice else _auto_refine(q) for _, q in blocks]
     axes = tuple(range(domain.n)) if per_slice else None
-    heads = {}  # the first-axis transforms of coeff, kept across blocks
     values = [0.0] * len(blocks)
-    for i in sorted(
-        range(len(blocks)),
-        key=lambda i: (refinements[i], sorted({a[0] for a, _ in blocks[i][0]})),
-    ):
-        (orders, q), r = blocks[i], refinements[i]
+    streamed = [(orders, r) for (orders, _), r in zip(blocks, refinements)]
+    for i, slabs in _refined_derivatives(coeff, domain, streamed):
+        q, r = blocks[i][1], refinements[i]
         cell = (domain.dx / r) ** domain.n
         if samples.ndim == domain.n + 2 and not per_slice:
             cell /= domain.Nt * r
@@ -229,7 +221,6 @@ def _block_norms(
             return np.sum(squares, axis=axes), top
 
         total, scale = 0.0, 0.0
-        slabs = _refined_derivatives(coeff, domain, orders, r, heads)
         for part, top in _map(partial, slabs):
             if top > scale:
                 total = total * (scale / top) ** q

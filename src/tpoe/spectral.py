@@ -22,18 +22,19 @@ Parseval's identity reads::
     ||f||_2^2 = L^n * (sum_(k = 0) |F|^2 + 2 * sum_(k > 0) |F|^2)
 
 ``_rfft``/``_irfft`` are the one full-grid transform pair; :func:`forward`
-and :func:`inverse` validate around them.  They make numpy's
-one-dimensional passes of ``rfftn``/``irfftn``, so their results equal
-those bitwise.  Every pass over a whole array is one :func:`_pass`, which
-splits an array of ``_THREAD_BYTES`` or more across the CPUs.  The norm
-quadrature's oversampled inverse, ``_refined_derivatives``, shares
-``_rfft``, makes its first-axis passes with :func:`_pass` as well, and
-returns one independent generator per slab, each running numpy's
-one-dimensional passes over its slab, instead of a full-grid ``_irfft``;
-the quadrature sums the slabs in parallel and combines them in slab order,
-so its values are bitwise equal for any thread count.  Both run their
-threads through :func:`_map`, which starts up to one thread per CPU and
-joins them before it returns, so no thread outlives the call; so do the
+and :func:`inverse` validate around them.  They make numpy's one-dimensional
+passes of ``rfftn``/``irfftn``, so their results equal those bitwise.  Every
+pass over a whole array is one :func:`_pass`, which splits an array of
+``_THREAD_BYTES`` or more across the CPUs.  The norm quadrature's
+oversampled inverse, ``_refined_derivatives``, shares ``_rfft``; one call
+takes every derivative block of one forward transform, makes each of its
+first-axis transforms once for all of them, with :func:`_pass` as well, and
+yields for each block one independent generator per slab, each running
+numpy's one-dimensional passes over its slab, instead of a full-grid
+``_irfft``; the quadrature sums the slabs in parallel and combines them in
+slab order, so its values are bitwise equal for any thread count.  Both run
+their threads through :func:`_map`, which starts up to one thread per CPU
+and joins them before it returns, so no thread outlives the call; so do the
 ensembles of ``analysis``, whose members run on threads of the call when
 their field is below ``_THREAD_BYTES``.  A map called inside a threaded map
 runs in its caller alone, so no more threads run at once than there are
@@ -565,46 +566,40 @@ def _pad(band: np.ndarray, axis: int, size: int) -> np.ndarray:
 def _refined_derivatives(
     coeff: np.ndarray,
     domain: TorusDomain,
-    orders: Sequence[tuple[tuple[int, ...], int]],
-    refinement: int,
-    heads: dict | None = None,
-) -> list[Iterator[np.ndarray]]:
-    """Real samples of (i*xi)^alpha (i*eta)^beta f on the r-refined grid,
-    streamed in slabs of refined rows along the first spatial axis.
+    blocks: Sequence[tuple[Sequence[tuple[tuple[int, ...], int]], int]],
+) -> Iterator[tuple[int, list[Iterator[np.ndarray]]]]:
+    """Real samples of (i*xi)^alpha (i*eta)^beta f on refined grids, streamed
+    in slabs of refined rows along the first spatial axis.
 
     ``coeff`` is the half spectrum of f as :func:`_rfft` returns it: the
     component axis first, followed either by ``domain.spectral_shape`` or,
     for a field with no time axis, by the half spectrum of the spatial grid
-    ``(N,) * n`` alone (then every beta must be 0).  The list holds one
-    generator per slab, over the ``orders`` ``(alpha, beta)`` and, within an
-    order, the components, each an array of shape ``(1, rows)`` plus the
-    refined grid after the first axis.  Joined along axis 1, the slabs of
-    one order and component make its samples on the grid with
-    ``refinement`` times as many points per axis.  The first-axis transforms
-    are made in the call and the generators only read them, so each slab
-    can be consumed on its own, in any order or thread.
+    ``(N,) * n`` alone (then every beta must be 0).  For the ``i``-th block
+    ``(orders, refinement)`` of ``blocks`` the call yields ``(i, slabs)``,
+    one generator per slab, over the ``orders`` ``(alpha, beta)`` and,
+    within an order, the components, each an array of shape ``(1, rows)``
+    plus the refined grid after the first axis.  Joined along axis 1, the
+    slabs of one order and component make its samples on the grid with
+    ``refinement`` times as many points per axis.
 
-    The inverse is pruned: for each distinct ``alpha[0]``, the nonzero band
+    The inverse is pruned: for each ``(refinement, alpha[0])`` the nonzero band
     is padded along the first spatial axis into one new array (``refinement``
     times ``coeff``), multiplied there by its factor and transformed in place
-    by one :func:`_pass`, threaded like any other.  That array, the head,
-    depends only on ``coeff``, ``refinement`` and ``alpha[0]``, so a caller
-    that streams several sets of orders from one ``coeff`` passes the same
-    dict ``heads`` to each call, keyed by ``(refinement, alpha[0])``: a call
-    reuses the heads it finds there and adds the ones it builds.  Before it
-    builds one, it drops every head it will not read, so no more heads are
-    alive at once than this call's distinct ``alpha[0]``; the caller must
-    have consumed the slabs of an earlier call before the next call.  With
-    no ``heads`` the call keeps its own.  Then each slab is padded
-    and transformed along each further axis in turn, the half axis last.
-    The padding is that of :func:`embed_spectrum`, so every order's samples
-    equal ``inverse(embed_spectrum(spectral_derivative(forward(f), alpha,
-    beta), fine))`` up to rounding.
-    Memory therefore scales with the half spectrum, the heads and each slab
-    in flight (``_SLAB_BYTES``, or one refined row of one component if that
-    is larger), not with the refined grid.  Each
-    one-dimensional pass scales by its length, so no intermediate exceeds
-    the samples by more than the longest axis.
+    by one :func:`_pass`, threaded like any other.  The blocks are yielded by
+    refinement and then by their set of ``alpha[0]``, so each such array, the
+    head, is built once, and before a block builds one, every head it does not
+    read is dropped.  A block's generators hold the heads they read and only
+    read them, so each slab can be consumed on its own, in any order or thread,
+    also after the call has moved on.  Each slab is then padded and transformed
+    along each further axis in turn, the half axis last.  The padding is that
+    of :func:`embed_spectrum`, so every order's samples equal
+    ``inverse(embed_spectrum(spectral_derivative(forward(f), alpha, beta),
+    fine))`` up to rounding.  Memory therefore scales with the half spectrum,
+    the heads (while each block's slabs are consumed before the next, no more
+    than its distinct ``alpha[0]``) and each slab in flight (``_SLAB_BYTES``,
+    or one refined row of one component if that is larger), not with the
+    refined grid.  Each one-dimensional pass scales by its length, so no
+    intermediate exceeds the samples by more than the longest axis.
     """
     # every grid size is even, as in ``_irfft``
     sizes = coeff.shape[1:-1] + (2 * (coeff.shape[-1] - 1),)
@@ -612,39 +607,49 @@ def _refined_derivatives(
     # integer modes of the coarse half spectrum (its Nyquist modes are zero)
     modes = [np.fft.fftfreq(size, d=1.0 / size).astype(int) for size in sizes[:-1]]
     modes.append(np.arange(sizes[-1] // 2 + 1))
-    fine = [refinement * size for size in sizes]
     freqs = np.ix_(*(1j * step * m for step, m in zip(steps, modes)))
     components = coeff.shape[0]
-    rows = max(1, _SLAB_BYTES // (8 * int(np.prod(fine[1:]))))
 
-    def head(order: int) -> np.ndarray:
+    def head(refinement: int, order: int) -> np.ndarray:
         # the band padded along the first axis, times its factor padded alike
-        out = _pad(coeff, 1, fine[0])
+        out = _pad(coeff, 1, refinement * sizes[0])
         if order:
-            out *= _pad(freqs[0] ** order, 0, fine[0])
+            out *= _pad(freqs[0] ** order, 0, refinement * sizes[0])
         _pass(np.fft.ifft, out, out, 1)
         return out
 
-    def tail(band: np.ndarray, alpha: tuple[int, ...], beta: int) -> np.ndarray:
-        # the remaining factors, then every further axis of one slab
-        for freq, order in zip(freqs[1:], (*alpha[1:], beta)):
-            if order:
-                band = band * freq**order
-        for axis, size in enumerate(fine[1:-1], start=2):
-            band = np.fft.ifft(_pad(band, axis, size), axis=axis, norm="forward")
-        return np.fft.irfft(band, n=fine[-1], axis=-1, norm="forward")
+    def stream(orders, refinement: int, heads: dict) -> list[Iterator[np.ndarray]]:
+        # the block's slabs, which hold the heads they read
+        fine = [refinement * size for size in sizes]
+        rows = max(1, _SLAB_BYTES // (8 * int(np.prod(fine[1:]))))
+        bands = [heads[refinement, alpha[0]] for alpha, _ in orders]
 
-    def at(start: int) -> Iterator[np.ndarray]:
-        for alpha, beta in orders:
-            for c in range(components):
-                band = heads[refinement, alpha[0]][c:c + 1, start:start + rows]
-                yield tail(band, alpha, beta)
+        def tail(band: np.ndarray, alpha: tuple[int, ...], beta: int) -> np.ndarray:
+            # the remaining factors, then every further axis of one slab
+            for freq, order in zip(freqs[1:], (*alpha[1:], beta)):
+                if order:
+                    band = band * freq**order
+            for axis, size in enumerate(fine[1:-1], start=2):
+                band = np.fft.ifft(_pad(band, axis, size), axis=axis, norm="forward")
+            return np.fft.irfft(band, n=fine[-1], axis=-1, norm="forward")
 
-    heads = {} if heads is None else heads
-    keys = {(refinement, alpha[0]) for alpha, _ in orders}
-    if not keys <= heads.keys():
-        for key in heads.keys() - keys:
-            del heads[key]  # so no head this call does not read outlives a build
-        for key in keys - heads.keys():
-            heads[key] = head(key[1])
-    return [at(start) for start in range(0, fine[0], rows)]
+        def at(start: int) -> Iterator[np.ndarray]:
+            for (alpha, beta), band in zip(orders, bands):
+                for c in range(components):
+                    yield tail(band[c:c + 1, start:start + rows], alpha, beta)
+
+        return [at(start) for start in range(0, fine[0], rows)]
+
+    heads = {}  # (refinement, alpha[0]) -> head
+    for i in sorted(
+        range(len(blocks)),
+        key=lambda i: (blocks[i][1], sorted({a[0] for a, _ in blocks[i][0]})),
+    ):
+        orders, refinement = blocks[i]
+        keys = {(refinement, alpha[0]) for alpha, _ in orders}
+        if not keys <= heads.keys():
+            for key in heads.keys() - keys:
+                del heads[key]  # so it does not outlive the build
+            for key in keys - heads.keys():
+                heads[key] = head(*key)
+        yield i, stream(orders, refinement, heads)

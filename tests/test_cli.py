@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tpoe import SpaceTimeField, TorusDomain, analysis, lq_norm, save_field, spectral
+from tpoe import (
+    OseenParams, SpaceTimeField, TorusDomain, analysis, lq_norm, save_field, spectral,
+)
 from tpoe.cli import (
     EXIT_CONFIG,
     EXIT_INTERNAL,
@@ -668,6 +670,33 @@ class TestSymbolOverflow:
         (line,) = capsys.readouterr().err.strip().splitlines()
         record = json.loads(line)
         assert record["error"] == "DomainMismatch"
+        outdir = run_dir_of(path, overrides)
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "config.resolved.txt", "error.json"
+        ]
+
+    def test_non_finite_norms_are_config_error(self, config_file, capsys, tmp_path):
+        # finite data whose solve succeeds but whose norms pass the double
+        # range (every norm is finite at max|f| = 1e305): the record names
+        # them, and no snapshot or summary is written
+        d = TorusDomain(n=2, L=100.0, N=16, T=2 * np.pi, Nt=16)
+        pr = OseenParams(lam=1.0, T=d.T, q=1.2)
+        _, _, f = analysis.manufactured_case("mixed", d, pr, seed=0)
+        field_path = tmp_path / "forcing.tpf"
+        save_field(f * (1e306 / f.max_abs()), field_path)
+        path = config_file()
+        overrides = ["L=100", "q=1.2", f"input={field_path}"]
+        argv = ["solve", "--config", path]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        record = json.loads(line)
+        assert record["error"] == "DomainMismatch"
+        names = ["lq_data", "lq_velocity", "sobolev_21q_periodic"]
+        assert record["message"] == (
+            f"norms {names} are not finite: beyond the double range"
+        )
         outdir = run_dir_of(path, overrides)
         assert sorted(p.name for p in outdir.iterdir()) == [
             "config.resolved.txt", "error.json"

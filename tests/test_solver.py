@@ -154,6 +154,11 @@ class TestHelmholtz:
         with pytest.raises(DomainMismatch):
             apply_helmholtz(SpaceTimeField.zeros(d, 1))
 
+    def test_scalar_spectrum_rejected(self):
+        d = dom2(16, 16)
+        with pytest.raises(DomainMismatch, match="acts on vector fields"):
+            project_solenoidal(forward(SpaceTimeField.zeros(d, 1)))
+
 
 class TestSolveTimePeriodic:
     def test_single_mode_closed_form(self):
@@ -210,10 +215,12 @@ class TestSolveTimePeriodic:
         d = TorusDomain(n=3, L=3.0, N=16, T=5.0, Nt=16)
         pr = OseenParams(lam=-2.5, T=5.0, q=2.0)
         g = rand_field(d, solenoidal=True, purely_periodic=True)
-        # 2.36x measured, set by the potential's xi . c; the inverse reaches
-        # 2.19x in the spectrum it consumes, and reached 3.32x, one half
-        # spectrum (1.125x) more, with a work array of its own; 3.38x when
-        # the time mean was broadcast over the grid before its max|.|
+        # 2.19x measured, set by the inverse transform in the spectrum it
+        # consumes (TestHelmholtzSplit::test_time_periodic_peak); 2.36x when
+        # the potential formed xi . c again, 3.32x, one half spectrum
+        # (1.125x) more, when the inverse had a work array of its own, and
+        # 3.38x when the time mean was broadcast over the grid before its
+        # max|.|
         peak, _ = traced_peak(lambda: solve_time_periodic(g, pr))
         assert peak <= 2.40 * g.samples.nbytes
 

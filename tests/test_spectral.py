@@ -613,6 +613,12 @@ class TestMap:
             sys.setswitchinterval(interval)
 
 
+def streamed(coeff, domain, orders, refinement):
+    """The slabs of the streamed inverse of one block (orders, refinement)."""
+    ((_, slabs),) = _refined_derivatives(coeff, domain, [(orders, refinement)])
+    return slabs
+
+
 class TestRefinedDerivatives:
     # the streamed inverse of the norm quadrature against the public
     # calculus: forward, spectral_derivative, embed_spectrum, inverse
@@ -634,7 +640,7 @@ class TestRefinedDerivatives:
         """Each order's slabs, one array per order and component, joined
         along the first spatial axis; and the row count of every slab."""
         components = samples.shape[0]
-        stream = _refined_derivatives(_rfft(samples), domain, orders, refinement)
+        stream = streamed(_rfft(samples), domain, orders, refinement)
         slabs = [list(slab) for slab in stream]
         assert all(len(slab) == len(orders) * components for slab in slabs)
         rows = [slab[0].shape[1] for slab in slabs]
@@ -684,15 +690,33 @@ class TestRefinedDerivatives:
         d = dom2(N=12, Nt=8, L=3.0, T=5.0)
         coeff = _rfft(np.random.default_rng(15).standard_normal((2,) + d.grid_shape))
         monkeypatch.setattr(spectral, "_WORKERS", 1)
-        serial = [list(s) for s in _refined_derivatives(coeff, d, self.ORDERS, 2)]
+        serial = [list(s) for s in streamed(coeff, d, self.ORDERS, 2)]
         monkeypatch.setattr(spectral, "_WORKERS", 2)
         monkeypatch.setattr(spectral, "_THREAD_BYTES", 0)
         calls = record_transforms()
-        threaded = [list(s) for s in _refined_derivatives(coeff, d, self.ORDERS, 2)]
+        threaded = [list(s) for s in streamed(coeff, d, self.ORDERS, 2)]
         heads = [shape for name, shape in calls if name == "ifft" and shape[0] == 2]
         assert heads == [(2, 24, 6, 5)] * 4  # two per distinct alpha[0]
         for mine, want in zip(threaded, serial, strict=True):
             assert [a.tobytes() for a in mine] == [b.tobytes() for b in want]
+
+    def test_slabs_outlive_the_call_moving_on(self, record_transforms):
+        # blocks come by their set of alpha[0], so block 1 ({0}) before block
+        # 0 ({1}), whose head build drops block 1's head from the call; block
+        # 1's slabs, consumed only after that, still give their samples
+        d = dom2(N=12, Nt=8, L=3.0, T=5.0)
+        coeff = _rfft(np.random.default_rng(17).standard_normal((2,) + d.grid_shape))
+        late, early = self.ORDERS[1:2], self.ORDERS[:1]
+        want = [list(s) for s in streamed(coeff, d, early, 2)]
+        calls = record_transforms()
+        stream = _refined_derivatives(coeff, d, [(late, 2), (early, 2)])
+        (i, slabs), (j, _) = next(stream), next(stream)
+        assert (i, j) == (1, 0)
+        heads = [shape for name, shape in calls if name == "ifft" and shape[0] == 2]
+        assert heads == [(2, 24, 12, 5)] * 2 and len(calls) == 2
+        got = [list(s) for s in slabs]
+        for mine, theirs in zip(got, want, strict=True):
+            assert [a.tobytes() for a in mine] == [b.tobytes() for b in theirs]
 
     @pytest.mark.parametrize("n, N", [(3, 16), (2, 32)])
     @pytest.mark.parametrize("a1", [0, 1])
@@ -703,7 +727,7 @@ class TestRefinedDerivatives:
         d = TorusDomain(n=n, L=TWO_PI, N=N, T=TWO_PI, Nt=N)
         coeff = _rfft(np.random.default_rng(16).standard_normal((n,) + d.grid_shape))
         alpha = (a1,) + (0,) * (n - 1)
-        peak, _ = traced_peak(lambda: _refined_derivatives(coeff, d, [(alpha, 0)], 2))
+        peak, _ = traced_peak(lambda: streamed(coeff, d, [(alpha, 0)], 2))
         assert peak <= 2.3 * coeff.nbytes
 
     @pytest.mark.parametrize("threads", [2, 3])
@@ -714,8 +738,8 @@ class TestRefinedDerivatives:
         monkeypatch.setattr(spectral, "_SLAB_BYTES", 7 * 8 * 24 * 16)
         samples = np.random.default_rng(14).standard_normal((2,) + d.grid_shape)
         coeff = _rfft(samples)
-        serial = [list(s) for s in _refined_derivatives(coeff, d, self.ORDERS, 2)]
-        slabs = _refined_derivatives(coeff, d, self.ORDERS, 2)
+        serial = [list(s) for s in streamed(coeff, d, self.ORDERS, 2)]
+        slabs = streamed(coeff, d, self.ORDERS, 2)
         assert len(slabs) == 4
         got = [None] * len(slabs)
         start = threading.Barrier(threads, timeout=60)

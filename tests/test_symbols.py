@@ -109,6 +109,15 @@ class TestCutoff:
         for x in np.linspace(-3, 3, 301):
             assert 0.0 <= cutoff_chi(x) <= 1.0
 
+    def test_array_equals_scalar_calls(self):
+        # an array argument gives an array, entry by entry the scalar value
+        edges = [0.5, 0.75, 1.0, np.inf]
+        eta = np.concatenate([np.linspace(-3.0, 3.0, 2001), edges, np.negative(edges)])
+        values = cutoff_chi(eta)
+        assert isinstance(values, np.ndarray) and values.shape == eta.shape
+        expected = np.array([cutoff_chi(float(x)) for x in eta])
+        assert values.tobytes() == expected.tobytes()
+
     def test_widened_spec(self, monkeypatch):
         import tpoe.symbols as symbols_module
 
