@@ -131,7 +131,7 @@ def _band_field(
     coeff = np.zeros((components,) + domain.spectral_shape, dtype=complex)
     index = [np.arange(components)] + [modes % domain.N] * n
     coeff[np.ix_(*index, np.arange(k_max + 1))] = band[..., k_max:]
-    field = SpaceTimeField(domain, _irfft(coeff, overwrite_x=True))
+    field = SpaceTimeField(domain, _irfft(coeff))
     # every accepted flag combination keeps band modes with m != 0 (and a
     # divergence-free direction of each), so the draw vanishes with
     # probability zero

@@ -163,7 +163,7 @@ def apply_helmholtz(f: SpaceTimeField) -> SpaceTimeField:
     """Helmholtz projection of a sampled vector field onto solenoidal fields."""
     _require_vector(f)
     coeff = project_solenoidal(forward(f)).coefficients
-    return SpaceTimeField(f.domain, _irfft(coeff, overwrite_x=True))
+    return SpaceTimeField(f.domain, _irfft(coeff))
 
 
 def divergence_defect(spec: SpectralField) -> float:
@@ -213,9 +213,10 @@ def _steady_slice(uh: np.ndarray, domain: TorusDomain) -> SpaceTimeField:
     """The time-constant field of the k == 0 slice of the half spectrum ``uh``.
 
     Its samples are a read-only view that repeats the one spatial slice
-    along the time axis, so the field holds ``1/Nt`` of a full field.
+    along the time axis, so the field holds ``1/Nt`` of a full field.  The
+    inverse consumes a copy of the slice, so ``uh`` is left unchanged.
     """
-    spatial = _irfft(uh[..., : domain.N // 2 + 1, 0])[..., np.newaxis]
+    spatial = _irfft(uh[..., : domain.N // 2 + 1, 0].copy())[..., np.newaxis]
     shape = spatial.shape[:-1] + (domain.Nt,)
     return SpaceTimeField(domain, np.broadcast_to(spatial, shape))
 
@@ -254,7 +255,7 @@ def solve_time_periodic(
     _split(xi, gh, tol)  # mode by mode, so it commutes with the next line
     gh[..., 0] = 0.0  # the multiplier vanishes on the steady stratum
     uh = _invert(gh, domain, params.lam)
-    return SpaceTimeField(domain, _irfft(uh, overwrite_x=True))
+    return SpaceTimeField(domain, _irfft(uh))
 
 
 def solve_steady(
@@ -296,7 +297,7 @@ def recover_pressure(f: SpaceTimeField) -> SpaceTimeField:
     _require_vector(f)
     _require_invertible(f.domain)
     ph = -1j * _split(f.domain.xi_grids(), _rfft(f.samples))[np.newaxis]
-    return SpaceTimeField(f.domain, _irfft(ph, overwrite_x=True))
+    return SpaceTimeField(f.domain, _irfft(ph))
 
 
 def _operator_rows(
@@ -315,7 +316,7 @@ def _operator_rows(
         # symbol first: numpy's complex product is not bitwise commutative
         np.multiply(symbol, uh[0], out=uh[0])
         uh[0] += 1j * xi[j] * ph
-        yield _irfft(uh, overwrite_x=True)[0]
+        yield _irfft(uh)[0]
 
 
 def apply_operator(
@@ -324,12 +325,14 @@ def apply_operator(
     """Forward operator du/dt - Lap(u) - lam*d1(u) + grad(p), spectrally.
 
     One transform pair per velocity component plus one forward transform of
-    p; the result is filled component by component.
+    p; the result is filled component by component, each row freed before
+    the next is built.
     """
     _require_velocity_pressure(u, p)
     out = np.empty_like(u.samples)
-    for j, row in enumerate(_operator_rows(u, p, params)):
-        out[j] = row
+    rows = _operator_rows(u, p, params)
+    for j in range(u.domain.n):
+        out[j] = next(rows)
     return SpaceTimeField(u.domain, out)
 
 
@@ -369,14 +372,18 @@ def _residual(
     u: SpaceTimeField, p: SpaceTimeField, f: SpaceTimeField, params: OseenParams
 ) -> float:
     """max|A(u, p) - f|, one velocity component at a time; each row is
-    freed with the call, before the norm report runs."""
+    freed before the next is built, not held by a ``zip`` tuple, and the
+    last with the call, before the norm report runs."""
     residual = 0.0
-    for row, f_j in zip(_operator_rows(u, p, params), f.samples):
+    rows = _operator_rows(u, p, params)
+    for f_j in f.samples:
+        row = next(rows)
         # max() would drop a NaN, so an overflowing symbol must stop here
         if not np.isfinite(row).all():
             raise DomainMismatch("samples contain non-finite values")
         np.subtract(row, f_j, out=row)
         residual = max(residual, float(np.max(np.abs(row, out=row))))
+        del row
     return residual
 
 
@@ -424,11 +431,11 @@ def solve_full(
     domain = f.domain
     fh = _rfft(f.samples)
     ph = -1j * _split(domain.xi_grids(), fh)[np.newaxis]
-    p = SpaceTimeField(domain, _irfft(ph, overwrite_x=True))
+    p = SpaceTimeField(domain, _irfft(ph))
     del ph
     uh = _invert(fh, domain, params.lam)  # in place on fh
     v = _steady_slice(uh, domain)  # before u's inverse consumes uh
-    u = SpaceTimeField(domain, _irfft(uh, overwrite_x=True))
+    u = SpaceTimeField(domain, _irfft(uh))
     del fh, uh
     residual_norm = _residual(u, p, f, params) / (scale if scale > 0.0 else 1.0)
     if not residual_norm <= tol:

@@ -21,24 +21,25 @@ Parseval's identity reads::
 
     ||f||_2^2 = L^n * (sum_(k = 0) |F|^2 + 2 * sum_(k > 0) |F|^2)
 
-``_rfft``/``_irfft`` are the one full-grid transform pair; :func:`forward`
-and :func:`inverse` validate around them.  They make numpy's one-dimensional
+``_rfft``/``_irfft`` are the one full-grid transform pair; :func:`forward` and
+:func:`inverse` validate around them.  They make numpy's one-dimensional
 passes of ``rfftn``/``irfftn``, so their results equal those bitwise.  Every
 pass over a whole array is one :func:`_pass`, which splits an array of
-``_THREAD_BYTES`` or more across the CPUs.  The norm quadrature's
-oversampled inverse, ``_refined_derivatives``, shares ``_rfft``; one call
-takes every derivative block of one forward transform, makes each of its
-first-axis transforms once for all of them, with :func:`_pass` as well, and
-yields for each block one independent generator per slab, each running
+``_THREAD_BYTES`` or more across the CPUs.  Every complex pass runs in place
+in an array the package made, so the inverse transforms in the spectrum it is
+handed: a caller that reads that spectrum again passes a copy.  The norm
+quadrature's oversampled inverse, ``_refined_derivatives``, shares ``_rfft``;
+one call takes every derivative block of one forward transform, makes each of
+its first-axis transforms once for all of them, with :func:`_pass` as well,
+and yields for each block one independent generator per slab, each running
 numpy's one-dimensional passes over its slab, instead of a full-grid
 ``_irfft``; the quadrature sums the slabs in parallel and combines them in
 slab order, so its values are bitwise equal for any thread count.  Both run
-their threads through :func:`_map`, which starts up to one thread per CPU
-and joins them before it returns, so no thread outlives the call; so do the
-ensembles of ``analysis``, whose members run on threads of the call when
-their field is below ``_THREAD_BYTES``.  A map called inside a threaded map
-runs in its caller alone, so no more threads run at once than there are
-CPUs.
+their threads through :func:`_map`, which starts up to one thread per CPU and
+joins them before it returns, so no thread outlives the call; so do the
+ensembles of ``analysis``, whose members run on threads of the call when their
+field is below ``_THREAD_BYTES``.  A map called inside a threaded map runs in
+its caller alone, so no more threads run at once than there are CPUs.
 """
 
 from __future__ import annotations
@@ -333,7 +334,7 @@ def inverse(spec: SpectralField) -> SpaceTimeField:
 
     Pipeline steps whose spectra are conjugate-symmetric by construction call
     ``_irfft`` directly: on their cancellation residue a relative check could
-    misfire.
+    misfire.  ``_irfft`` transforms in the spectrum it is handed: here, a copy.
 
     Raises
     ------
@@ -353,7 +354,7 @@ def inverse(spec: SpectralField) -> SpaceTimeField:
         nyquist = np.max(np.abs(spec.coefficients * ~domain.nyquist_mask()))
         if nyquist > _HERMITIAN_TOL * scale:
             raise NonHermitian("Nyquist modes must vanish on the truncated grid")
-    return SpaceTimeField(domain, _irfft(spec.coefficients))
+    return SpaceTimeField(domain, _irfft(spec.coefficients.copy()))
 
 
 def spectral_derivative(
@@ -443,23 +444,19 @@ def _rfft(samples: np.ndarray) -> np.ndarray:
     return coeff
 
 
-def _irfft(coeff: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+def _irfft(coeff: np.ndarray) -> np.ndarray:
     """Real samples of a half spectrum laid out as :func:`_rfft` returns
     it; every grid size is even, so the halved axis has ``2 * (len - 1)``
     points.
 
     The passes are ``irfftn``'s: ``ifft`` along each axis but the last, from
-    the first, then ``irfft`` along the last axis.  The complex passes run in
-    a work array, the first out of ``coeff``, the others in place.  With
-    ``overwrite_x`` (scipy.fft's name and meaning) ``coeff`` is the work
-    array, so a caller that owns the spectrum and never reads it again saves
-    a half spectrum; ``coeff`` then holds an intermediate, and the samples
-    are bitwise those of the copy."""
-    work = coeff if overwrite_x else np.empty(coeff.shape, dtype=complex)
+    the first, in place in ``coeff``, then ``irfft`` along the last axis into
+    a new array.  So ``coeff`` is consumed: a caller that reads that spectrum
+    again passes a copy."""
     for axis in range(1, coeff.ndim - 1):
-        _pass(np.fft.ifft, coeff if axis == 1 else work, work, axis)
+        _pass(np.fft.ifft, coeff, coeff, axis)
     samples = np.empty(coeff.shape[:-1] + (2 * (coeff.shape[-1] - 1),))
-    _pass(np.fft.irfft, work, samples, coeff.ndim - 1)
+    _pass(np.fft.irfft, coeff, samples, coeff.ndim - 1)
     return samples
 
 
@@ -591,8 +588,8 @@ def _refined_derivatives(
     read is dropped.  A block's generators hold the heads they read and only
     read them, so each slab can be consumed on its own, in any order or thread,
     also after the call has moved on.  Each slab is then padded and transformed
-    along each further axis in turn, the half axis last.  The padding is that
-    of :func:`embed_spectrum`, so every order's samples equal
+    in place along each further axis in turn, the half axis last.  The padding
+    is that of :func:`embed_spectrum`, so every order's samples equal
     ``inverse(embed_spectrum(spectral_derivative(forward(f), alpha, beta),
     fine))`` up to rounding.  Memory therefore scales with the half spectrum,
     the heads (while each block's slabs are consumed before the next, no more
@@ -630,7 +627,8 @@ def _refined_derivatives(
                 if order:
                     band = band * freq**order
             for axis, size in enumerate(fine[1:-1], start=2):
-                band = np.fft.ifft(_pad(band, axis, size), axis=axis, norm="forward")
+                band = _pad(band, axis, size)  # a new array, so never a head
+                np.fft.ifft(band, axis=axis, norm="forward", out=band)
             return np.fft.irfft(band, n=fine[-1], axis=-1, norm="forward")
 
         def at(start: int) -> Iterator[np.ndarray]:

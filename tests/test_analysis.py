@@ -425,6 +425,34 @@ class TestManufactured:
                 dom2(16, 16), 2, np.random.default_rng(0), solenoidal=True
             )
 
+    @pytest.mark.parametrize(
+        "m_max, k_max, message",
+        [(0, 2, "m_max must be in"), (8, 2, "m_max must be in"),
+         (2, 0, "k_max must be in"), (2, 8, "k_max must be in")],
+    )
+    def test_band_outside_the_grid_rejected(self, m_max, k_max, message):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=message):
+            random_band_limited_field(dom2(16, 16), 2, rng, m_max=m_max, k_max=k_max)
+
+    @pytest.mark.parametrize(
+        "components, flags, message",
+        [(2, {"purely_periodic": True, "time_constant": True},
+          "both purely periodic and steady"),
+         (1, {"solenoidal": True}, "solenoidal projection needs a vector field")],
+        ids=["periodic-and-steady", "solenoidal-scalar"],
+    )
+    def test_conflicting_flags_rejected(self, components, flags, message):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=message):
+            random_band_limited_field(dom2(16, 16), components, rng, **flags)
+
+    def test_zero_draws_rejected(self):
+        d = dom2(16, 16)
+        draws = np.zeros_like(analysis._band_draws(d, 2, np.random.default_rng(0)))
+        with pytest.raises(RuntimeError, match="degenerated to zero"):
+            analysis._band_field(d, draws)
+
     def test_deterministic(self):
         d = dom2(16, 16)
         u1, p1, f1 = manufactured_case("mixed", d, params(), seed=3)

@@ -99,6 +99,24 @@ class TestConfigParsing:
         other = run_dir_of(path, ["N=32"])
         assert base != other
 
+    @pytest.mark.parametrize(
+        "extra, overrides, message",
+        [("N 16\n", [], "expected 'key = value'"),
+         ("", ["--set", "N16"], "--set expects key=value, got 'N16'")],
+        ids=["config-line", "set"],
+    )
+    def test_item_without_equals_rejected(
+        self, config_file, tmp_path, capsys, extra, overrides, message
+    ):
+        path = config_file(extra=extra)
+        assert main(["solve", "--config", path, *overrides]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "ConfigError"
+        assert record["exit_code"] == EXIT_CONFIG
+        assert message in record["message"]
+        assert list(tmp_path.iterdir()) == [Path(path)]  # no output directory
+
     def test_negative_tolerance_rejected(self, config_file):
         path = config_file(extra="tol = -1e-10\n")
         assert main(["solve", "--config", path]) == EXIT_CONFIG
@@ -212,6 +230,20 @@ class TestExitCodes:
         }
         error_file = run_dir_of(path) / "error.json"
         assert json.loads(error_file.read_text()) == record
+
+    def test_unwritable_error_record_still_reaches_stderr(self, config_file, capsys):
+        # a directory where error.json goes: removing an earlier record fails
+        # (an OSError, so exit 4), and so does writing this one
+        path = config_file()
+        outdir = run_dir_of(path)
+        (outdir / "error.json").mkdir(parents=True)
+        assert main(["solve", "--config", path]) == EXIT_IO
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert record["error"] in ("IsADirectoryError", "PermissionError")
+        assert record["exit_code"] == EXIT_IO
+        assert list(outdir.iterdir()) == [outdir / "error.json"]
+        assert list((outdir / "error.json").iterdir()) == []
 
 
 class TestSolveCommand:

@@ -8,6 +8,9 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import tpoe
 
 
@@ -110,3 +113,71 @@ def test_import_loads_no_scipy_and_starts_no_thread():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [[], 1]
+
+
+# each public function that takes a field or a spectrum
+_TAKES_A_FIELD = (
+    "forward", "inverse", "refine", "embed_spectrum", "spectral_derivative",
+    "plancherel_norm", "project_solenoidal", "apply_helmholtz",
+    "divergence_defect", "recover_pressure", "time_average", "fluctuation",
+    "solve_time_periodic", "solve_steady", "solve_full", "apply_operator",
+    "apply_operator_fd", "lq_norm", "sobolev_norm_21q", "steady_norm",
+    "pressure_norm", "save_field",
+)
+
+
+def _arguments(tmp_path):
+    """The arguments of each of ``_TAKES_A_FIELD`` on one n=2 mixed case."""
+    d = tpoe.TorusDomain(n=2, L=3.0, N=16, T=5.0, Nt=16)
+    pr = tpoe.OseenParams(lam=1.0, T=5.0, q=1.5)
+    u, p, f = tpoe.manufactured_case("mixed", d, pr, seed=0)
+    rng = np.random.default_rng(0)
+    periodic = tpoe.random_band_limited_field(
+        d, 2, rng, solenoidal=True, purely_periodic=True
+    )
+    steady = tpoe.random_band_limited_field(
+        d, 2, rng, solenoidal=True, time_constant=True, zero_spatial_mean=True
+    )
+    spec = tpoe.forward(f)  # conjugate-symmetric, Nyquist modes zero
+    kind = tpoe.NormKind(tpoe.NormTag.STEADY_OSEEN_2D, 1.2)
+    return {
+        "forward": (f,),
+        "inverse": (spec,),
+        "refine": (f, 24, 24),
+        "embed_spectrum": (spec, d.refine(24, 24)),
+        "spectral_derivative": (spec, (1, 1), 1),
+        "plancherel_norm": (spec,),
+        "project_solenoidal": (spec,),
+        "apply_helmholtz": (f,),
+        "divergence_defect": (spec,),
+        "recover_pressure": (f,),
+        "time_average": (f,),
+        "fluctuation": (f,),
+        "solve_time_periodic": (periodic, pr),
+        "solve_steady": (steady, pr.lam),
+        "solve_full": (f, pr),
+        "apply_operator": (u, p, pr),
+        "apply_operator_fd": (u, p, pr),
+        "lq_norm": (f, pr.q),
+        "sobolev_norm_21q": (periodic, pr.q),
+        "steady_norm": (steady, kind, pr.lam),
+        "pressure_norm": (p, pr.q),
+        "save_field": (f, tmp_path / "f.tpf"),
+    }
+
+
+@pytest.mark.parametrize("name", _TAKES_A_FIELD)
+def test_public_functions_leave_their_inputs_unchanged(tmp_path, name):
+    # the package's inverse transforms in the spectrum it is handed, so
+    # every entry point must hand it an array of its own
+    function = getattr(tpoe, name, None) or getattr(tpoe.solver, name)
+    args = _arguments(tmp_path)[name]
+    inputs = [
+        arg.samples if isinstance(arg, tpoe.SpaceTimeField) else arg.coefficients
+        for arg in args
+        if isinstance(arg, (tpoe.SpaceTimeField, tpoe.SpectralField))
+    ]
+    assert inputs
+    before = [array.tobytes() for array in inputs]
+    function(*args)
+    assert [array.tobytes() for array in inputs] == before

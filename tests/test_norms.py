@@ -220,6 +220,22 @@ class TestSteadyNorm:
                 SpaceTimeField(d, samples), NormKind(NormTag.STEADY_OSEEN_2D, 1.2), 1.0
             )
 
+    @pytest.mark.parametrize(
+        "tag", [NormTag.LQ, NormTag.SOBOLEV_21Q, NormTag.PRESSURE_XP]
+    )
+    def test_non_steady_kind_rejected(self, tag):
+        v = SpaceTimeField.zeros(dom2(), 2)
+        with pytest.raises(ValueError, match="is not a steady norm family"):
+            steady_norm(v, NormKind(tag, 1.2), 1.0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_scalar_field_rejected(self, n):
+        d = dom2() if n == 2 else dom3()
+        tag = NormTag.STEADY_OSEEN_2D if n == 2 else NormTag.STEADY_OSEEN
+        v = SpaceTimeField.zeros(d, 1)  # a field has 1 or n components
+        with pytest.raises(ValueError, match=f"steady norms act on {n}-component"):
+            steady_norm(v, NormKind(tag, 1.2), 1.0)
+
     def test_homogeneity(self):
         d = dom3()
         rng = np.random.default_rng(2)
@@ -235,6 +251,12 @@ class TestSteadyNorm:
 class TestPressureNorm:
     def test_zero(self):
         assert pressure_norm(SpaceTimeField.zeros(dom3(), 1), 1.5) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_vector_field_rejected(self, n):
+        d = dom2() if n == 2 else dom3()
+        with pytest.raises(InvalidExponent, match="applies to scalar fields"):
+            pressure_norm(SpaceTimeField.zeros(d, n), 1.5)
 
     def test_time_constant_reduces_to_single_slice(self):
         d = dom2()

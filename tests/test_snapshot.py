@@ -138,6 +138,20 @@ def test_header_sizes_must_be_json_integers(tmp_path, key, value, components):
         load_field(path)
 
 
+@pytest.mark.parametrize("dtype", [">f8", "<f4", "<c16"])
+def test_header_with_an_unsupported_dtype_rejected(tmp_path, dtype):
+    # the payload keeps its size, so only the dtype can fail
+    path = tmp_path / "field.tpf"
+    save_field(SpaceTimeField.zeros(dom(n=2, N=8, Nt=8), 2), path)
+    raw = path.read_bytes()
+    header_end = raw.index(b"\n", len(MAGIC))
+    meta = json.loads(raw[len(MAGIC):header_end])
+    meta["dtype"] = dtype
+    path.write_bytes(MAGIC + json.dumps(meta).encode("ascii") + raw[header_end:])
+    with pytest.raises(SnapshotFormatError, match=f"unsupported dtype {dtype}$"):
+        load_field(path)
+
+
 def test_json_writer_rejects_non_finite_values(tmp_path):
     from tpoe.snapshot import _write_json
 

@@ -305,9 +305,12 @@ class TestHelmholtzSplit:
 
     @pytest.mark.parametrize("n, size, bound", [(3, 16, 2.25), (2, 32, 2.5)])
     def test_time_periodic_peak(self, traced_peak, monkeypatch, n, size, bound):
-        # 2.19x and 2.44x measured, set by the inverse transform and by the
-        # potential beside xi . c; 2.36x and 2.74x when the check and the
-        # potential each formed xi . c, the latter in three arrays at once
+        # 2.19x and 2.44x measured, set by the inverse transform and in the
+        # Helmholtz split; dividing into xi . c in place lowers the latter only
+        # to 2.43x, since the projection's x * potential temporary sets it
+        # too, and about 0.22x of it is numpy's 8192-element ufunc buffer
+        # (128 KiB of complex), a constant; 2.36x and 2.74x when the check and
+        # the potential each formed xi . c, the latter in three arrays at once
         monkeypatch.setattr(spectral, "_WORKERS", 1)
         d = TorusDomain(n=n, L=3.0, N=size, T=5.0, Nt=size)
         pr = OseenParams(lam=-2.5, T=5.0, q=2.0)
@@ -494,6 +497,17 @@ class TestApplyOperator:
                 SpaceTimeField.zeros(d, 1), SpaceTimeField.zeros(d, 1), params()
             )
 
+    def test_rows_are_freed_one_by_one(self, traced_peak, bound_case):
+        # 2.59x measured as a row's spectrum adds i xi_j p^: the output, the
+        # symbol, p^, u^_j and the product (0.375x each) and numpy's ufunc
+        # buffer; 2.92x when the loop's enumerate tuple held each row while
+        # the next was built
+        d, pr, f = bound_case
+        u = rand_field(d, seed=1, solenoidal=True)
+        p = rand_field(d, components=1, seed=2)
+        peak, _ = traced_peak(lambda: apply_operator(u, p, pr))
+        assert peak <= 2.7 * f.samples.nbytes
+
     def test_transform_count(self, record_transforms, transform_passes):
         d = dom2(16, 16)
         u = rand_field(d, seed=1, solenoidal=True)
@@ -653,11 +667,13 @@ class TestSolveFull:
         assert peak <= 12 * f.samples.nbytes
 
     def test_residual_is_streamed(self, traced_peak, bound_case):
-        # 3.71x measured, set by the inverse transform of u
-        # while f^ and p are alive
+        # 2.98x measured, reached in the streamed residual as a row's
+        # spectrum adds i xi_j p^: u, p and v (1.40x), the symbol, p^, u^_j
+        # and the product (0.375x each) and numpy's ufunc buffer; 3.32x when
+        # the loop's zip tuple held each row while the next was built
         _, pr, f = bound_case
         peak, _ = traced_peak(lambda: solve_full(f, pr, norm_kinds=[]))
-        assert peak <= 4.5 * f.samples.nbytes
+        assert peak <= 3.1 * f.samples.nbytes
 
     def test_steady_part_is_a_read_only_view(self):
         d = dom2(16, 16)

@@ -34,7 +34,7 @@ from tpoe import (
     spectral_derivative,
     transference_check,
 )
-from tpoe import spectral
+from tpoe import solver, spectral
 from tpoe.spectral import _irfft, _refined_derivatives, _rfft
 
 TWO_PI = 2.0 * np.pi
@@ -56,6 +56,11 @@ class TestTorusDomain:
             TorusDomain(n=2, L=-1.0, N=16, T=TWO_PI, Nt=16)
         with pytest.raises(ValueError, match="positive"):
             TorusDomain(n=2, L=TWO_PI, N=16, T=0.0, Nt=16)
+
+    @pytest.mark.parametrize("N, Nt", [(8, 16), (16, 8)])
+    def test_refine_rejects_a_coarser_grid(self, N, Nt):
+        with pytest.raises(ValueError, match="refinement must not reduce the grid"):
+            dom2(N=16, Nt=16).refine(N, Nt)
 
     def test_mode_ranges(self):
         d = dom2(N=8, Nt=8)
@@ -109,6 +114,26 @@ class TestTransform:
         assert spec.get(DualIndex((1, 0), 1))[0] == pytest.approx(-0.5j, abs=1e-15)
         assert spec.get(DualIndex((-1, 0), -1))[0] == pytest.approx(0.5j, abs=1e-15)
         assert abs(spec.get(DualIndex((1, 0), -1))[0]) <= 1e-15
+
+    def test_dual_index_of_the_wrong_length_rejected(self):
+        spec = forward(SpaceTimeField.zeros(dom2(N=8, Nt=8), 1))
+        with pytest.raises(DomainMismatch, match="dual index dimension mismatch"):
+            spec.get(DualIndex((1, 0, 0), 1))
+
+    def test_arithmetic_needs_a_field_on_the_same_domain(self):
+        d = dom2(N=8, Nt=8)
+        f = SpaceTimeField.zeros(d, 2)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            f + 1.0
+        for other in (
+            SpaceTimeField.zeros(dom2(N=8, Nt=8, L=3.0), 2),
+            SpaceTimeField.zeros(dom2(N=8, Nt=16), 2),
+            SpaceTimeField.zeros(d, 1),
+        ):
+            with pytest.raises(DomainMismatch, match="on different domains"):
+                f + other
+            with pytest.raises(DomainMismatch, match="on different domains"):
+                f - other
 
     def test_roundtrip_random_band_limited(self):
         d = dom2()
@@ -301,6 +326,17 @@ class TestRefine:
         got = embed_spectrum(SpectralField(coarse, coeff), fine)
         assert np.array_equal(got.coefficients, expected)
 
+    @pytest.mark.parametrize(
+        "fine",
+        [dom2(N=8, Nt=16), dom2(N=16, Nt=8), dom2(N=16, Nt=16, L=3.0),
+         dom2(N=16, Nt=16, T=3.0), TorusDomain(n=3, L=TWO_PI, N=16, T=TWO_PI, Nt=16)],
+        ids=["coarser-N", "coarser-Nt", "other-L", "other-T", "other-n"],
+    )
+    def test_embedding_needs_a_refinement_of_the_torus(self, fine):
+        spec = forward(SpaceTimeField.zeros(dom2(N=12, Nt=12), 1))
+        with pytest.raises(DomainMismatch, match="target grid must refine"):
+            embed_spectrum(spec, fine)
+
     def test_same_seed_same_continuum_field_across_resolutions(self):
         # band-limited draws are grid-independent: generating at N=32 equals
         # refining the N=16 field from the same seed
@@ -392,43 +428,34 @@ class TestThreadedPasses:
             assert np.prod(a) + np.prod(b) == np.prod(whole)
 
     @pytest.mark.parametrize(
-        "workers, shape, steady",
-        [(1, (2, 16, 16, 9), False), (1, (3, 16, 16, 16, 9), True),
-         (2, (3, 64, 64, 33), False)],
-        ids=["contiguous", "steady-slice", "threaded"],
+        "workers, size", [(1, 16), (2, 64)], ids=["contiguous", "threaded"]
     )
-    def test_inverse_leaves_its_input_unchanged(
-        self, monkeypatch, workers, shape, steady
-    ):
-        # the first pass reads the input and writes the work array; the
-        # steady case is the strided k == 0 slice that solver._steady_slice
-        # passes, and the threaded one is at least _THREAD_BYTES
+    def test_inverse_leaves_its_input_unchanged(self, monkeypatch, workers, size):
+        # _irfft transforms in the spectrum it is handed, so inverse hands it
+        # a copy; the threaded spectrum holds at least _THREAD_BYTES
         monkeypatch.setattr(spectral, "_WORKERS", workers)
-        rng = np.random.default_rng(27)
-        spectrum = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        coeff = spectrum[..., : shape[-2] // 2 + 1, 0] if steady else spectrum
-        assert coeff.flags.c_contiguous != steady
-        assert workers == 1 or coeff.nbytes >= spectral._THREAD_BYTES
-        before = spectrum.tobytes()
-        expected = nd_inverse_reference(coeff)
-        assert np.array_equal(_irfft(coeff), expected)
-        assert spectrum.tobytes() == before
+        d = dom2(N=size, Nt=size)
+        samples = np.random.default_rng(27).standard_normal((2,) + d.grid_shape)
+        spec = forward(SpaceTimeField(d, samples))  # conjugate-symmetric
+        large = spec.coefficients.nbytes >= spectral._THREAD_BYTES
+        assert large == (workers > 1)
+        before = spec.coefficients.tobytes()
+        expected = nd_inverse_reference(spec.coefficients)
+        assert np.array_equal(inverse(spec).samples, expected)
+        assert spec.coefficients.tobytes() == before
 
-    @pytest.mark.parametrize(
-        "workers, shape",
-        [(1, (2, 16, 16, 9)), (2, (3, 64, 64, 33))],
-        ids=["contiguous", "threaded"],
-    )
-    def test_overwriting_inverse_equals_the_copying_one(
-        self, monkeypatch, workers, shape
-    ):
-        # the shapes of test_inverse_leaves_its_input_unchanged whose
-        # spectrum a caller owns
-        monkeypatch.setattr(spectral, "_WORKERS", workers)
+    def test_steady_slice_leaves_its_spectrum_unchanged(self):
+        # solve_full takes v from the strided k == 0 slice of u^, then
+        # inverts u^ itself
+        d = TorusDomain(n=3, L=3.0, N=16, T=5.0, Nt=16)
         rng = np.random.default_rng(27)
-        coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        expected = _irfft(coeff).tobytes()
-        assert _irfft(coeff, overwrite_x=True).tobytes() == expected
+        shape = (3,) + d.spectral_shape
+        uh = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        before = uh.tobytes()
+        expected = nd_inverse_reference(uh[..., : d.N // 2 + 1, 0])
+        v = solver._steady_slice(uh, d)
+        assert np.array_equal(v.samples[..., 0], expected)
+        assert uh.tobytes() == before
 
     def test_small_arrays_run_one_call_per_pass(
         self, monkeypatch, record_transforms, transform_passes
