@@ -21,7 +21,6 @@ from .errors import DomainMismatch, EmptySweep, InvalidGrid, NonHermitian, Unkno
 from .norms import lq_norm, sobolev_norm_21q
 from .solver import (
     SolutionBundle,
-    _require_period,
     _split,
     apply_operator,
     apply_operator_fd,
@@ -212,7 +211,8 @@ def manufactured_case(
         If ``recipe_id`` is not in the catalog.
     DomainMismatch
         If a random recipe's band does not fit the grid: it needs
-        ``N // 2 > RECIPE_BAND`` and ``Nt // 2 > RECIPE_BAND``.
+        ``N // 2 > RECIPE_BAND`` and ``Nt // 2 > RECIPE_BAND``; or if
+        ``params.T`` is not the period of ``domain``.
     """
     if recipe_id not in RECIPES:
         raise UnknownRecipe(f"no manufactured recipe named {recipe_id!r}; "
@@ -409,7 +409,6 @@ def transference_check(domain: TorusDomain, params: OseenParams) -> float:
         If ``params.T`` is not the period of ``domain``, or the deviation is
         not finite (lam * xi_1 or |xi|^2 overflows).
     """
-    _require_period(domain, params)
     lhs = time_periodic_multiplier_grid(domain, params)
     rhs = evaluate_m(domain.xi_grids(), domain.eta_grid(), params)
     deviation = float(np.max(np.abs(lhs - rhs)[domain.nyquist_mask()]))

@@ -17,7 +17,6 @@ package targets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .spectral import (
     _rfft,
     forward,
 )
-from .symbols import OseenParams, _denominator, _quotient
+from .symbols import OseenParams, _denominator, _quotient, _require_period
 
 DEFAULT_TOL = norms._TOL
 
@@ -64,14 +63,6 @@ def _require_vector(f: SpaceTimeField) -> None:
         )
 
 
-def _require_period(domain: TorusDomain, params: OseenParams) -> None:
-    if params.T != domain.T:
-        raise DomainMismatch(
-            f"parameter period T={params.T!r} differs from the domain's "
-            f"T={domain.T!r}"
-        )
-
-
 def _require_tol(tol: float) -> None:
     """Reject a tolerance under which the precondition checks mean nothing:
     each tests ``defect > tol * scale``, which no defect passes at inf or NaN
@@ -92,10 +83,14 @@ def _require_compatible_mean(f: SpaceTimeField, tol: float, scale: float) -> Non
         )
 
 
-def _require_velocity_pressure(u: SpaceTimeField, p: SpaceTimeField) -> None:
+def _require_operands(
+    u: SpaceTimeField, p: SpaceTimeField, params: OseenParams
+) -> None:
+    """A's operands: vector u, scalar p on its domain, params.T its period."""
     _require_vector(u)
     if not p.is_scalar or p.domain != u.domain:
         raise DomainMismatch("pressure must be a scalar on the same domain")
+    _require_period(u.domain, params)
 
 
 def time_average(f: SpaceTimeField) -> SpaceTimeField:
@@ -300,23 +295,22 @@ def recover_pressure(f: SpaceTimeField) -> SpaceTimeField:
     return SpaceTimeField(f.domain, _irfft(ph))
 
 
-def _operator_rows(
-    u: SpaceTimeField, p: SpaceTimeField, params: OseenParams
-) -> Iterator[np.ndarray]:
-    """Component j of A(u, p), for j = 0 .. n-1 in turn: the real samples of
-    ``symbol * u^_j + i xi_j p^``.  The symbol and p^ are built once and u
-    is transformed one component at a time, so besides them no more than
-    one component's half spectrum and samples are alive at a time."""
-    domain = u.domain
-    xi = domain.xi_grids()
-    symbol = _symbol(domain, params.lam)
+def _operator(u: SpaceTimeField, p: SpaceTimeField, params: OseenParams):
+    """The operand check, then ``row``: ``row(j)`` is component j of A(u, p),
+    the real samples of ``symbol * u^_j + i xi_j p^``.  The symbol and p^ are
+    built once; the half spectrum u^_j lives only inside ``row(j)``."""
+    _require_operands(u, p, params)
+    xi, symbol = u.domain.xi_grids(), _symbol(u.domain, params.lam)
     ph = _rfft(p.samples)[0]
-    for j in range(domain.n):
+
+    def row(j: int) -> np.ndarray:
         uh = _rfft(u.samples[j : j + 1])
         # symbol first: numpy's complex product is not bitwise commutative
         np.multiply(symbol, uh[0], out=uh[0])
         uh[0] += 1j * xi[j] * ph
-        yield _irfft(uh)[0]
+        return _irfft(uh)[0]
+
+    return row
 
 
 def apply_operator(
@@ -325,14 +319,13 @@ def apply_operator(
     """Forward operator du/dt - Lap(u) - lam*d1(u) + grad(p), spectrally.
 
     One transform pair per velocity component plus one forward transform of
-    p; the result is filled component by component, each row freed before
-    the next is built.
+    p, filled row by row.  ``DomainMismatch`` if u is not a vector field, p
+    not a scalar on its domain, or ``params.T`` not the domain's period.
     """
-    _require_velocity_pressure(u, p)
+    row = _operator(u, p, params)
     out = np.empty_like(u.samples)
-    rows = _operator_rows(u, p, params)
     for j in range(u.domain.n):
-        out[j] = next(rows)
+        out[j] = row(j)
     return SpaceTimeField(u.domain, out)
 
 
@@ -341,10 +334,10 @@ def apply_operator_fd(
 ) -> SpaceTimeField:
     """Order-2 centered-difference version of :func:`apply_operator`.
 
-    Independent of the spectral path; used as a cross-check oracle for
-    residuals.  All differences wrap periodically.
+    Independent of the spectral path; a cross-check oracle for residuals,
+    with apply_operator's ``DomainMismatch``.  Differences wrap periodically.
     """
-    _require_velocity_pressure(u, p)
+    _require_operands(u, p, params)
     domain = u.domain
     s = u.samples
     dx, dt = domain.dx, domain.dt
@@ -372,18 +365,18 @@ def _residual(
     u: SpaceTimeField, p: SpaceTimeField, f: SpaceTimeField, params: OseenParams
 ) -> float:
     """max|A(u, p) - f|, one velocity component at a time; each row is
-    freed before the next is built, not held by a ``zip`` tuple, and the
-    last with the call, before the norm report runs."""
+    freed before the next is built, and the last with the call, before the
+    norm report runs."""
     residual = 0.0
-    rows = _operator_rows(u, p, params)
-    for f_j in f.samples:
-        row = next(rows)
+    row = _operator(u, p, params)
+    for j, f_j in enumerate(f.samples):
+        a_j = row(j)
         # max() would drop a NaN, so an overflowing symbol must stop here
-        if not np.isfinite(row).all():
+        if not np.isfinite(a_j).all():
             raise DomainMismatch("samples contain non-finite values")
-        np.subtract(row, f_j, out=row)
-        residual = max(residual, float(np.max(np.abs(row, out=row))))
-        del row
+        np.subtract(a_j, f_j, out=a_j)
+        residual = max(residual, float(np.max(np.abs(a_j, out=a_j))))
+        del a_j
     return residual
 
 

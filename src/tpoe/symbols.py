@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainMismatch
 from .spectral import TorusDomain
 
 
@@ -36,6 +37,15 @@ class OseenParams:
             raise ValueError(f"period T must be positive and finite, got {self.T}")
         if not 1.0 < self.q < np.inf:
             raise ValueError(f"exponent q must lie in (1, inf), got {self.q}")
+
+
+def _require_period(domain: TorusDomain, params: OseenParams) -> None:
+    """``DomainMismatch`` unless ``params.T`` is the period of ``domain``."""
+    if params.T != domain.T:
+        raise DomainMismatch(
+            f"parameter period T={params.T!r} differs from the domain's "
+            f"T={domain.T!r}"
+        )
 
 
 # radii (inner, outer) of the cut-off bump: 1 on |eta| <= 1/2, 0 on
@@ -134,7 +144,8 @@ def time_periodic_multiplier_grid(
 
     0 on the whole steady stratum k == 0 (exact integer test) and
     ``1 / (|xi|^2 + i*((2*pi/T)*k - lam*xi_1))`` otherwise, with
-    ``xi = (2*pi/L)*m``.
+    ``xi = (2*pi/L)*m``; ``DomainMismatch`` unless ``params.T`` is ``domain.T``.
     """
+    _require_period(domain, params)
     denom = _denominator(domain.xi_grids(), domain.eta_grid(), params.lam)
     return _quotient(1.0, denom, domain.time_mode_grid() == 0)

@@ -1,6 +1,7 @@
 """Guard on the package's public namespace and its imports."""
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -181,3 +182,57 @@ def test_public_functions_leave_their_inputs_unchanged(tmp_path, name):
     before = [array.tobytes() for array in inputs]
     function(*args)
     assert [array.tobytes() for array in inputs] == before
+
+
+# each public torus function that takes ``OseenParams``: each runs the one
+# period check, ``symbols._require_period``
+_TAKES_PARAMS = (
+    "solve_time_periodic", "solve_full", "apply_operator", "apply_operator_fd",
+    "manufactured_case", "roundtrip_verify", "convergence_study",
+    "transference_check", "time_periodic_multiplier_grid",
+)
+
+
+def _mismatched_arguments():
+    """The arguments of each of ``_TAKES_PARAMS``, with params of period 3
+    on a domain of period 2*pi."""
+    d = tpoe.TorusDomain(n=2, L=2 * np.pi, N=16, T=2 * np.pi, Nt=16)
+    u, p, f = tpoe.manufactured_case(
+        "random", d, tpoe.OseenParams(lam=1.0, T=d.T, q=2.0), seed=0
+    )
+    pr = tpoe.OseenParams(lam=1.0, T=3.0, q=2.0)
+    return {
+        "solve_time_periodic": (f, pr),
+        "solve_full": (f, pr),
+        "apply_operator": (u, p, pr),
+        "apply_operator_fd": (u, p, pr),
+        "manufactured_case": ("random", d, pr),
+        "roundtrip_verify": (d, pr, 2, 0),
+        "convergence_study": ("random", d, pr, [(12, 12), (16, 16)]),
+        "transference_check": (d, pr),
+        "time_periodic_multiplier_grid": (d, pr),
+    }
+
+
+@pytest.mark.parametrize("name", _TAKES_PARAMS)
+def test_params_of_another_period_are_rejected(name):
+    function = getattr(tpoe, name, None) or getattr(tpoe.symbols, name)
+    with pytest.raises(tpoe.DomainMismatch, match="period"):
+        function(*_mismatched_arguments()[name])
+
+
+def test_every_torus_function_taking_params_is_period_checked():
+    # a new entry point that pairs OseenParams with a field or a domain must
+    # join _TAKES_PARAMS, and so its period test
+    found = set()
+    for module in (tpoe.solver, tpoe.analysis, tpoe.symbols):
+        for name, function in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("_") or function.__module__ != module.__name__:
+                continue
+            parameters = inspect.signature(function).parameters.values()
+            kinds = " ".join(str(parameter.annotation) for parameter in parameters)
+            if "OseenParams" in kinds and (
+                "SpaceTimeField" in kinds or "TorusDomain" in kinds
+            ):
+                found.add(name)
+    assert found == set(_TAKES_PARAMS)

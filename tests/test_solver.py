@@ -695,17 +695,22 @@ class TestSolveFull:
         # a NaN in A(u, p) must not vanish from the streamed residual
         import tpoe.solver as solver_module
 
-        rows = solver_module._operator_rows
+        operator = solver_module._operator
 
         def overflowing(u, p, params):
-            for j, row in enumerate(rows(u, p, params)):
+            row = operator(u, p, params)
+
+            def nan_in_row_1(j):
+                out = row(j)
                 if j == 1:
-                    row[0, 0, 0] = np.nan
-                yield row
+                    out[0, 0, 0] = np.nan
+                return out
+
+            return nan_in_row_1
 
         d = dom2(16, 16)
         _, _, f = manufactured_case("mixed", d, params(lam=1.0), seed=0)
-        monkeypatch.setattr(solver_module, "_operator_rows", overflowing)
+        monkeypatch.setattr(solver_module, "_operator", overflowing)
         with pytest.raises(DomainMismatch, match="non-finite"):
             solve_full(f, params(lam=1.0), norm_kinds=[])
 

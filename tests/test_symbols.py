@@ -149,7 +149,7 @@ class TestTimePeriodicMultiplier:
         assert value == pytest.approx(1.0 + 0.0j, abs=1e-15)
 
     def test_finite_everywhere(self):
-        d = dom(n=2, N=8, Nt=8)
+        d = dom(n=2, N=8, Nt=8, T=20 * np.pi)
         p = params(lam=10.0, T=20 * np.pi)
         values = [
             multiplier_at(d, p, (m1, m2), k)
@@ -171,7 +171,7 @@ class TestTimePeriodicMultiplier:
         assert best_idx[2] != 0
 
     def test_hermitian_compatibility(self):
-        d = dom(n=2, N=8, Nt=8)
+        d = dom(n=2, N=8, Nt=8, T=5.0)
         p = params(lam=3.0, T=5.0)
         for m1, m2, k in itertools.product(range(-3, 4), repeat=3):
             lhs = multiplier_at(d, p, (-m1, -m2), -k)
