@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import SnapshotFormatError
 from .solver import SolutionBundle
-from .spectral import SpaceTimeField, TorusDomain
+from .spectral import SpaceTimeField, TorusDomain, _map
 from .symbols import OseenParams
 
 MAGIC = b"TPOE-FIELD v1\n"
@@ -50,8 +50,8 @@ def _write_json(path, payload: dict) -> None:
 def save_field(field: SpaceTimeField, path) -> None:
     """Write ``field`` as one snapshot.  Each component's buffer is written
     as it is; only a component that is not a C-contiguous float64 array,
-    such as a broadcast view, is copied, one at a time.  The file is
-    written fresh by :func:`_create`."""
+    such as a broadcast view, is copied, one row along its first axis at a
+    time.  The file is written fresh by :func:`_create`."""
     meta = dataclasses.asdict(field.domain)
     meta.update(components=field.components, dtype=DTYPE)
     with _create(path, "wb") as handle:
@@ -59,7 +59,9 @@ def save_field(field: SpaceTimeField, path) -> None:
         handle.write(json.dumps(meta, sort_keys=True).encode("ascii"))
         handle.write(b"\n")
         for component in field.samples:
-            handle.write(np.ascontiguousarray(component, dtype=DTYPE))
+            whole = component.flags.c_contiguous
+            for part in [component] if whole else component:
+                handle.write(np.ascontiguousarray(part, dtype=DTYPE))
 
 
 def load_field(path) -> SpaceTimeField:
@@ -117,15 +119,16 @@ def save_bundle(
 ) -> None:
     """Write a solve result as four field snapshots plus summary.json.
 
-    The summary carries the residual, the norm report, and the run
-    parameters; ``extra`` entries are merged in (callers add provenance).
+    The snapshots are written concurrently, by ``spectral._map``; the first
+    of u, v, w, p that fails raises its error, as a loop would, and then no
+    summary is written.  The summary carries the residual, the norm report,
+    and the run parameters; ``extra`` entries are merged in (callers add
+    provenance).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for name, field in (
-        ("u", bundle.u), ("v", bundle.v), ("w", bundle.w), ("p", bundle.p),
-    ):
-        save_field(field, directory / f"{name}.tpf")
+    fields = [("u", bundle.u), ("v", bundle.v), ("w", bundle.w), ("p", bundle.p)]
+    _map(lambda item: save_field(item[1], directory / f"{item[0]}.tpf"), fields)
     summary = {
         "residual": bundle.residual_norm,
         "norms": bundle.norm_report,

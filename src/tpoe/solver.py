@@ -166,9 +166,18 @@ def divergence_defect(spec: SpectralField) -> float:
     return float(np.max(np.abs(_xi_dot(spec.domain.xi_grids(), spec.coefficients))))
 
 
-def _symbol(domain: TorusDomain, lam: float) -> np.ndarray:
-    """:func:`_denominator` on the half grid; ``DomainMismatch`` if not finite."""
-    symbol = _denominator(domain.xi_grids(), domain.eta_grid(), lam)
+def _cut(grids, index) -> list[np.ndarray]:
+    """A domain's broadcastable ``xi_grids()`` cut to the piece ``index``
+    along axis 2 of a half spectrum with components first, as the hooks of
+    ``spectral._rfft`` get it."""
+    return [grid[index[1:]] if grid.shape[1] > 1 else grid for grid in grids]
+
+
+def _symbol(domain: TorusDomain, lam: float, xi=None) -> np.ndarray:
+    """:func:`_denominator` on the half grid, or on the piece of it that
+    ``xi`` (:func:`_cut`) spans; ``DomainMismatch`` if not finite."""
+    xi = domain.xi_grids() if xi is None else xi
+    symbol = _denominator(xi, domain.eta_grid(), lam)
     parts = symbol.view(float)  # real and imaginary; min and max need no grid
     if not np.isfinite([parts.min(), parts.max()]).all():
         raise DomainMismatch(f"symbol of A overflows on {domain}, lambda={lam!r}")
@@ -192,26 +201,32 @@ def _require_invertible(domain: TorusDomain, lam: float | None = None) -> None:
         raise DomainMismatch(f"symbol of A {cause} on {domain}, lambda={lam!r}")
 
 
-def _invert(gh: np.ndarray, domain: TorusDomain, lam: float) -> np.ndarray:
-    """The half spectrum ``gh`` divided by the operator's symbol, in place:
-    the steady inverse on k == 0 and the time-periodic multiplier elsewhere.
+def _invert(gh: np.ndarray, domain: TorusDomain, lam: float, xi=None) -> np.ndarray:
+    """The half spectrum ``gh``, or the piece of it that ``xi`` spans (see
+    :func:`_symbol`), divided by the operator's symbol in place: the
+    steady inverse on k == 0 and the time-periodic multiplier elsewhere.
     Only the mode (xi, k) = (0, 0), which has no inverse, is annihilated;
-    callers check :func:`_require_invertible` first."""
-    denom = _symbol(domain, lam)
-    denom.flat[0] = 1.0  # the mode (xi, k) = (0, 0), zeroed below
+    callers check :func:`_require_invertible` first, so the symbol vanishes
+    there alone, and that mode is the first of the piece that holds it."""
+    denom = _symbol(domain, lam, xi)
+    origin = denom.flat[0] == 0.0
+    if origin:
+        denom.flat[0] = 1.0  # zeroed below
     gh /= denom
-    gh[(slice(None),) + (0,) * (domain.n + 1)] = 0.0
+    if origin:
+        gh[(slice(None),) + (0,) * (domain.n + 1)] = 0.0
     return gh
 
 
-def _steady_slice(uh: np.ndarray, domain: TorusDomain) -> SpaceTimeField:
-    """The time-constant field of the k == 0 slice of the half spectrum ``uh``.
+def _steady_slice(uh0: np.ndarray, domain: TorusDomain) -> SpaceTimeField:
+    """The time-constant field of ``uh0``, the k == 0 slice ``uh[..., 0]``
+    of a half spectrum.
 
     Its samples are a read-only view that repeats the one spatial slice
     along the time axis, so the field holds ``1/Nt`` of a full field.  The
-    inverse consumes a copy of the slice, so ``uh`` is left unchanged.
+    inverse consumes the half ``uh0[..., : N // 2 + 1]`` in place.
     """
-    spatial = _irfft(uh[..., : domain.N // 2 + 1, 0].copy())[..., np.newaxis]
+    spatial = _irfft(uh0[..., : domain.N // 2 + 1])[..., np.newaxis]
     shape = spatial.shape[:-1] + (domain.Nt,)
     return SpaceTimeField(domain, np.broadcast_to(spatial, shape))
 
@@ -280,7 +295,7 @@ def solve_steady(
     _require_compatible_mean(f, tol, f.max_abs())
     gh = _rfft(f.samples)
     _split(f.domain.xi_grids(), gh, tol)
-    return _steady_slice(_invert(gh, f.domain, lam), f.domain)
+    return _steady_slice(_invert(gh, f.domain, lam)[..., 0], f.domain)
 
 
 def recover_pressure(f: SpaceTimeField) -> SpaceTimeField:
@@ -296,19 +311,25 @@ def recover_pressure(f: SpaceTimeField) -> SpaceTimeField:
 
 
 def _operator(u: SpaceTimeField, p: SpaceTimeField, params: OseenParams):
-    """The operand check, then ``row``: ``row(j)`` is component j of A(u, p),
-    the real samples of ``symbol * u^_j + i xi_j p^``.  The symbol and p^ are
-    built once; the half spectrum u^_j lives only inside ``row(j)``."""
+    """The operand check, then ``row``: ``row(j, consume)`` hands component
+    j of A(u, p), the real samples of ``symbol * u^_j + i xi_j p^``, to
+    ``consume`` piece by piece and returns its results, as
+    ``spectral._irfft`` does.  p^ is built once; u^_j lives only inside
+    ``row``, and the symbol and i xi_j p^ only a piece at a time, formed by
+    the thread that transformed the piece."""
     _require_operands(u, p, params)
-    xi, symbol = u.domain.xi_grids(), _symbol(u.domain, params.lam)
-    ph = _rfft(p.samples)[0]
+    domain, xi = u.domain, u.domain.xi_grids()
+    ph = _rfft(p.samples)
 
-    def row(j: int) -> np.ndarray:
-        uh = _rfft(u.samples[j : j + 1])
-        # symbol first: numpy's complex product is not bitwise commutative
-        np.multiply(symbol, uh[0], out=uh[0])
-        uh[0] += 1j * xi[j] * ph
-        return _irfft(uh)[0]
+    def row(j: int, consume) -> list:
+        def combine(index, uh):
+            cut = _cut(xi, index)
+            symbol = _symbol(domain, params.lam, cut)
+            # symbol first: numpy's complex product is not bitwise commutative
+            np.multiply(symbol, uh[0], out=uh[0])
+            uh[0] += np.multiply(1j * cut[j], ph[index][0], out=symbol)
+
+        return _irfft(_rfft(u.samples[j : j + 1], combine), consume)
 
     return row
 
@@ -325,7 +346,7 @@ def apply_operator(
     row = _operator(u, p, params)
     out = np.empty_like(u.samples)
     for j in range(u.domain.n):
-        out[j] = row(j)
+        row(j, lambda index, a, out_j=out[j : j + 1]: np.copyto(out_j[index], a))
     return SpaceTimeField(u.domain, out)
 
 
@@ -364,20 +385,24 @@ def apply_operator_fd(
 def _residual(
     u: SpaceTimeField, p: SpaceTimeField, f: SpaceTimeField, params: OseenParams
 ) -> float:
-    """max|A(u, p) - f|, one velocity component at a time; each row is
-    freed before the next is built, and the last with the call, before the
-    norm report runs."""
-    residual = 0.0
+    """max|A(u, p) - f|, one velocity component and one piece at a time: the
+    thread that made a sample piece of a row checks it, subtracts f and
+    reduces it, so no full-size row of A(u, p) exists."""
     row = _operator(u, p, params)
-    for j, f_j in enumerate(f.samples):
-        a_j = row(j)
-        # max() would drop a NaN, so an overflowing symbol must stop here
-        if not np.isfinite(a_j).all():
-            raise DomainMismatch("samples contain non-finite values")
-        np.subtract(a_j, f_j, out=a_j)
-        residual = max(residual, float(np.max(np.abs(a_j, out=a_j))))
-        del a_j
-    return residual
+
+    def gap(j: int) -> float:
+        f_j = f.samples[j : j + 1]
+
+        def piece(index, a: np.ndarray) -> float:
+            # max() would drop a NaN, so an overflowing symbol must stop here
+            if not np.isfinite(a).all():
+                raise DomainMismatch("samples contain non-finite values")
+            np.subtract(a, f_j[index], out=a)
+            return float(np.max(np.abs(a, out=a)))
+
+        return max(row(j, piece))
+
+    return max(gap(j) for j in range(u.domain.n))
 
 
 def solve_full(
@@ -421,15 +446,25 @@ def solve_full(
     _require_invertible(f.domain, params.lam)
     scale = f.max_abs()
     _require_compatible_mean(f, tol, scale)
-    domain = f.domain
-    fh = _rfft(f.samples)
-    ph = -1j * _split(domain.xi_grids(), fh)[np.newaxis]
+    domain, xi = f.domain, f.domain.xi_grids()
+    ph = np.empty((1,) + domain.spectral_shape, dtype=complex)
+    steady = np.empty((domain.n,) + (domain.N,) * domain.n, dtype=complex)
+
+    def piece(index, fh):
+        # in the thread that transformed this piece of f: the pressure's
+        # coefficients, u^ in place, and u^'s part of the k == 0 slice
+        cut = _cut(xi, index)
+        np.multiply(-1j, _split(cut, fh), out=ph[index][0])
+        _invert(fh, domain, params.lam, cut)
+        steady[index] = fh[..., 0]
+
+    uh = _rfft(f.samples, piece)
     p = SpaceTimeField(domain, _irfft(ph))
     del ph
-    uh = _invert(fh, domain, params.lam)  # in place on fh
-    v = _steady_slice(uh, domain)  # before u's inverse consumes uh
+    v = _steady_slice(steady, domain)
+    del steady
     u = SpaceTimeField(domain, _irfft(uh))
-    del fh, uh
+    del uh
     residual_norm = _residual(u, p, f, params) / (scale if scale > 0.0 else 1.0)
     if not residual_norm <= tol:
         raise ResidualExceedsTol(

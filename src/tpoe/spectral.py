@@ -21,25 +21,31 @@ Parseval's identity reads::
 
     ||f||_2^2 = L^n * (sum_(k = 0) |F|^2 + 2 * sum_(k > 0) |F|^2)
 
-``_rfft``/``_irfft`` are the one full-grid transform pair; :func:`forward` and
-:func:`inverse` validate around them.  They make numpy's one-dimensional
-passes of ``rfftn``/``irfftn``, so their results equal those bitwise.  Every
-pass over a whole array is one :func:`_pass`, which splits an array of
-``_THREAD_BYTES`` or more across the CPUs.  Every complex pass runs in place
-in an array the package made, so the inverse transforms in the spectrum it is
-handed: a caller that reads that spectrum again passes a copy.  The norm
-quadrature's oversampled inverse, ``_refined_derivatives``, shares ``_rfft``;
-one call takes every derivative block of one forward transform, makes each of
-its first-axis transforms once for all of them, with :func:`_pass` as well,
+``_rfft``/``_irfft`` are the one full-grid transform pair; :func:`forward`
+and :func:`inverse` validate around them.  They make numpy's one-dimensional
+passes of ``rfftn``/``irfftn``, so their results equal those bitwise, in two
+phases, each over the :func:`_pieces` of the spectrum along one axis: along
+axis 1, the passes along every axis but axis 1; along axis 2, the pass along
+axis 1.  A spectrum below ``_THREAD_BYTES`` is one piece; from it on, pieces
+of about ``_PIECE_BYTES`` run on every CPU, each while it is in its thread's
+cache.  So does work the caller hands in: the forward transform runs a hook on
+each finished piece of the spectrum, and the inverse hands each finished piece
+of samples to a consumer instead of building a full-size array.  Every complex pass runs in place in an array the
+package made, so the inverse transforms in the spectrum it is handed: a caller
+that reads that spectrum again passes a copy.  The norm quadrature's
+oversampled inverse, ``_refined_derivatives``, shares ``_rfft``; one call
+takes every derivative block of one forward transform, makes each of its
+first-axis transforms once for all of them, with the inverse's first phase,
 and yields for each block one independent generator per slab, each running
 numpy's one-dimensional passes over its slab, instead of a full-grid
 ``_irfft``; the quadrature sums the slabs in parallel and combines them in
-slab order, so its values are bitwise equal for any thread count.  Both run
-their threads through :func:`_map`, which starts up to one thread per CPU and
-joins them before it returns, so no thread outlives the call; so do the
+slab order, so its values are bitwise equal for any thread count.  All of them
+run their threads through :func:`_map`, which starts up to one thread per CPU
+and joins them before it returns, so no thread outlives the call; so do the
 ensembles of ``analysis``, whose members run on threads of the call when their
-field is below ``_THREAD_BYTES``.  A map called inside a threaded map runs in
-its caller alone, so no more threads run at once than there are CPUs.
+field is below ``_THREAD_BYTES``, and ``snapshot.save_bundle``'s writes.  A map
+called inside a threaded map runs in its caller alone, so no more threads run
+at once than there are CPUs.
 """
 
 from __future__ import annotations
@@ -426,44 +432,92 @@ def refine(field: SpaceTimeField, N: int, Nt: int) -> SpaceTimeField:
     return inverse(embed_spectrum(forward(field), fine))
 
 
-def _rfft(samples: np.ndarray) -> np.ndarray:
+def _rfft(samples: np.ndarray, piece=None) -> np.ndarray:
     """Half spectrum (see the module docstring) of real ``samples``: the
     component axis, then a domain's ``grid_shape`` or, with no time axis,
     its spatial grid alone.  The last axis is halved, and the Nyquist index
     ``size // 2`` of every axis is zeroed.
 
-    The passes are ``rfftn``'s: ``rfft`` along the last axis, then ``fft``
-    along each further axis from the last to the first, in place."""
+    The passes are ``rfftn``'s, in two phases over the :func:`_pieces` of the
+    spectrum: along axis 1, ``rfft`` along the last axis, then ``fft`` in
+    place along each further axis from the last to axis 2; along axis 2,
+    ``fft`` along axis 1 and the Nyquist zeroing.  Then, with ``piece``, the
+    thread that finished a piece of axis 2 calls ``piece(index, block)``
+    while ``block``, ``coeff[index]``, is in its cache; the call may change
+    that block in place, and nothing else of the spectrum."""
     shape = samples.shape[:-1] + (samples.shape[-1] // 2 + 1,)
     coeff = np.empty(shape, dtype=complex)
-    _pass(np.fft.rfft, samples, coeff, samples.ndim - 1)
-    for axis in range(samples.ndim - 2, 0, -1):
-        _pass(np.fft.fft, coeff, coeff, axis)
-    for axis, size in enumerate(samples.shape[1:], start=1):
-        coeff[(slice(None),) * axis + (size // 2,)] = 0.0
+
+    def rows(index):
+        block = coeff[index]
+        np.fft.rfft(samples[index], axis=-1, norm="forward", out=block)
+        for axis in range(samples.ndim - 2, 1, -1):
+            np.fft.fft(block, axis=axis, norm="forward", out=block)
+
+    def columns(index):
+        block = coeff[index]
+        np.fft.fft(block, axis=1, norm="forward", out=block)
+        for axis, size in enumerate(samples.shape[1:], start=1):
+            at = size // 2 - (index[2].start if axis == 2 else 0)
+            if 0 <= at < block.shape[axis]:
+                block[(slice(None),) * axis + (at,)] = 0.0
+        if piece is not None:
+            piece(index, block)
+
+    _map(rows, _pieces(coeff, 1))
+    _map(columns, _pieces(coeff, 2))
     return coeff
 
 
-def _irfft(coeff: np.ndarray) -> np.ndarray:
+def _irfft(coeff: np.ndarray, consume=None):
     """Real samples of a half spectrum laid out as :func:`_rfft` returns
     it; every grid size is even, so the halved axis has ``2 * (len - 1)``
     points.
 
-    The passes are ``irfftn``'s: ``ifft`` along each axis but the last, from
-    the first, in place in ``coeff``, then ``irfft`` along the last axis into
-    a new array.  So ``coeff`` is consumed: a caller that reads that spectrum
-    again passes a copy."""
-    for axis in range(1, coeff.ndim - 1):
-        _pass(np.fft.ifft, coeff, coeff, axis)
-    samples = np.empty(coeff.shape[:-1] + (2 * (coeff.shape[-1] - 1),))
-    _pass(np.fft.irfft, coeff, samples, coeff.ndim - 1)
-    return samples
+    The passes are ``irfftn``'s, in two phases over the :func:`_pieces` of
+    ``coeff``: along axis 2, ``ifft`` along axis 1 (:func:`_ifft_columns`);
+    along axis 1, ``ifft`` along each further axis but the last, then
+    ``irfft`` along the last axis into the piece of a new array, which is
+    returned.  The complex passes run in place, so ``coeff`` is consumed: a
+    caller that reads that spectrum again passes a copy.  With ``consume``,
+    no full-size output is built: the thread that finished a piece ``index``
+    of the samples calls ``consume(index, block)``, ``block`` a new array of
+    that piece alone, and the list of its results, in piece order, is
+    returned."""
+    _ifft_columns(coeff)
+    samples = None
+    if consume is None:
+        samples = np.empty(coeff.shape[:-1] + (2 * (coeff.shape[-1] - 1),))
+
+    def rows(index):
+        block = coeff[index]
+        for axis in range(2, coeff.ndim - 1):
+            np.fft.ifft(block, axis=axis, norm="forward", out=block)
+        if consume is None:
+            np.fft.irfft(block, axis=-1, norm="forward", out=samples[index])
+        else:
+            return consume(index, np.fft.irfft(block, axis=-1, norm="forward"))
+
+    results = _map(rows, _pieces(coeff, 1))
+    return samples if consume is None else results
 
 
-# arrays of at least this many bytes have each transform pass split into
-# ``_WORKERS`` chunks, one per thread (numpy's transforms release the GIL);
-# below it, starting a thread costs more than it saves
+def _ifft_columns(coeff: np.ndarray) -> None:
+    """``ifft`` along axis 1 of ``coeff``, in place, over its pieces along
+    axis 2: :func:`_irfft`'s first phase."""
+
+    def column(index):
+        np.fft.ifft(coeff[index], axis=1, norm="forward", out=coeff[index])
+
+    _map(column, _pieces(coeff, 2))
+
+
+# spectra of at least this many bytes have each transform phase cut into
+# pieces of about ``_PIECE_BYTES``, run by one thread per CPU (numpy's
+# transforms release the GIL); below it, starting a thread costs more than it
+# saves.  A piece fits a CPU's cache, and its temporaries stay small.
 _THREAD_BYTES = 4 * 1024 * 1024
+_PIECE_BYTES = 1024 * 1024
 # the CPUs this process may run on
 _WORKERS = (
     len(os.sched_getaffinity(0))
@@ -524,27 +578,23 @@ def _map(function, items: Sequence) -> list:
     return results
 
 
-def _pass(transform, src: np.ndarray, out: np.ndarray, axis: int) -> None:
-    """One-dimensional ``transform`` (``norm="forward"``) of ``src`` along
-    ``axis`` into ``out``, which may be ``src``.  From ``_THREAD_BYTES`` on,
-    the lines are split into ``_WORKERS`` contiguous chunks along axis 1, or
-    axis 2 when ``axis`` is 1, and :func:`_map` runs one chunk per thread.
-    Each line is transformed alone, so the result does not depend on the
-    split."""
-    split = 2 if axis == 1 else 1
-    size = src.shape[split]
-    large = max(src.nbytes, out.nbytes) >= _THREAD_BYTES
-    parts = min(_WORKERS, size) if large else 1
-    lead = (slice(None),) * split
-    chunks = [
+def _pieces(coeff: np.ndarray, axis: int) -> list[tuple[slice, ...]]:
+    """Index tuples that cut ``coeff`` into contiguous pieces along ``axis``,
+    each spanning every other axis: below ``_THREAD_BYTES``, one piece, the
+    whole array; from it on, pieces of about ``_PIECE_BYTES``, at least
+    ``_WORKERS`` of them and at most one per index.  Each line of a transform
+    lies in one piece and is transformed alone, so no result depends on the
+    cut."""
+    size = coeff.shape[axis]
+    parts = 1
+    if coeff.nbytes >= _THREAD_BYTES:
+        per_piece = max(1, size * _PIECE_BYTES // coeff.nbytes)
+        parts = min(size, max(_WORKERS, -(-size // per_piece)))
+    lead = (slice(None),) * axis
+    return [
         lead + (slice(size * i // parts, size * (i + 1) // parts),)
         for i in range(parts)
     ]
-
-    def run(chunk):
-        transform(src[chunk], axis=axis, norm="forward", out=out[chunk])
-
-    _map(run, chunks)
 
 
 def _pad(band: np.ndarray, axis: int, size: int) -> np.ndarray:
@@ -582,7 +632,7 @@ def _refined_derivatives(
     The inverse is pruned: for each ``(refinement, alpha[0])`` the nonzero band
     is padded along the first spatial axis into one new array (``refinement``
     times ``coeff``), multiplied there by its factor and transformed in place
-    by one :func:`_pass`, threaded like any other.  The blocks are yielded by
+    by :func:`_ifft_columns`, the first phase of any inverse.  The blocks are yielded by
     refinement and then by their set of ``alpha[0]``, so each such array, the
     head, is built once, and before a block builds one, every head it does not
     read is dropped.  A block's generators hold the heads they read and only
@@ -612,7 +662,7 @@ def _refined_derivatives(
         out = _pad(coeff, 1, refinement * sizes[0])
         if order:
             out *= _pad(freqs[0] ** order, 0, refinement * sizes[0])
-        _pass(np.fft.ifft, out, out, 1)
+        _ifft_columns(out)
         return out
 
     def stream(orders, refinement: int, heads: dict) -> list[Iterator[np.ndarray]]:

@@ -3,22 +3,25 @@
 import inspect
 import json
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tpoe import (
+    OseenParams,
     SnapshotFormatError,
     SpaceTimeField,
     TorusDomain,
     load_field,
+    manufactured_case,
     random_band_limited_field,
     save_bundle,
     save_field,
     solve_full,
 )
-from tpoe import snapshot
+from tpoe import snapshot, spectral
 from tpoe.snapshot import MAGIC, _write_json
 
 
@@ -169,15 +172,57 @@ def test_load_reads_into_the_samples(tmp_path, traced_peak, bound_case):
     assert peak <= 1.25 * f.samples.nbytes
 
 
-def test_save_bundle_copies_at_most_one_component(
-    tmp_path, traced_peak, bound_case
+def test_save_bundle_copies_at_most_one_row(
+    tmp_path, traced_peak, bound_case, workers
 ):
-    # 0.34x measured: one component of the broadcast v; the other fields
-    # are written from their own buffers
+    # 0.026x-0.037x measured at 1-3 workers: a row of the broadcast v per
+    # write in flight; the other fields are written from their own buffers.
+    # 0.34x when v was copied a whole component at a time
     _, pr, f = bound_case
     bundle = solve_full(f, pr, norm_kinds=[])
     peak, _ = traced_peak(lambda: save_bundle(bundle, tmp_path / "out", pr))
-    assert peak <= 0.5 * f.samples.nbytes
+    assert peak <= 0.1 * f.samples.nbytes
+
+
+def test_save_bundle_raises_the_first_failed_write(tmp_path, bound_case, workers):
+    # directories where u and w go: the four writes run concurrently (at
+    # three workers, u and w fail in two threads), u's error is raised, as a
+    # loop would raise it, and no summary is written
+    _, pr, f = bound_case
+    bundle = solve_full(f, pr, norm_kinds=[])
+    out = tmp_path / "out"
+    for name in ("u", "w"):
+        (out / f"{name}.tpf").mkdir(parents=True)
+    with pytest.raises(OSError) as caught:
+        save_bundle(bundle, out, pr)
+    assert caught.value.filename == str(out / "u.tpf")
+    assert not (out / "summary.json").exists()
+
+
+def test_no_thread_outlives_a_solve_or_its_save(tmp_path, monkeypatch):
+    # a field of _THREAD_BYTES: every transform phase and the snapshot writes
+    # start threads, and each call joins them before it returns
+    monkeypatch.setattr(spectral, "_WORKERS", 2)
+    d = TorusDomain(n=2, L=2 * np.pi, N=64, T=2 * np.pi, Nt=64)
+    pr = OseenParams(lam=1.0, T=d.T, q=2.0)
+    _, _, f = manufactured_case("mixed", d, pr, seed=0)
+    assert f.samples.nbytes >= spectral._THREAD_BYTES
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    before = threading.active_count()
+    bundle = solve_full(f, pr, norm_kinds=[])
+    assert threading.active_count() == before
+    solved = len(started)
+    save_bundle(bundle, tmp_path / "out", pr)
+    assert threading.active_count() == before
+    assert solved > 0 and len(started) > solved
+    assert not any(thread.is_alive() for thread in started)
 
 
 def test_read_only_steady_part_saves_as_its_copy(tmp_path, bound_case):

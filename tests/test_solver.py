@@ -667,13 +667,16 @@ class TestSolveFull:
         assert peak <= 12 * f.samples.nbytes
 
     def test_residual_is_streamed(self, traced_peak, bound_case):
-        # 2.98x measured, reached in the streamed residual as a row's
-        # spectrum adds i xi_j p^: u, p and v (1.40x), the symbol, p^, u^_j
-        # and the product (0.375x each) and numpy's ufunc buffer; 3.32x when
-        # the loop's zip tuple held each row while the next was built
+        # 2.69x measured, reached in the streamed residual as a row's
+        # spectrum adds i xi_j p^: u, p and v (1.40x), p^, u^_j and the
+        # symbol, whose array then takes i xi_j p^ (0.375x each), and numpy's
+        # ufunc buffer (0.08x); the field is below _THREAD_BYTES, so the row
+        # is one piece.  2.98x when the symbol and i xi_j p^ were two arrays
+        # and each row a full-size array, 3.32x when the loop's zip tuple
+        # held each row while the next was built
         _, pr, f = bound_case
         peak, _ = traced_peak(lambda: solve_full(f, pr, norm_kinds=[]))
-        assert peak <= 3.1 * f.samples.nbytes
+        assert peak <= 2.75 * f.samples.nbytes
 
     def test_steady_part_is_a_read_only_view(self):
         d = dom2(16, 16)
@@ -692,27 +695,33 @@ class TestSolveFull:
         assert steady_norm(v, kind, 1.0) == steady_norm(copy, kind, 1.0)
 
     def test_non_finite_operator_row_rejected(self, monkeypatch):
-        # a NaN in A(u, p) must not vanish from the streamed residual
-        import tpoe.solver as solver_module
-
-        operator = solver_module._operator
+        # a NaN in A(u, p) must not vanish from the streamed residual: row 1
+        # gets it in a sample piece that a worker thread checks
+        monkeypatch.setattr(spectral, "_WORKERS", 2)
+        monkeypatch.setattr(spectral, "_THREAD_BYTES", 0)
+        caller, poisoned = threading.current_thread(), []
+        operator = solver._operator
 
         def overflowing(u, p, params):
             row = operator(u, p, params)
 
-            def nan_in_row_1(j):
-                out = row(j)
-                if j == 1:
-                    out[0, 0, 0] = np.nan
-                return out
+            def nan_in_a_worker_piece_of_row_1(j, consume):
+                def check(index, a):
+                    if j == 1 and threading.current_thread() is not caller:
+                        a[0, 0, 0] = np.nan
+                        poisoned.append(index)
+                    return consume(index, a)
 
-            return nan_in_row_1
+                return row(j, check)
+
+            return nan_in_a_worker_piece_of_row_1
 
         d = dom2(16, 16)
         _, _, f = manufactured_case("mixed", d, params(lam=1.0), seed=0)
-        monkeypatch.setattr(solver_module, "_operator", overflowing)
+        monkeypatch.setattr(solver, "_operator", overflowing)
         with pytest.raises(DomainMismatch, match="non-finite"):
             solve_full(f, params(lam=1.0), norm_kinds=[])
+        assert poisoned
 
     def test_incompatible_mean_rejected(self):
         d = dom2(16, 16)
@@ -768,6 +777,34 @@ class TestSolveFull:
         _, _, f = manufactured_case("random", d, pr, seed=0)
         with pytest.raises(InvalidExponent):
             solve_full(f, pr, norm_kinds=[NormKind(NormTag.STEADY_STOKES, 2.0)])
+
+
+class TestPieces:
+    # the piece path of solve_full and apply_operator equals their serial
+    # values bitwise; three indices a piece of f's spectrum cut axes 1 and 2
+    # into six pieces, which do not divide N, and at n = 2 the piece [8, 10)
+    # of axis 2 crosses N/2 + 1, where the steady slice ends
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_solve_and_operator_equal_serial_values(self, monkeypatch, workers, n):
+        d = TorusDomain(n=n, L=3.0, N=16, T=5.0, Nt=16)
+        pr = OseenParams(lam=-2.5, T=5.0, q=2.0)
+        _, _, f = manufactured_case("mixed", d, pr, seed=2)
+        spectrum = 16 * n * 16**n * 9
+        assert spectrum < spectral._THREAD_BYTES  # so one piece, serially
+        serial = solve_full(f, pr, norm_kinds=[])
+        applied = apply_operator(serial.u, serial.p, pr).samples
+        monkeypatch.setattr(spectral, "_THREAD_BYTES", 0)
+        monkeypatch.setattr(spectral, "_PIECE_BYTES", 3 * spectrum // 16)
+        fh = np.empty((n,) + d.spectral_shape, dtype=complex)
+        starts = [index[2].start for index in spectral._pieces(fh, 2)]
+        assert starts == [0, 2, 5, 8, 10, 13]
+        got = solve_full(f, pr, norm_kinds=[])
+        assert got.residual_norm == serial.residual_norm
+        for name in ("u", "v", "w", "p"):
+            assert np.array_equal(
+                getattr(got, name).samples, getattr(serial, name).samples
+            ), name
+        assert np.array_equal(apply_operator(got.u, got.p, pr).samples, applied)
 
 
 class TestTolerance:

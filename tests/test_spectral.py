@@ -405,10 +405,10 @@ class TestThreadedPasses:
     LARGE = [(1, 32, 32, 32, 32), (3, 32, 32, 32, 16), (2, 64, 64, 64), (3, 64, 64, 64)]
 
     @pytest.mark.parametrize("shape", LARGE)
-    def test_chunked_passes_equal_numpy_nd(
+    def test_pieces_equal_numpy_nd(
         self, shape, monkeypatch, record_transforms, transform_passes
     ):
-        # two workers, so that one-CPU machines run the chunked path too
+        # two workers, so that one-CPU machines run the piece path too
         monkeypatch.setattr(spectral, "_WORKERS", 2)
         rng = np.random.default_rng(21)
         samples = rng.standard_normal(shape)
@@ -417,16 +417,66 @@ class TestThreadedPasses:
         assert samples.nbytes >= spectral._THREAD_BYTES
         expected = nd_reference(samples), nd_inverse_reference(coeff)
         calls = record_transforms()
+        threaded = []  # (name, axis, input shape, thread) per call
+        for name in ("rfft", "fft", "ifft", "irfft"):
+            original = getattr(np.fft, name)
+
+            def wrapper(a, *args, _name=name, _original=original, **kwargs):
+                axis = kwargs["axis"] % np.ndim(a)
+                threaded.append((_name, axis, np.shape(a), threading.get_ident()))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, wrapper)
         got = _rfft(samples), _irfft(coeff)
         assert np.array_equal(got[0], expected[0])
         assert np.array_equal(got[1], expected[1])
-        # each pass runs as two chunks, and the chunks cover its lines
+        # every phase cuts the spectrum into the same number of pieces (axes
+        # 1 and 2 have one size), about _PIECE_BYTES each
+        pieces = len(spectral._pieces(coeff, 1))
+        assert pieces == len(spectral._pieces(coeff, 2))
+        assert pieces >= max(2, coeff.nbytes // spectral._PIECE_BYTES)
         passes = transform_passes(("rfftn", shape), ("irfftn", half))
-        assert len(calls) == 2 * len(passes)
-        assert [name for name, _ in calls[::2]] == [name for name, _ in passes]
-        for (_, a), (_, b), (_, whole) in zip(calls[::2], calls[1::2], passes):
-            assert np.prod(a) + np.prod(b) == np.prod(whole)
-
+        assert len(calls) == pieces * len(passes)
+        # each pass is numpy's, one call per piece, and the pieces of a pass
+        # cover its lines, cut along axis 2 for the pass along axis 1 and
+        # along axis 1 for every other
+        axes = list(range(len(shape) - 1, 0, -1)) + list(range(1, len(shape)))
+        made = [[] for _ in passes]
+        for name, axis, size, _ in threaded:
+            (at,) = [
+                k for k, (called, _) in enumerate(passes)
+                if (called, axes[k]) == (name, axis)
+            ]
+            made[at].append(size)
+        for (_, whole), axis, sizes in zip(passes, axes, made):
+            cut = 2 if axis == 1 else 1
+            assert len(sizes) == pieces
+            assert sum(size[cut] for size in sizes) == whole[cut]
+            assert all(
+                size[:cut] + size[cut + 1 :] == whole[:cut] + whole[cut + 1 :]
+                for size in sizes
+            )
+        # in every thread, each piece makes the passes of its phase in
+        # numpy's order, and the phases follow numpy's order: the pass
+        # indices a thread makes are the phases' runs, each phase repeated
+        forward = len(shape) - 1
+        phases = [
+            list(range(forward - 1)), [forward - 1], [forward],
+            list(range(forward + 1, len(passes))),
+        ]
+        for thread in {ident for *_, ident in threaded}:
+            order = [
+                axes.index(axis, forward if name.startswith("i") else 0)
+                for name, axis, _, ident in threaded if ident == thread
+            ]
+            phase, at = 0, 0
+            while at < len(order):
+                while order[at] != phases[phase][0]:
+                    phase += 1
+                    assert phase < len(phases), order
+                run = phases[phase]
+                assert order[at : at + len(run)] == run, order
+                at += len(run)
     @pytest.mark.parametrize(
         "workers, size", [(1, 16), (2, 64)], ids=["contiguous", "threaded"]
     )
@@ -444,18 +494,17 @@ class TestThreadedPasses:
         assert np.array_equal(inverse(spec).samples, expected)
         assert spec.coefficients.tobytes() == before
 
-    def test_steady_slice_leaves_its_spectrum_unchanged(self):
-        # solve_full takes v from the strided k == 0 slice of u^, then
-        # inverts u^ itself
+    def test_steady_slice_is_the_inverse_of_its_spatial_spectrum(self):
+        # the steady field is the inverse of the strided k == 0 slice of u^,
+        # cut to N/2 + 1 and transformed in place, repeated along time
         d = TorusDomain(n=3, L=3.0, N=16, T=5.0, Nt=16)
         rng = np.random.default_rng(27)
         shape = (3,) + d.spectral_shape
         uh = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        before = uh.tobytes()
         expected = nd_inverse_reference(uh[..., : d.N // 2 + 1, 0])
-        v = solver._steady_slice(uh, d)
+        v = solver._steady_slice(uh[..., 0], d)
+        assert v.samples.strides[-1] == 0
         assert np.array_equal(v.samples[..., 0], expected)
-        assert uh.tobytes() == before
 
     def test_small_arrays_run_one_call_per_pass(
         self, monkeypatch, record_transforms, transform_passes
@@ -565,6 +614,58 @@ class TestThreadedPasses:
             [sys.executable, "-c", code], env=env, timeout=60, capture_output=True
         )
         assert done.returncode == 0, done.stderr
+
+
+class TestPieces:
+    # a low threshold and a small piece size send small arrays down the piece
+    # path; N = 10 with three indices a piece cuts axes 1 and 2 into four
+    # pieces, which do not divide N, and the half axis of a spatial-only n = 2
+    # layout into one per index
+    SHAPES = [(3, 10, 10, 10, 8), (2, 10, 10, 12), (3, 10, 10, 10), (2, 10, 10)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_pair_equals_numpy_nd(self, monkeypatch, workers, shape):
+        rng = np.random.default_rng(29)
+        samples = rng.standard_normal(shape)
+        half = shape[:-1] + (shape[-1] // 2 + 1,)
+        coeff = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+        monkeypatch.setattr(spectral, "_THREAD_BYTES", 0)
+        monkeypatch.setattr(spectral, "_PIECE_BYTES", 3 * coeff.nbytes // 10)
+        pieces = spectral._pieces(coeff, 1)
+        assert len(pieces) == max(4, workers) and 10 % len(pieces) != 0
+        expected = nd_reference(samples), nd_inverse_reference(coeff)
+        assert np.array_equal(_rfft(samples), expected[0])
+        assert np.array_equal(_irfft(coeff.copy()), expected[1])
+        # a consumer gets every sample piece, and no full-size array
+        got = np.full_like(expected[1], np.nan)
+
+        def consume(index, piece):
+            got[index] = piece
+            return index
+
+        assert _irfft(coeff, consume) == pieces
+        assert np.array_equal(got, expected[1])
+
+    def test_hook_sees_each_finished_piece_once(self, monkeypatch, workers):
+        # the thread that finished a piece runs the hook on it; a change it
+        # makes is in the spectrum returned
+        rng = np.random.default_rng(30)
+        samples = rng.standard_normal((2, 10, 10, 12))
+        expected = nd_reference(samples)
+        monkeypatch.setattr(spectral, "_THREAD_BYTES", 0)
+        monkeypatch.setattr(spectral, "_PIECE_BYTES", 3 * expected.nbytes // 10)
+        seen = []
+
+        def hook(index, block):
+            assert np.array_equal(block, expected[index])
+            seen.append((index[2].start, threading.current_thread()))
+            block *= 2.0
+
+        coeff = _rfft(samples, hook)
+        assert np.array_equal(coeff, 2.0 * expected)
+        starts = sorted(start for start, _ in seen)
+        assert starts == [index[2].start for index in spectral._pieces(coeff, 2)]
+        assert len({thread for _, thread in seen}) == min(workers, len(seen))
 
 
 class TestMap:
@@ -803,10 +904,10 @@ class TestRefinedDerivatives:
         self.assert_matches(got, self.public_calculus(f, 2)[:4])
 
 
-def test_every_full_array_pass_goes_through_pass():
-    # numpy's one-dimensional transforms are called directly only on the
-    # slabs of the streamed inverse; every other pass is spectral._pass,
-    # which splits arrays of _THREAD_BYTES or more across the CPUs
+def test_every_full_array_pass_runs_in_pieces():
+    # numpy's one-dimensional transforms are called only in the piece phases
+    # of the transform pair, which cut spectra of _THREAD_BYTES or more
+    # across the CPUs, and on the slabs of the streamed inverse
     package = Path(__file__).resolve().parents[1] / "src" / "tpoe"
     calls = [
         (source.name, line.strip())
@@ -814,11 +915,22 @@ def test_every_full_array_pass_goes_through_pass():
         for line in source.read_text().splitlines()
         if re.search(r"np\.fft\.i?r?fft\(", line)
     ]
+    phases = "".join(
+        inspect.getsource(function)
+        for function in (spectral._rfft, spectral._ifft_columns, spectral._irfft)
+    )
     source = inspect.getsource(spectral._refined_derivatives)
     (tail,) = [
         node for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.FunctionDef) and node.name == "tail"
     ]
     tail = ast.get_source_segment(source, tail)
-    assert calls, "the slab passes call numpy directly"
-    assert all(name == "spectral.py" and line in tail for name, line in calls), calls
+    assert calls, "the phases and the slab passes call numpy directly"
+    assert all(
+        name == "spectral.py" and (line in phases or line in tail)
+        for name, line in calls
+    ), calls
+    # the phases map their pieces, and the head of the streamed inverse
+    # transforms along its first axis with the inverse's first phase
+    assert phases.count("_map(") == 4
+    assert "_ifft_columns(out)" in source
