@@ -12,18 +12,18 @@ Every norm is a list of derivative blocks plus their combination, and
 :func:`_block_norms` is the one quadrature: it returns one Lq value per
 block.  It makes one real forward transform and one call of the spectral
 module's streamed inverse (``_refined_derivatives``) for all its blocks: a
-pruned inverse of the zero-padded half spectrum, one generator per slab of
-refined rows, which builds each of its first-axis transforms once per call.
-The slabs are summed in parallel, up to one thread per CPU
-(``spectral._map``), and combined in slab order, so every value is bitwise
-equal for any thread count.  Memory therefore scales with the half spectrum
-and one slab per thread, not with the refined grid.  A steady norm acts on
-a time-constant field, so it is integrated over the time-mean spatial slice
-alone.  Every square and q-th power is taken of values at most 1: divided
-by their largest magnitude, a running maximum over the slabs, which is
-multiplied back after the root.  So no norm overflows or underflows in the
-double range (``TestNoOverflow``, q up to 1e4, and ``TestReportValues``,
-scales 1e+-300, in ``tests/test_norms.py``).
+pruned inverse of the zero-padded half spectrum, in slabs of refined rows,
+which builds each of its first-axis transforms once per call.  The
+quadrature is one consumer of those slabs: the inverse runs it on each slab
+in a thread of its call and returns the slabs' sums in slab order, where they
+are combined, so every value is bitwise equal for any thread count.  Memory
+therefore scales with the half spectrum and one slab per thread, not with the
+refined grid.  A steady norm acts on a time-constant field, so it is
+integrated over the time-mean spatial slice alone.  Every square and q-th
+power is taken of values at most 1: divided by their largest magnitude, a
+running maximum over the slabs, which is multiplied back after the root.  So
+no norm overflows or underflows in the double range (``TestNoOverflow``, q up
+to 1e4, and ``TestReportValues``, scales 1e+-300, in ``tests/test_norms.py``).
 
 Spatial Lebesgue norms are taken verbatim over the periodic box.  On the
 whole space these exponents encode decay at infinity; a periodic box has no
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import InvalidExponent
 from .spectral import SpaceTimeField, TorusDomain, _distinct, _rfft
-from .spectral import _map, _refined_derivatives
+from .spectral import _refined_derivatives
 
 
 class NormTag(str, Enum):
@@ -190,44 +190,42 @@ def _block_norms(
     transform and one call of the streamed inverse (``_refined_derivatives``),
     which builds each of its first-axis transforms once for all of them; each
     block's grid is refined by ``_auto_refine`` of its own exponent.  The
-    values are returned in the order of ``blocks``.  Threads of the call
-    (``spectral._map``) take the slabs of a block as the pruned inverse
-    streams them, and each returns a slab's sum of ``(|f| / top)^q`` with
-    its ``top``.  The caller combines them in slab order with the running
-    maximum as scale: when a slab raises it, the sum so far is multiplied by
-    ``(old / new)^q``.  So the values do not depend on the thread count,
-    bitwise.  With a time axis the cell carries the 1/T-normalized time
-    step.  ``per_slice`` sums over the
-    spatial axes only and gives each block's norms as an array over time
+    values are returned in the order of ``blocks``.  The streamed inverse
+    runs one consumer on each slab, which gives the slab's sum of
+    ``(|f| / top)^q`` with its ``top``, and returns those in slab order.
+    They are combined in that order with the running maximum as scale: when a
+    slab raises it, the sum so far is multiplied by ``(old / new)^q``.  So
+    the values do not depend on the thread count, bitwise.  With a time axis
+    the cell carries the 1/T-normalized time step.  ``per_slice`` sums over
+    the spatial axes only and gives each block's norms as an array over time
     slices, to be combined slice by slice, so all blocks then share one
     factor, ``_auto_refine`` of every exponent.
     """
-    coeff = _rfft(samples)
     shared = _auto_refine(*(q for _, q in blocks))
     refinements = [shared if per_slice else _auto_refine(q) for _, q in blocks]
     axes = tuple(range(domain.n)) if per_slice else None
-    values = [0.0] * len(blocks)
+
+    def partial(i, slab):
+        # the slab's sum of (|f| / top)^q, and top
+        squares, top = _squared_magnitude(slab)
+        np.power(squares, blocks[i][1] / 2.0, out=squares)
+        return np.sum(squares, axis=axes), top
+
     streamed = [(orders, r) for (orders, _), r in zip(blocks, refinements)]
-    for i, slabs in _refined_derivatives(coeff, domain, streamed):
-        q, r = blocks[i][1], refinements[i]
+    parts = _refined_derivatives(_rfft(samples), domain, streamed, partial)
+    values = []
+    for (_, q), r, slabs in zip(blocks, refinements, parts):
         cell = (domain.dx / r) ** domain.n
         if samples.ndim == domain.n + 2 and not per_slice:
             cell /= domain.Nt * r
-
-        def partial(slab):
-            # the slab's sum of (|f| / top)^q, and top
-            squares, top = _squared_magnitude(slab)
-            np.power(squares, q / 2.0, out=squares)
-            return np.sum(squares, axis=axes), top
-
         total, scale = 0.0, 0.0
-        for part, top in _map(partial, slabs):
+        for part, top in slabs:
             if top > scale:
                 total = total * (scale / top) ** q
                 scale = top
             if top > 0.0:
                 total = total + part * (top / scale) ** q
-        values[i] = scale * (total * cell) ** (1.0 / q)
+        values.append(scale * (total * cell) ** (1.0 / q))
     return values
 
 

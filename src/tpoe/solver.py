@@ -17,6 +17,7 @@ package targets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -173,11 +174,11 @@ def _cut(grids, index) -> list[np.ndarray]:
     return [grid[index[1:]] if grid.shape[1] > 1 else grid for grid in grids]
 
 
-def _symbol(domain: TorusDomain, lam: float, xi=None) -> np.ndarray:
-    """:func:`_denominator` on the half grid, or on the piece of it that
-    ``xi`` (:func:`_cut`) spans; ``DomainMismatch`` if not finite."""
-    xi = domain.xi_grids() if xi is None else xi
-    symbol = _denominator(xi, domain.eta_grid(), lam)
+def _symbol(domain: TorusDomain, lam: float, xi, eta) -> np.ndarray:
+    """:func:`_denominator` on the part of the half grid that the frequency
+    grids ``xi`` (the domain's or :func:`_cut`'s) and ``eta`` span;
+    ``DomainMismatch`` if not finite."""
+    symbol = _denominator(xi, eta, lam)
     parts = symbol.view(float)  # real and imaginary; min and max need no grid
     if not np.isfinite([parts.min(), parts.max()]).all():
         raise DomainMismatch(f"symbol of A overflows on {domain}, lambda={lam!r}")
@@ -201,14 +202,14 @@ def _require_invertible(domain: TorusDomain, lam: float | None = None) -> None:
         raise DomainMismatch(f"symbol of A {cause} on {domain}, lambda={lam!r}")
 
 
-def _invert(gh: np.ndarray, domain: TorusDomain, lam: float, xi=None) -> np.ndarray:
-    """The half spectrum ``gh``, or the piece of it that ``xi`` spans (see
+def _invert(gh: np.ndarray, domain: TorusDomain, lam: float, xi, eta) -> np.ndarray:
+    """The part ``gh`` of a half spectrum that ``xi`` and ``eta`` span (see
     :func:`_symbol`), divided by the operator's symbol in place: the
     steady inverse on k == 0 and the time-periodic multiplier elsewhere.
     Only the mode (xi, k) = (0, 0), which has no inverse, is annihilated;
     callers check :func:`_require_invertible` first, so the symbol vanishes
     there alone, and that mode is the first of the piece that holds it."""
-    denom = _symbol(domain, lam, xi)
+    denom = _symbol(domain, lam, xi, eta)
     origin = denom.flat[0] == 0.0
     if origin:
         denom.flat[0] = 1.0  # zeroed below
@@ -264,7 +265,7 @@ def solve_time_periodic(
     del f  # not read again, so data passed as a temporary is freed here
     _split(xi, gh, tol)  # mode by mode, so it commutes with the next line
     gh[..., 0] = 0.0  # the multiplier vanishes on the steady stratum
-    uh = _invert(gh, domain, params.lam)
+    uh = _invert(gh, domain, params.lam, xi, domain.eta_grid())
     return SpaceTimeField(domain, _irfft(uh))
 
 
@@ -293,9 +294,11 @@ def solve_steady(
     _require_invertible(f.domain, lam)
     norms._time_mean(f, tol)
     _require_compatible_mean(f, tol, f.max_abs())
+    domain, xi = f.domain, f.domain.xi_grids()
     gh = _rfft(f.samples)
-    _split(f.domain.xi_grids(), gh, tol)
-    return _steady_slice(_invert(gh, f.domain, lam)[..., 0], f.domain)
+    _split(xi, gh, tol)
+    # k == 0 alone, by the symbol at eta = 0: the answer does not depend on T
+    return _steady_slice(_invert(gh[..., :1], domain, lam, xi, 0.0)[..., 0], domain)
 
 
 def recover_pressure(f: SpaceTimeField) -> SpaceTimeField:
@@ -310,28 +313,30 @@ def recover_pressure(f: SpaceTimeField) -> SpaceTimeField:
     return SpaceTimeField(f.domain, _irfft(ph))
 
 
-def _operator(u: SpaceTimeField, p: SpaceTimeField, params: OseenParams):
-    """The operand check, then ``row``: ``row(j, consume)`` hands component
-    j of A(u, p), the real samples of ``symbol * u^_j + i xi_j p^``, to
-    ``consume`` piece by piece and returns its results, as
-    ``spectral._irfft`` does.  p^ is built once; u^_j lives only inside
-    ``row``, and the symbol and i xi_j p^ only a piece at a time, formed by
-    the thread that transformed the piece."""
+def _operator(u: SpaceTimeField, p: SpaceTimeField, params: OseenParams, consume):
+    """The operand check, then A(u, p) handed to ``consume`` piece by piece,
+    as ``spectral._irfft`` hands its samples: for each velocity component j
+    in turn, the thread that made the piece ``index`` of row j, the real
+    samples of ``symbol * u^_j + i xi_j p^``, calls ``consume(j, index,
+    samples)``, and the results of each row come back in piece order.  p^ is
+    built once; u^_j lives only while its row is made, and the symbol and
+    i xi_j p^ only a piece at a time, formed by the thread that transformed
+    the piece."""
     _require_operands(u, p, params)
     domain, xi = u.domain, u.domain.xi_grids()
     ph = _rfft(p.samples)
 
-    def row(j: int, consume) -> list:
-        def combine(index, uh):
-            cut = _cut(xi, index)
-            symbol = _symbol(domain, params.lam, cut)
-            # symbol first: numpy's complex product is not bitwise commutative
-            np.multiply(symbol, uh[0], out=uh[0])
-            uh[0] += np.multiply(1j * cut[j], ph[index][0], out=symbol)
+    def combine(j, index, uh):
+        cut = _cut(xi, index)
+        symbol = _symbol(domain, params.lam, cut, domain.eta_grid())
+        # symbol first: numpy's complex product is not bitwise commutative
+        np.multiply(symbol, uh[0], out=uh[0])
+        uh[0] += np.multiply(1j * cut[j], ph[index][0], out=symbol)
 
-        return _irfft(_rfft(u.samples[j : j + 1], combine), consume)
-
-    return row
+    return [
+        _irfft(_rfft(u.samples[j : j + 1], partial(combine, j)), partial(consume, j))
+        for j in range(domain.n)
+    ]
 
 
 def apply_operator(
@@ -340,13 +345,12 @@ def apply_operator(
     """Forward operator du/dt - Lap(u) - lam*d1(u) + grad(p), spectrally.
 
     One transform pair per velocity component plus one forward transform of
-    p, filled row by row.  ``DomainMismatch`` if u is not a vector field, p
-    not a scalar on its domain, or ``params.T`` not the domain's period.
+    p; the consumer of :func:`_operator` copies each piece into the output.
+    ``DomainMismatch`` if u is not a vector field, p not a scalar on its
+    domain, or ``params.T`` not the domain's period.
     """
-    row = _operator(u, p, params)
     out = np.empty_like(u.samples)
-    for j in range(u.domain.n):
-        row(j, lambda index, a, out_j=out[j : j + 1]: np.copyto(out_j[index], a))
+    _operator(u, p, params, lambda j, index, a: np.copyto(out[j : j + 1][index], a))
     return SpaceTimeField(u.domain, out)
 
 
@@ -386,23 +390,18 @@ def _residual(
     u: SpaceTimeField, p: SpaceTimeField, f: SpaceTimeField, params: OseenParams
 ) -> float:
     """max|A(u, p) - f|, one velocity component and one piece at a time: the
-    thread that made a sample piece of a row checks it, subtracts f and
-    reduces it, so no full-size row of A(u, p) exists."""
-    row = _operator(u, p, params)
+    consumer of :func:`_operator`, run by the thread that made a sample
+    piece, checks it, subtracts f and reduces it, so no full-size row of
+    A(u, p) exists."""
 
-    def gap(j: int) -> float:
-        f_j = f.samples[j : j + 1]
+    def gap(j: int, index, a: np.ndarray) -> float:
+        # max() would drop a NaN, so an overflowing symbol must stop here
+        if not np.isfinite(a).all():
+            raise DomainMismatch("samples contain non-finite values")
+        np.subtract(a, f.samples[j : j + 1][index], out=a)
+        return float(np.max(np.abs(a, out=a)))
 
-        def piece(index, a: np.ndarray) -> float:
-            # max() would drop a NaN, so an overflowing symbol must stop here
-            if not np.isfinite(a).all():
-                raise DomainMismatch("samples contain non-finite values")
-            np.subtract(a, f_j[index], out=a)
-            return float(np.max(np.abs(a, out=a)))
-
-        return max(row(j, piece))
-
-    return max(gap(j) for j in range(u.domain.n))
+    return max(max(row) for row in _operator(u, p, params, gap))
 
 
 def solve_full(
@@ -455,7 +454,7 @@ def solve_full(
         # coefficients, u^ in place, and u^'s part of the k == 0 slice
         cut = _cut(xi, index)
         np.multiply(-1j, _split(cut, fh), out=ph[index][0])
-        _invert(fh, domain, params.lam, cut)
+        _invert(fh, domain, params.lam, cut, domain.eta_grid())
         steady[index] = fh[..., 0]
 
     uh = _rfft(f.samples, piece)

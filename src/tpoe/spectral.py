@@ -30,22 +30,23 @@ axis 1.  A spectrum below ``_THREAD_BYTES`` is one piece; from it on, pieces
 of about ``_PIECE_BYTES`` run on every CPU, each while it is in its thread's
 cache.  So does work the caller hands in: the forward transform runs a hook on
 each finished piece of the spectrum, and the inverse hands each finished piece
-of samples to a consumer instead of building a full-size array.  Every complex pass runs in place in an array the
-package made, so the inverse transforms in the spectrum it is handed: a caller
-that reads that spectrum again passes a copy.  The norm quadrature's
-oversampled inverse, ``_refined_derivatives``, shares ``_rfft``; one call
-takes every derivative block of one forward transform, makes each of its
-first-axis transforms once for all of them, with the inverse's first phase,
-and yields for each block one independent generator per slab, each running
-numpy's one-dimensional passes over its slab, instead of a full-grid
-``_irfft``; the quadrature sums the slabs in parallel and combines them in
-slab order, so its values are bitwise equal for any thread count.  All of them
-run their threads through :func:`_map`, which starts up to one thread per CPU
-and joins them before it returns, so no thread outlives the call; so do the
-ensembles of ``analysis``, whose members run on threads of the call when their
-field is below ``_THREAD_BYTES``, and ``snapshot.save_bundle``'s writes.  A map
-called inside a threaded map runs in its caller alone, so no more threads run
-at once than there are CPUs.
+of samples to a consumer instead of building a full-size array.  Every complex
+pass runs in place in an array the package made, so the inverse transforms in
+the spectrum it is handed: a caller that reads that spectrum again passes a
+copy.  The norm quadrature's oversampled inverse, ``_refined_derivatives``,
+shares ``_rfft``; one call takes every derivative block of one forward
+transform, makes each of its first-axis transforms once for all of them, with
+the inverse's first phase, and runs numpy's one-dimensional passes over slabs
+of refined rows instead of a full-grid ``_irfft``.  Both streaming producers
+hand each piece to a consumer in a thread of the call and return its results
+in order, so only this module decides how streamed pieces are threaded, and a
+caller that combines them in order gets the same values bitwise for any
+thread count.  All of them run their threads through :func:`_map`, which
+starts up to one thread per CPU and joins them before it returns, so no thread
+outlives the call; so do the ensembles of ``analysis``, whose members run on
+threads of the call when their field is below ``_THREAD_BYTES``, and
+``snapshot.save_bundle``'s writes.  A map called inside a threaded map runs in
+its caller alone, so no more threads run at once than there are CPUs.
 """
 
 from __future__ import annotations
@@ -614,39 +615,40 @@ def _refined_derivatives(
     coeff: np.ndarray,
     domain: TorusDomain,
     blocks: Sequence[tuple[Sequence[tuple[tuple[int, ...], int]], int]],
-) -> Iterator[tuple[int, list[Iterator[np.ndarray]]]]:
-    """Real samples of (i*xi)^alpha (i*eta)^beta f on refined grids, streamed
-    in slabs of refined rows along the first spatial axis.
+    consume,
+) -> list[list]:
+    """Real samples of (i*xi)^alpha (i*eta)^beta f on refined grids, handed
+    to ``consume`` in slabs of refined rows along the first spatial axis.
 
     ``coeff`` is the half spectrum of f as :func:`_rfft` returns it: the
     component axis first, followed either by ``domain.spectral_shape`` or,
     for a field with no time axis, by the half spectrum of the spatial grid
-    ``(N,) * n`` alone (then every beta must be 0).  For the ``i``-th block
-    ``(orders, refinement)`` of ``blocks`` the call yields ``(i, slabs)``,
-    one generator per slab, over the ``orders`` ``(alpha, beta)`` and,
-    within an order, the components, each an array of shape ``(1, rows)``
-    plus the refined grid after the first axis.  Joined along axis 1, the
-    slabs of one order and component make its samples on the grid with
-    ``refinement`` times as many points per axis.
+    ``(N,) * n`` alone (then every beta must be 0).  For each slab of the
+    ``i``-th block ``(orders, refinement)`` of ``blocks``, a thread of the
+    call (:func:`_map`) calls ``consume(i, slab)``, ``slab`` a lazy iterator
+    over the ``orders`` ``(alpha, beta)`` and, within an order, the
+    components, each an array of shape ``(1, rows)`` plus the refined grid
+    after the first axis.  Joined along axis 1, the slabs of one order and
+    component make its samples on the grid with ``refinement`` times as many
+    points per axis.  The call returns, for each block in the order of
+    ``blocks``, the list of its results in slab order.
 
     The inverse is pruned: for each ``(refinement, alpha[0])`` the nonzero band
     is padded along the first spatial axis into one new array (``refinement``
     times ``coeff``), multiplied there by its factor and transformed in place
-    by :func:`_ifft_columns`, the first phase of any inverse.  The blocks are yielded by
+    by :func:`_ifft_columns`, the first phase of any inverse.  The blocks run by
     refinement and then by their set of ``alpha[0]``, so each such array, the
     head, is built once, and before a block builds one, every head it does not
-    read is dropped.  A block's generators hold the heads they read and only
-    read them, so each slab can be consumed on its own, in any order or thread,
-    also after the call has moved on.  Each slab is then padded and transformed
-    in place along each further axis in turn, the half axis last.  The padding
-    is that of :func:`embed_spectrum`, so every order's samples equal
+    read is dropped.  Each slab is padded and transformed in place along each
+    further axis in turn, the half axis last.  The padding is that of
+    :func:`embed_spectrum`, so every order's samples equal
     ``inverse(embed_spectrum(spectral_derivative(forward(f), alpha, beta),
     fine))`` up to rounding.  Memory therefore scales with the half spectrum,
-    the heads (while each block's slabs are consumed before the next, no more
-    than its distinct ``alpha[0]``) and each slab in flight (``_SLAB_BYTES``,
-    or one refined row of one component if that is larger), not with the
-    refined grid.  Each one-dimensional pass scales by its length, so no
-    intermediate exceeds the samples by more than the longest axis.
+    the heads (those of the last block that built one) and each slab in
+    flight (``_SLAB_BYTES``, or one refined row of one component if that is
+    larger), not with the refined grid.  Each one-dimensional pass scales by
+    its length, so no intermediate exceeds the samples by more than the
+    longest axis.
     """
     # every grid size is even, as in ``_irfft``
     sizes = coeff.shape[1:-1] + (2 * (coeff.shape[-1] - 1),)
@@ -665,29 +667,17 @@ def _refined_derivatives(
         _ifft_columns(out)
         return out
 
-    def stream(orders, refinement: int, heads: dict) -> list[Iterator[np.ndarray]]:
-        # the block's slabs, which hold the heads they read
-        fine = [refinement * size for size in sizes]
-        rows = max(1, _SLAB_BYTES // (8 * int(np.prod(fine[1:]))))
-        bands = [heads[refinement, alpha[0]] for alpha, _ in orders]
+    def tail(band: np.ndarray, alpha: tuple[int, ...], beta: int, fine) -> np.ndarray:
+        # the remaining factors, then every further axis of one slab
+        for freq, order in zip(freqs[1:], (*alpha[1:], beta)):
+            if order:
+                band = band * freq**order
+        for axis, size in enumerate(fine[1:-1], start=2):
+            band = _pad(band, axis, size)  # a new array, so never a head
+            np.fft.ifft(band, axis=axis, norm="forward", out=band)
+        return np.fft.irfft(band, n=fine[-1], axis=-1, norm="forward")
 
-        def tail(band: np.ndarray, alpha: tuple[int, ...], beta: int) -> np.ndarray:
-            # the remaining factors, then every further axis of one slab
-            for freq, order in zip(freqs[1:], (*alpha[1:], beta)):
-                if order:
-                    band = band * freq**order
-            for axis, size in enumerate(fine[1:-1], start=2):
-                band = _pad(band, axis, size)  # a new array, so never a head
-                np.fft.ifft(band, axis=axis, norm="forward", out=band)
-            return np.fft.irfft(band, n=fine[-1], axis=-1, norm="forward")
-
-        def at(start: int) -> Iterator[np.ndarray]:
-            for (alpha, beta), band in zip(orders, bands):
-                for c in range(components):
-                    yield tail(band[c:c + 1, start:start + rows], alpha, beta)
-
-        return [at(start) for start in range(0, fine[0], rows)]
-
+    results = [None] * len(blocks)
     heads = {}  # (refinement, alpha[0]) -> head
     for i in sorted(
         range(len(blocks)),
@@ -700,4 +690,15 @@ def _refined_derivatives(
                 del heads[key]  # so it does not outlive the build
             for key in keys - heads.keys():
                 heads[key] = head(*key)
-        yield i, stream(orders, refinement, heads)
+        fine = [refinement * size for size in sizes]
+        rows = max(1, _SLAB_BYTES // (8 * int(np.prod(fine[1:]))))
+
+        def slab(start: int) -> Iterator[np.ndarray]:
+            for alpha, beta in orders:
+                band = heads[refinement, alpha[0]]
+                for c in range(components):
+                    yield tail(band[c:c + 1, start:start + rows], alpha, beta, fine)
+
+        starts = range(0, fine[0], rows)
+        results[i] = _map(lambda start: consume(i, slab(start)), starts)
+    return results

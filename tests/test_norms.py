@@ -736,3 +736,21 @@ class TestThreadedQuadrature:
         assert threading.active_count() == before
         assert len(set(seen)) == 2
         assert not any(thread.is_alive() for thread in seen)
+
+    def test_no_thread_outlives_a_norm(self, monkeypatch):
+        # the streamed inverse maps its slabs on threads of its call and
+        # joins them before it returns
+        monkeypatch.setattr(spectral, "_WORKERS", 2)
+        u = random_band_limited_field(dom3(12, 12), 3, np.random.default_rng(7))
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        before = threading.active_count()
+        sobolev_norm_21q(u, 1.2)
+        assert threading.active_count() == before
+        assert started and not any(thread.is_alive() for thread in started)

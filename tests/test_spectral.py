@@ -741,9 +741,10 @@ class TestMap:
             sys.setswitchinterval(interval)
 
 
-def streamed(coeff, domain, orders, refinement):
-    """The slabs of the streamed inverse of one block (orders, refinement)."""
-    ((_, slabs),) = _refined_derivatives(coeff, domain, [(orders, refinement)])
+def streamed(coeff, domain, orders, refinement, consume=lambda i, slab: list(slab)):
+    """The results of ``consume`` on each slab of the streamed inverse of one
+    block (orders, refinement), in slab order: by default the slab's arrays."""
+    (slabs,) = _refined_derivatives(coeff, domain, [(orders, refinement)], consume)
     return slabs
 
 
@@ -768,8 +769,7 @@ class TestRefinedDerivatives:
         """Each order's slabs, one array per order and component, joined
         along the first spatial axis; and the row count of every slab."""
         components = samples.shape[0]
-        stream = streamed(_rfft(samples), domain, orders, refinement)
-        slabs = [list(slab) for slab in stream]
+        slabs = streamed(_rfft(samples), domain, orders, refinement)
         assert all(len(slab) == len(orders) * components for slab in slabs)
         rows = [slab[0].shape[1] for slab in slabs]
         joined = [
@@ -818,76 +818,56 @@ class TestRefinedDerivatives:
         d = dom2(N=12, Nt=8, L=3.0, T=5.0)
         coeff = _rfft(np.random.default_rng(15).standard_normal((2,) + d.grid_shape))
         monkeypatch.setattr(spectral, "_WORKERS", 1)
-        serial = [list(s) for s in streamed(coeff, d, self.ORDERS, 2)]
+        serial = streamed(coeff, d, self.ORDERS, 2)
         monkeypatch.setattr(spectral, "_WORKERS", 2)
         monkeypatch.setattr(spectral, "_THREAD_BYTES", 0)
         calls = record_transforms()
-        threaded = [list(s) for s in streamed(coeff, d, self.ORDERS, 2)]
+        threaded = streamed(coeff, d, self.ORDERS, 2)
         heads = [shape for name, shape in calls if name == "ifft" and shape[0] == 2]
         assert heads == [(2, 24, 6, 5)] * 4  # two per distinct alpha[0]
         for mine, want in zip(threaded, serial, strict=True):
             assert [a.tobytes() for a in mine] == [b.tobytes() for b in want]
-
-    def test_slabs_outlive_the_call_moving_on(self, record_transforms):
-        # blocks come by their set of alpha[0], so block 1 ({0}) before block
-        # 0 ({1}), whose head build drops block 1's head from the call; block
-        # 1's slabs, consumed only after that, still give their samples
-        d = dom2(N=12, Nt=8, L=3.0, T=5.0)
-        coeff = _rfft(np.random.default_rng(17).standard_normal((2,) + d.grid_shape))
-        late, early = self.ORDERS[1:2], self.ORDERS[:1]
-        want = [list(s) for s in streamed(coeff, d, early, 2)]
-        calls = record_transforms()
-        stream = _refined_derivatives(coeff, d, [(late, 2), (early, 2)])
-        (i, slabs), (j, _) = next(stream), next(stream)
-        assert (i, j) == (1, 0)
-        heads = [shape for name, shape in calls if name == "ifft" and shape[0] == 2]
-        assert heads == [(2, 24, 12, 5)] * 2 and len(calls) == 2
-        got = [list(s) for s in slabs]
-        for mine, theirs in zip(got, want, strict=True):
-            assert [a.tobytes() for a in mine] == [b.tobytes() for b in theirs]
 
     @pytest.mark.parametrize("n, N", [(3, 16), (2, 32)])
     @pytest.mark.parametrize("a1", [0, 1])
     def test_head_allocates_only_its_output(self, traced_peak, n, N, a1):
         # each head is padded once and transformed in place: r = 2 times
         # coeff, and no copy of the band (multiplying before padding would
-        # add one)
+        # add one); the consumer never iterates its slab, so no slab is made
         d = TorusDomain(n=n, L=TWO_PI, N=N, T=TWO_PI, Nt=N)
         coeff = _rfft(np.random.default_rng(16).standard_normal((n,) + d.grid_shape))
         alpha = (a1,) + (0,) * (n - 1)
-        peak, _ = traced_peak(lambda: streamed(coeff, d, [(alpha, 0)], 2))
+        peak, _ = traced_peak(
+            lambda: streamed(coeff, d, [(alpha, 0)], 2, lambda i, slab: None)
+        )
         assert peak <= 2.3 * coeff.nbytes
 
-    @pytest.mark.parametrize("threads", [2, 3])
-    def test_slabs_are_independent_across_threads(self, monkeypatch, threads):
-        # each thread takes every threads-th slab of one call; joined in slab
-        # order they equal the slabs consumed in order, bitwise
+    def test_consumer_runs_in_the_call_threads(self, monkeypatch, workers):
+        # the call runs the consumer on every slab, each thread taking every
+        # W-th slab, and returns the results in slab order: bitwise equal to
+        # the serial ones, from more than one thread when W > 1
         d = dom2(N=12, Nt=8, L=3.0, T=5.0)
         monkeypatch.setattr(spectral, "_SLAB_BYTES", 7 * 8 * 24 * 16)
-        samples = np.random.default_rng(14).standard_normal((2,) + d.grid_shape)
-        coeff = _rfft(samples)
-        serial = [list(s) for s in streamed(coeff, d, self.ORDERS, 2)]
-        slabs = streamed(coeff, d, self.ORDERS, 2)
-        assert len(slabs) == 4
-        got = [None] * len(slabs)
-        start = threading.Barrier(threads, timeout=60)
+        coeff = _rfft(np.random.default_rng(14).standard_normal((2,) + d.grid_shape))
+        monkeypatch.setattr(spectral, "_WORKERS", 1)
+        serial = streamed(coeff, d, self.ORDERS, 2)
+        monkeypatch.setattr(spectral, "_WORKERS", workers)
+        threads = set()
 
-        def consume(first):
-            start.wait()
-            for i in range(first, len(slabs), threads):
-                got[i] = list(slabs[i])
+        def consume(i, slab):
+            assert i == 0
+            threads.add(threading.current_thread())
+            return list(slab)
 
-        workers = [threading.Thread(target=consume, args=(i,)) for i in range(threads)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=60)
+            got = streamed(coeff, d, self.ORDERS, 2, consume)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(worker.is_alive() for worker in workers)
+        assert len(got) == 4
+        assert len(threads) == min(workers, 4)
+        assert threading.current_thread() in threads
         for mine, want in zip(got, serial, strict=True):
             assert [a.shape for a in mine] == [b.shape for b in want]
             assert all(a.tobytes() == b.tobytes() for a, b in zip(mine, want))
@@ -934,3 +914,26 @@ def test_every_full_array_pass_runs_in_pieces():
     # transforms along its first axis with the inverse's first phase
     assert phases.count("_map(") == 4
     assert "_ifft_columns(out)" in source
+
+
+def test_only_spectral_and_two_fan_outs_map():
+    # only spectral decides how streamed pieces are threaded; beside it, the
+    # ensembles of analysis and the snapshot writes map their own items
+    package = Path(__file__).resolve().parents[1] / "src" / "tpoe"
+    callers = set()  # (module, top-level function or None)
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text())
+        owner = {
+            id(node): top.name
+            for top in tree.body
+            if isinstance(top, ast.FunctionDef)
+            for node in ast.walk(top)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "_map" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                callers.add((source.stem, owner.get(id(node))))
+    outside = {caller for caller in callers if caller[0] != "spectral"}
+    assert outside == {("analysis", "_ensemble"), ("snapshot", "save_bundle")}
+    assert ("spectral", "_refined_derivatives") in callers

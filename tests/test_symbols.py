@@ -49,12 +49,12 @@ def multiplier_at(d, p, m, k):
 
 
 def steady_inverse_at(d, lam, m):
-    """The steady inverse the solver applies: ``_invert`` on the unit k == 0
-    spectrum at spatial mode m, read back at that mode."""
+    """The steady inverse the solver applies: ``_invert`` by the symbol at
+    eta = 0 on the unit k == 0 slice at spatial mode m, read back there."""
     pos = (0,) + position(d, m)
-    coeff = np.zeros((1,) + d.spectral_shape, dtype=complex)
+    coeff = np.zeros((1,) + d.spectral_shape[:-1] + (1,), dtype=complex)
     coeff[pos] = 1.0
-    return _invert(coeff, d, lam)[pos]
+    return _invert(coeff, d, lam, d.xi_grids(), 0.0)[pos]
 
 
 def single_mode(d, m, j, k=1):
