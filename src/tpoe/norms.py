@@ -10,20 +10,18 @@ removing it.  The exponents alone decide the factor (:func:`_auto_refine`).
 
 Every norm is a list of derivative blocks plus their combination, and
 :func:`_block_norms` is the one quadrature: it returns one Lq value per
-block.  It makes one real forward transform and one call of the spectral
-module's streamed inverse (``_refined_derivatives``) for all its blocks: a
-pruned inverse of the zero-padded half spectrum, in slabs of refined rows,
-which builds each of its first-axis transforms once per call.  The
-quadrature is one consumer of those slabs: the inverse runs it on each slab
-in a thread of its call and returns the slabs' sums in slab order, where they
-are combined, so every value is bitwise equal for any thread count.  Memory
-therefore scales with the half spectrum and one slab per thread, not with the
-refined grid.  A steady norm acts on a time-constant field, so it is
-integrated over the time-mean spatial slice alone.  Every square and q-th
-power is taken of values at most 1: divided by their largest magnitude, a
-running maximum over the slabs, which is multiplied back after the root.  So
-no norm overflows or underflows in the double range (``TestNoOverflow``, q up
-to 1e4, and ``TestReportValues``, scales 1e+-300, in ``tests/test_norms.py``).
+block, from one real forward transform and one call of the spectral module's
+streamed inverse (``_refined_derivatives``) for all its blocks.  That call
+runs the quadrature on each slab of refined rows in a thread of the call and
+returns the slabs' sums in slab order, where they are combined, so every
+value is bitwise equal for any thread count, and memory scales with the half
+spectrum and one slab per thread, not with the refined grid.  A steady norm
+acts on a time-constant field, so it is integrated over the time-mean spatial
+slice alone.  Every square and q-th power is taken of values at most 1:
+divided by their largest magnitude, a running maximum over the slabs, which
+is multiplied back after the root.  So no norm overflows or underflows in the
+double range (``TestNoOverflow``, q up to 1e4, and ``TestReportValues``,
+scales 1e+-300, in ``tests/test_norms.py``).
 
 Spatial Lebesgue norms are taken verbatim over the periodic box.  On the
 whole space these exponents encode decay at infinity; a periodic box has no

@@ -34,19 +34,18 @@ of samples to a consumer instead of building a full-size array.  Every complex
 pass runs in place in an array the package made, so the inverse transforms in
 the spectrum it is handed: a caller that reads that spectrum again passes a
 copy.  The norm quadrature's oversampled inverse, ``_refined_derivatives``,
-shares ``_rfft``; one call takes every derivative block of one forward
-transform, makes each of its first-axis transforms once for all of them, with
-the inverse's first phase, and runs numpy's one-dimensional passes over slabs
-of refined rows instead of a full-grid ``_irfft``.  Both streaming producers
-hand each piece to a consumer in a thread of the call and return its results
-in order, so only this module decides how streamed pieces are threaded, and a
-caller that combines them in order gets the same values bitwise for any
-thread count.  All of them run their threads through :func:`_map`, which
-starts up to one thread per CPU and joins them before it returns, so no thread
-outlives the call; so do the ensembles of ``analysis``, whose members run on
-threads of the call when their field is below ``_THREAD_BYTES``, and
-``snapshot.save_bundle``'s writes.  A map called inside a threaded map runs in
-its caller alone, so no more threads run at once than there are CPUs.
+shares both inverse phases: one call makes each first-axis transform of its
+derivative blocks once, by ``_ifft_columns``, and runs :func:`_rows` on slabs
+of refined rows.  Both streaming producers hand each piece to a consumer in a
+thread of the call and return its results in order, so only this module
+decides how streamed pieces are threaded, and a caller that combines them in
+order gets the same values bitwise for any thread count.  All of them run
+their threads through :func:`_map`, which starts up to one thread per CPU and
+joins them before it returns, so no thread outlives the call; so do the
+ensembles of ``analysis``, whose members run on threads of the call when their
+field is below ``_THREAD_BYTES``, and ``snapshot.save_bundle``'s writes.  A
+map called inside a threaded map runs in its caller alone, so no more threads
+run at once than there are CPUs.
 """
 
 from __future__ import annotations
@@ -471,33 +470,24 @@ def _rfft(samples: np.ndarray, piece=None) -> np.ndarray:
 
 
 def _irfft(coeff: np.ndarray, consume=None):
-    """Real samples of a half spectrum laid out as :func:`_rfft` returns
-    it; every grid size is even, so the halved axis has ``2 * (len - 1)``
-    points.
-
-    The passes are ``irfftn``'s, in two phases over the :func:`_pieces` of
-    ``coeff``: along axis 2, ``ifft`` along axis 1 (:func:`_ifft_columns`);
-    along axis 1, ``ifft`` along each further axis but the last, then
-    ``irfft`` along the last axis into the piece of a new array, which is
-    returned.  The complex passes run in place, so ``coeff`` is consumed: a
-    caller that reads that spectrum again passes a copy.  With ``consume``,
-    no full-size output is built: the thread that finished a piece ``index``
-    of the samples calls ``consume(index, block)``, ``block`` a new array of
-    that piece alone, and the list of its results, in piece order, is
-    returned."""
+    """Real samples of a half spectrum laid out as :func:`_rfft` returns it
+    (every grid size is even, so the halved axis has ``2 * (len - 1)``
+    points), by ``irfftn``'s passes: :func:`_ifft_columns`, then :func:`_rows`
+    at the grid's own sizes over the :func:`_pieces` of ``coeff`` along axis
+    1, into the piece of a new array, which is returned.  The complex passes
+    run in place, so ``coeff`` is consumed: a caller that reads it again
+    passes a copy.  With ``consume``, no full-size output is built: the thread
+    that finished a piece ``index`` of the samples calls ``consume(index,
+    block)``, ``block`` a new array of that piece alone, and the list of its
+    results, in piece order, is returned."""
     _ifft_columns(coeff)
-    samples = None
-    if consume is None:
-        samples = np.empty(coeff.shape[:-1] + (2 * (coeff.shape[-1] - 1),))
+    sizes = coeff.shape[1:-1] + (2 * (coeff.shape[-1] - 1),)
+    samples = np.empty(coeff.shape[:1] + sizes) if consume is None else None
 
     def rows(index):
-        block = coeff[index]
-        for axis in range(2, coeff.ndim - 1):
-            np.fft.ifft(block, axis=axis, norm="forward", out=block)
-        if consume is None:
-            np.fft.irfft(block, axis=-1, norm="forward", out=samples[index])
-        else:
-            return consume(index, np.fft.irfft(block, axis=-1, norm="forward"))
+        if consume is not None:
+            return consume(index, _rows(coeff[index], sizes))
+        _rows(coeff[index], sizes, samples[index])
 
     results = _map(rows, _pieces(coeff, 1))
     return samples if consume is None else results
@@ -513,6 +503,19 @@ def _ifft_columns(coeff: np.ndarray) -> None:
     _map(column, _pieces(coeff, 2))
 
 
+def _rows(block: np.ndarray, sizes: Sequence[int], out=None) -> np.ndarray:
+    """Samples on the grid ``sizes`` of ``block``, a piece along axis 1 of a
+    half spectrum past its pass along axis 1: ``ifft`` in place along each
+    axis from 2 to the last but one, zero-padded first where shorter than its
+    size (:func:`_pad`, a new array), then ``irfft`` along the last, into
+    ``out``: the second phase of every inverse."""
+    for axis in range(2, block.ndim - 1):
+        if block.shape[axis] < sizes[axis - 1]:
+            block = _pad(block, axis, sizes[axis - 1])
+        np.fft.ifft(block, axis=axis, norm="forward", out=block)
+    return np.fft.irfft(block, n=sizes[-1], axis=-1, norm="forward", out=out)
+
+
 # spectra of at least this many bytes have each transform phase cut into
 # pieces of about ``_PIECE_BYTES``, run by one thread per CPU (numpy's
 # transforms release the GIL); below it, starting a thread costs more than it
@@ -526,10 +529,8 @@ _WORKERS = (
     else os.cpu_count() or 1
 )
 
-# bytes of one slab of the norm quadrature's streamed inverse: a slab holds
-# as many rows as fit, and at least one
+# bytes of samples in one slab of the norm quadrature's streamed inverse
 _SLAB_BYTES = 256 * 1024
-
 
 # set while a map runs threads, in the caller and in each thread it starts
 _THREADED = contextvars.ContextVar("_THREADED", default=False)
@@ -634,19 +635,19 @@ def _refined_derivatives(
     ``blocks``, the list of its results in slab order.
 
     The inverse is pruned: for each ``(refinement, alpha[0])`` the nonzero band
-    is padded along the first spatial axis into one new array (``refinement``
-    times ``coeff``), multiplied there by its factor and transformed in place
-    by :func:`_ifft_columns`, the first phase of any inverse.  The blocks run by
-    refinement and then by their set of ``alpha[0]``, so each such array, the
-    head, is built once, and before a block builds one, every head it does not
-    read is dropped.  Each slab is padded and transformed in place along each
-    further axis in turn, the half axis last.  The padding is that of
-    :func:`embed_spectrum`, so every order's samples equal
+    is padded along the first spatial axis into one new array, the head
+    (``refinement`` times ``coeff``), multiplied there by its factor and
+    transformed in place by :func:`_ifft_columns`, the inverse's first phase.
+    The blocks run by refinement and then by their set of ``alpha[0]``, so
+    each head is built once, and before a block builds one, every head it
+    does not read is dropped.  A slab of a head, as many refined rows as fit
+    in ``_SLAB_BYTES`` of samples and at least one, is multiplied by its
+    other factors and run through :func:`_rows`, the second phase.  The
+    padding is that of :func:`embed_spectrum`, so every order's samples equal
     ``inverse(embed_spectrum(spectral_derivative(forward(f), alpha, beta),
     fine))`` up to rounding.  Memory therefore scales with the half spectrum,
     the heads (those of the last block that built one) and each slab in
-    flight (``_SLAB_BYTES``, or one refined row of one component if that is
-    larger), not with the refined grid.  Each one-dimensional pass scales by
+    flight, not with the refined grid.  Each one-dimensional pass scales by
     its length, so no intermediate exceeds the samples by more than the
     longest axis.
     """
@@ -667,15 +668,13 @@ def _refined_derivatives(
         _ifft_columns(out)
         return out
 
-    def tail(band: np.ndarray, alpha: tuple[int, ...], beta: int, fine) -> np.ndarray:
-        # the remaining factors, then every further axis of one slab
-        for freq, order in zip(freqs[1:], (*alpha[1:], beta)):
+    def factored(band: np.ndarray, alpha: tuple[int, ...], beta: int, refinement):
+        # times its other factors; a copy where ``_rows`` pads nothing (r = 1)
+        factors = (*alpha[1:], beta)
+        for freq, order in zip(freqs[1:], factors):
             if order:
                 band = band * freq**order
-        for axis, size in enumerate(fine[1:-1], start=2):
-            band = _pad(band, axis, size)  # a new array, so never a head
-            np.fft.ifft(band, axis=axis, norm="forward", out=band)
-        return np.fft.irfft(band, n=fine[-1], axis=-1, norm="forward")
+        return band.copy() if refinement == 1 and not any(factors) else band
 
     results = [None] * len(blocks)
     heads = {}  # (refinement, alpha[0]) -> head
@@ -695,9 +694,9 @@ def _refined_derivatives(
 
         def slab(start: int) -> Iterator[np.ndarray]:
             for alpha, beta in orders:
-                band = heads[refinement, alpha[0]]
+                band = heads[refinement, alpha[0]][:, start:start + rows]
                 for c in range(components):
-                    yield tail(band[c:c + 1, start:start + rows], alpha, beta, fine)
+                    yield _rows(factored(band[c:c + 1], alpha, beta, refinement), fine)
 
         starts = range(0, fine[0], rows)
         results[i] = _map(lambda start: consume(i, slab(start)), starts)

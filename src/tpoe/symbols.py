@@ -104,10 +104,13 @@ def _denominator(xi, eta, lam: float):
     """|xi|^2 + i*(eta - lam*xi_1); the single shared arithmetic path.
 
     ``xi`` is a sequence of n broadcastable components (an ``(n, ...)``
-    array counts as one); ``eta`` broadcasts against them.
+    array counts as one); ``eta`` broadcasts against them.  The parts are
+    set apart, as ``1j * -inf`` (lam*xi_1 overflowed) has a NaN real part.
     """
-    xi_sq = sum(x * x for x in xi)
-    return xi_sq + 1j * (eta - lam * xi[0])
+    out = np.empty(np.broadcast(*xi, eta).shape, dtype=complex)
+    out.real = sum(x * x for x in xi)
+    out.imag = eta - lam * xi[0]
+    return out
 
 
 def _quotient(numerator, denom, annihilated):

@@ -619,20 +619,21 @@ class TestNonFiniteParameters:
 
 class TestScanOverflow:
     # the weighted derivatives overflow once 2 xi_j does (radius above
-    # 8.99e307, half the largest double), once lambda times the radius does,
-    # or where m itself does (at T = 1e300 and lambda = 1, D = |xi|^2 is
-    # 6.7e-321 where eta = xi_1 = 5.8e-161); no scan output may be written
-    # before that is known
+    # 8.99e307, half the largest double), or where m itself does (at
+    # T = 1e300 and lambda = 1, D = |xi|^2 is 6.7e-321 where eta = xi_1 =
+    # 5.8e-161 on the diagonal of n = 2, and 7.5e-321 where eta = xi_1 =
+    # 5e-161 on that of n = 3); no scan output may be written before that
+    # is known
     @pytest.mark.parametrize(
         "subcommand, overrides",
         [
             ("marcinkiewicz", ["n=3", "radial_max=9e307"]),
             ("sweep", ["ensemble=1", "radial_max=9e307"]),
-            ("marcinkiewicz", ["lambda=1e300", "radial_max=1e10"]),
-            ("sweep", ["ensemble=1", "lambdas=1e300", "radial_max=1e10"]),
+            ("marcinkiewicz", ["n=3", "T=1e300", "radial_min=1e-160"]),
+            ("sweep", ["ensemble=1", "periods=1e300", "radial_min=1e-160"]),
             ("marcinkiewicz", ["T=1e300", "radial_min=1e-160"]),
         ],
-        ids=["radius-n3", "radius-sweep", "lambda", "lambda-sweep", "period"],
+        ids=["radius-n3", "radius-sweep", "period-n3", "period-sweep", "period"],
     )
     def test_overflow_is_config_error_before_any_output(
         self, config_file, capsys, subcommand, overrides
@@ -649,6 +650,36 @@ class TestScanOverflow:
         assert sorted(p.name for p in outdir.iterdir()) == [
             "config.resolved.txt", "error.json"
         ]
+
+    # lambda * xi_1 overflows, but D is built from its parts, so its real
+    # part stays |xi|^2 and lambda drops out where it dominates; the grid
+    # suprema of 60-digit mpmath over every point, each at the eta axis
+    # (radial_max = 1e76) or at the end of the cut-off ramp (1e10)
+    @pytest.mark.parametrize(
+        "radial_max, overall",
+        [("1e76", 0.33404849835132444), ("1e10", 2.9025379948402574)],
+    )
+    def test_lambda_overflow_leaves_the_scan_finite(
+        self, config_file, radial_max, overall
+    ):
+        path = config_file()
+        overrides = ["lambda=1e300", "radial_min=0.01", f"radial_max={radial_max}"]
+        argv = ["marcinkiewicz", "--config", path]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_OK
+        outdir = run_dir_of(path, overrides)
+        grid = json.loads((outdir / "marcinkiewicz_grid.json").read_text())
+        assert grid["overall"] == pytest.approx(overall, rel=1e-15)
+        # a sweep cell at that lambda scans the same grid
+        overrides = ["ensemble=1", "lambdas=1e300", f"radial_max={radial_max}"]
+        argv = ["sweep", "--config", path]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_OK
+        rows = (run_dir_of(path, overrides) / "sweep.csv").read_text().splitlines()
+        (scan,) = [row for row in rows if ",marcinkiewicz_overall," in row]
+        assert float(scan.split(",")[6]) == pytest.approx(overall, rel=1e-15)
 
     # at radial_min = 1e-300, 1/D overflows, but only where |eta| <= pi/T:
     # there m and w' vanish, and every derivative of m is exactly 0
@@ -677,19 +708,20 @@ class TestScanOverflow:
 
 
 class TestSymbolOverflow:
-    # lam * xi_1 or |xi|^2 overflows in the transference check, or the norms
-    # of a sweep leave the double range: exit 2 with nothing but the record
+    # lam * xi_1 leaves the double range in the symbol of A, |xi|^2 in the
+    # transference check, or the norms of a sweep do: exit 2 with nothing
+    # but the record
     @pytest.mark.parametrize(
         "subcommand, overrides",
         [
-            ("transference", ["N=8", "Nt=8", "lambda=1e300", "L=1e-10"]),
+            ("solve", ["N=8", "Nt=8", "lambda=1e300", "L=1e-10"]),
             ("transference", ["N=6", "Nt=6", "lambda=1e10", "L=1e-300"]),
             (
                 "sweep",
                 ["N=8", "Nt=8", "ensemble=1", "q=1.2", "L=1e10", "periods=1e300"],
             ),
         ],
-        ids=["lambda", "box", "sweep-norms"],
+        ids=["lambda-solve", "box", "sweep-norms"],
     )
     def test_overflow_is_config_error_before_any_output(
         self, config_file, capsys, subcommand, overrides
@@ -706,6 +738,18 @@ class TestSymbolOverflow:
         assert sorted(p.name for p in outdir.iterdir()) == [
             "config.resolved.txt", "error.json"
         ]
+
+    def test_lambda_overflow_leaves_transference_exact(self, config_file):
+        # lam * xi_1 = -inf is D's imaginary part alone, so M and m are both
+        # 0 there and the identity holds exactly
+        path = config_file()
+        overrides = ["N=8", "Nt=8", "lambda=1e300", "L=1e-10"]
+        argv = ["transference", "--config", path]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_OK
+        record = (run_dir_of(path, overrides) / "transference.json").read_text()
+        assert json.loads(record)["max_deviation"] == 0.0
 
     def test_non_finite_norms_are_config_error(self, config_file, capsys, tmp_path):
         # finite data whose solve succeeds but whose norms pass the double
@@ -754,7 +798,7 @@ class TestSymbolOverflow:
         "subcommand, overrides",
         [
             ("marcinkiewicz", ["n=3", "radial_max=9e307"]),
-            ("transference", ["N=8", "Nt=8", "lambda=1e300", "L=1e-10"]),
+            ("transference", ["N=6", "Nt=6", "lambda=1e10", "L=1e-300"]),
             ("solve", ["lambda=1e300", "L=1e-10"]),
             (
                 "roundtrip",

@@ -811,6 +811,28 @@ class TestRefinedDerivatives:
         assert heads == [(2, 24, 12, 5)] * 2
         self.assert_matches(got, self.public_calculus(f, 2))
 
+    def test_slabs_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        # the quadrature's slabs at n = 2 and 3, N = Nt = 16, and at n = 2,
+        # N = Nt = 32, each at r = 1 and 2, are as many refined rows as fit in
+        # _SLAB_BYTES of samples at 1, 3 and 64 CPUs alike; the map runs
+        # serially here, so no thread starts
+        monkeypatch.setattr(spectral, "_map", lambda f, items: [f(x) for x in items])
+        rows = lambda i, slab: next(slab).shape[1]  # noqa: E731
+        for n, N in ((2, 16), (3, 16), (2, 32)):
+            d = TorusDomain(n=n, L=TWO_PI, N=N, T=TWO_PI, Nt=N)
+            coeff = _rfft(np.zeros((1,) + d.grid_shape))
+            for r in (1, 2):
+                per_slab = max(1, spectral._SLAB_BYTES // (8 * (r * N) ** n))
+                expected = [
+                    min(per_slab, r * N - start)
+                    for start in range(0, r * N, per_slab)
+                ]
+                for workers in (1, 3, 64):
+                    monkeypatch.setattr(spectral, "_WORKERS", workers)
+                    order = ((0,) * n, 0)
+                    got = streamed(coeff, d, [order], r, rows)
+                    assert got == expected, (n, N, r, workers)
+
     def test_head_threads_like_any_pass(self, monkeypatch, record_transforms):
         # with every array threaded, each first-axis transform is split
         # along the second axis into one call per thread, and the slabs
@@ -887,33 +909,37 @@ class TestRefinedDerivatives:
 def test_every_full_array_pass_runs_in_pieces():
     # numpy's one-dimensional transforms are called only in the piece phases
     # of the transform pair, which cut spectra of _THREAD_BYTES or more
-    # across the CPUs, and on the slabs of the streamed inverse
+    # across the CPUs: the forward passes in _rfft, the inverse's column pass
+    # in _ifft_columns and its row passes in _rows, which _irfft and the
+    # slabs of the streamed inverse share, so no third copy of a phase exists
     package = Path(__file__).resolve().parents[1] / "src" / "tpoe"
-    calls = [
-        (source.name, line.strip())
-        for source in sorted(package.glob("*.py"))
-        for line in source.read_text().splitlines()
-        if re.search(r"np\.fft\.i?r?fft\(", line)
-    ]
+    calls = set()  # (module, top-level definition, numpy transform)
+    for source in sorted(package.glob("*.py")):
+        for top in ast.parse(source.read_text()).body:
+            for node in ast.walk(top):
+                func = node.func if isinstance(node, ast.Call) else None
+                if (
+                    isinstance(func, ast.Attribute)
+                    and ast.unparse(func.value) == "np.fft"
+                    and re.fullmatch(r"i?r?fftn?", func.attr)
+                ):
+                    calls.add((source.stem, getattr(top, "name", None), func.attr))
+    assert calls == {
+        ("spectral", "_rfft", "rfft"),
+        ("spectral", "_rfft", "fft"),
+        ("spectral", "_ifft_columns", "ifft"),
+        ("spectral", "_rows", "ifft"),
+        ("spectral", "_rows", "irfft"),
+    }, calls
+    # the phases map their pieces, and the streamed inverse transforms its
+    # heads with the inverse's first phase and its slabs with its second
     phases = "".join(
         inspect.getsource(function)
         for function in (spectral._rfft, spectral._ifft_columns, spectral._irfft)
     )
+    assert phases.count("_map(") == 4 and "_rows(" in phases
     source = inspect.getsource(spectral._refined_derivatives)
-    (tail,) = [
-        node for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.FunctionDef) and node.name == "tail"
-    ]
-    tail = ast.get_source_segment(source, tail)
-    assert calls, "the phases and the slab passes call numpy directly"
-    assert all(
-        name == "spectral.py" and (line in phases or line in tail)
-        for name, line in calls
-    ), calls
-    # the phases map their pieces, and the head of the streamed inverse
-    # transforms along its first axis with the inverse's first phase
-    assert phases.count("_map(") == 4
-    assert "_ifft_columns(out)" in source
+    assert "_ifft_columns(out)" in source and "_rows(" in source
 
 
 def test_only_spectral_and_two_fan_outs_map():
