@@ -6,7 +6,7 @@ band-limited field ``|f|^2`` and ``|f|^4`` are trigonometric polynomials of
 twice and four times its band, which the grid and the grid refined by r=2
 integrate exactly; any other ``|f|^q`` is not band-limited or exceeds that
 band, and oversampling by the factor 2 bounds the aliasing error without
-removing it.  The exponents alone decide the factor (:func:`_auto_refine`).
+removing it.  One factor per call, from its exponents (:func:`_auto_refine`).
 
 Every norm is a list of derivative blocks plus their combination, and
 :func:`_block_norms` is the one quadrature: it returns one Lq value per
@@ -186,8 +186,8 @@ def _block_norms(
     This is the one quadrature of the module: exact at exponent 2 (r=1) and
     4 (r=2); aliasing bounded elsewhere.  All blocks share one forward
     transform and one call of the streamed inverse (``_refined_derivatives``),
-    which builds each of its first-axis transforms once for all of them; each
-    block's grid is refined by ``_auto_refine`` of its own exponent.  The
+    which builds each of its first-axis transforms once for all of them, on
+    one grid, refined by ``_auto_refine`` of every exponent of the call.  The
     values are returned in the order of ``blocks``.  The streamed inverse
     runs one consumer on each slab, which gives the slab's sum of
     ``(|f| / top)^q`` with its ``top``, and returns those in slab order.
@@ -196,11 +196,9 @@ def _block_norms(
     the values do not depend on the thread count, bitwise.  With a time axis
     the cell carries the 1/T-normalized time step.  ``per_slice`` sums over
     the spatial axes only and gives each block's norms as an array over time
-    slices, to be combined slice by slice, so all blocks then share one
-    factor, ``_auto_refine`` of every exponent.
+    slices, to be combined slice by slice.
     """
-    shared = _auto_refine(*(q for _, q in blocks))
-    refinements = [shared if per_slice else _auto_refine(q) for _, q in blocks]
+    refinement = _auto_refine(*(q for _, q in blocks))
     axes = tuple(range(domain.n)) if per_slice else None
 
     def partial(i, slab):
@@ -209,13 +207,13 @@ def _block_norms(
         np.power(squares, blocks[i][1] / 2.0, out=squares)
         return np.sum(squares, axis=axes), top
 
-    streamed = [(orders, r) for (orders, _), r in zip(blocks, refinements)]
-    parts = _refined_derivatives(_rfft(samples), domain, streamed, partial)
+    streamed = [orders for orders, _ in blocks]
+    parts = _refined_derivatives(_rfft(samples), domain, streamed, refinement, partial)
+    cell = (domain.dx / refinement) ** domain.n
+    if samples.ndim == domain.n + 2 and not per_slice:
+        cell /= domain.Nt * refinement
     values = []
-    for (_, q), r, slabs in zip(blocks, refinements, parts):
-        cell = (domain.dx / r) ** domain.n
-        if samples.ndim == domain.n + 2 and not per_slice:
-            cell /= domain.Nt * r
+    for (_, q), slabs in zip(blocks, parts):
         total, scale = 0.0, 0.0
         for part, top in slabs:
             if top > scale:
@@ -283,8 +281,8 @@ def steady_norm(v: SpaceTimeField, kind: NormKind, lam: float) -> float:
     Because the field is time-constant, the 1/T-normalized space-time norm
     equals the spatial norm over the box, so every term is integrated over
     the time-mean spatial slice, whose forward transform all terms share.
-    Each term is refined by its own exponent: exact at exponent 2 (r=1) and
-    4 (r=2); aliasing bounded elsewhere.
+    All terms share one oversampling factor, x2, since no admissible q makes
+    every exponent 2: exact at exponent 4 (r=2); aliasing bounded elsewhere.
     """
     if kind.tag not in STEADY_TAGS:
         raise ValueError(f"{kind.tag} is not a steady norm family")

@@ -314,11 +314,14 @@ class SpectralField:
         return float(np.max(np.abs(self.coefficients)))
 
     def get(self, index: DualIndex) -> np.ndarray:
-        """Coefficient vector at one dual-grid point (length = components);
-        for k < 0 the conjugate of the entry at (-m, -k)."""
+        """Coefficient vector at one dual-grid point (length = components),
+        |m_j| <= N/2 and |k| <= Nt/2; for k < 0 the conjugate of the entry at
+        (-m, -k).  Either sign of a Nyquist index reads the Nyquist entry."""
         domain = self.domain
         if len(index.m) != domain.n:
             raise DomainMismatch("dual index dimension mismatch")
+        if max(map(abs, index.m)) > domain.N // 2 or abs(index.k) > domain.Nt // 2:
+            raise DomainMismatch(f"dual index {tuple(index)} is off the dual grid")
         k = (index.k + domain.Nt // 2) % domain.Nt - domain.Nt // 2
         sign = -1 if k < 0 else 1
         pos = tuple(sign * mj % domain.N for mj in index.m) + (sign * k,)
@@ -395,12 +398,16 @@ def plancherel_norm(spec: SpectralField) -> float:
     (module docstring): the k > 0 modes count twice, for their k < 0
     conjugates.
 
-    Equals the 1/T-time-normalized L2 norm of the represented field.
+    Equals the 1/T-time-normalized L2 norm of the represented field.  The
+    squares are of magnitudes divided by the largest, which is multiplied
+    back after the root, so no finite field's norm overflows or underflows.
     """
     domain = spec.domain
+    magnitude = np.abs(spec.coefficients)
+    top = float(magnitude.max()) or 1.0  # a zero spectrum's norm is 0
     weight = np.where(domain.time_mode_grid() > 0, 2.0, 1.0)
-    total = float(np.sum(weight * np.abs(spec.coefficients) ** 2))
-    return float(np.sqrt(domain.L**domain.n * total))
+    total = float(np.sum(weight * (magnitude / top) ** 2))
+    return top * total**0.5 * domain.L ** (domain.n / 2)
 
 
 def embed_spectrum(spec: SpectralField, fine: TorusDomain) -> SpectralField:
@@ -615,34 +622,35 @@ def _pad(band: np.ndarray, axis: int, size: int) -> np.ndarray:
 def _refined_derivatives(
     coeff: np.ndarray,
     domain: TorusDomain,
-    blocks: Sequence[tuple[Sequence[tuple[tuple[int, ...], int]], int]],
+    blocks: Sequence[Sequence[tuple[tuple[int, ...], int]]],
+    refinement: int,
     consume,
 ) -> list[list]:
-    """Real samples of (i*xi)^alpha (i*eta)^beta f on refined grids, handed
+    """Real samples of (i*xi)^alpha (i*eta)^beta f on one refined grid, handed
     to ``consume`` in slabs of refined rows along the first spatial axis.
 
     ``coeff`` is the half spectrum of f as :func:`_rfft` returns it: the
     component axis first, followed either by ``domain.spectral_shape`` or,
     for a field with no time axis, by the half spectrum of the spatial grid
     ``(N,) * n`` alone (then every beta must be 0).  For each slab of the
-    ``i``-th block ``(orders, refinement)`` of ``blocks``, a thread of the
-    call (:func:`_map`) calls ``consume(i, slab)``, ``slab`` a lazy iterator
-    over the ``orders`` ``(alpha, beta)`` and, within an order, the
-    components, each an array of shape ``(1, rows)`` plus the refined grid
-    after the first axis.  Joined along axis 1, the slabs of one order and
-    component make its samples on the grid with ``refinement`` times as many
-    points per axis.  The call returns, for each block in the order of
-    ``blocks``, the list of its results in slab order.
+    ``i``-th block of ``blocks``, a list of orders ``(alpha, beta)``, a thread
+    of the call (:func:`_map`) calls ``consume(i, slab)``, ``slab`` a lazy
+    iterator over the block's orders and, within an order, the components,
+    each an array of shape ``(1, rows)`` plus the refined grid after the
+    first axis.  Joined along axis 1, the slabs of one order and component
+    make its samples on the grid with ``refinement`` times as many points per
+    axis.  The call returns, for each block in the order of ``blocks``, the
+    list of its results in slab order.
 
-    The inverse is pruned: for each ``(refinement, alpha[0])`` the nonzero band
-    is padded along the first spatial axis into one new array, the head
+    The inverse is pruned: for each ``alpha[0]`` the nonzero band is padded
+    along the first spatial axis into one new array, the head
     (``refinement`` times ``coeff``), multiplied there by its factor and
     transformed in place by :func:`_ifft_columns`, the inverse's first phase.
-    The blocks run by refinement and then by their set of ``alpha[0]``, so
-    each head is built once, and before a block builds one, every head it
-    does not read is dropped.  A slab of a head, as many refined rows as fit
-    in ``_SLAB_BYTES`` of samples and at least one, is multiplied by its
-    other factors and run through :func:`_rows`, the second phase.  The
+    The blocks run by their set of ``alpha[0]``, so each head is built once,
+    and before a block builds one, every head it does not read is dropped.
+    A slab of a head, as many refined rows as fit in ``_SLAB_BYTES`` of
+    samples and at least one (one cut for the whole call), is multiplied by
+    its other factors and run through :func:`_rows`, the second phase.  The
     padding is that of :func:`embed_spectrum`, so every order's samples equal
     ``inverse(embed_spectrum(spectral_derivative(forward(f), alpha, beta),
     fine))`` up to rounding.  Memory therefore scales with the half spectrum,
@@ -653,6 +661,9 @@ def _refined_derivatives(
     """
     # every grid size is even, as in ``_irfft``
     sizes = coeff.shape[1:-1] + (2 * (coeff.shape[-1] - 1),)
+    fine = [refinement * size for size in sizes]
+    rows = max(1, _SLAB_BYTES // (8 * int(np.prod(fine[1:]))))
+    starts = range(0, fine[0], rows)
     steps = [2.0 * np.pi / domain.L] * domain.n + [2.0 * np.pi / domain.T]
     # integer modes of the coarse half spectrum (its Nyquist modes are zero)
     modes = [np.fft.fftfreq(size, d=1.0 / size).astype(int) for size in sizes[:-1]]
@@ -660,15 +671,15 @@ def _refined_derivatives(
     freqs = np.ix_(*(1j * step * m for step, m in zip(steps, modes)))
     components = coeff.shape[0]
 
-    def head(refinement: int, order: int) -> np.ndarray:
+    def head(order: int) -> np.ndarray:
         # the band padded along the first axis, times its factor padded alike
-        out = _pad(coeff, 1, refinement * sizes[0])
+        out = _pad(coeff, 1, fine[0])
         if order:
-            out *= _pad(freqs[0] ** order, 0, refinement * sizes[0])
+            out *= _pad(freqs[0] ** order, 0, fine[0])
         _ifft_columns(out)
         return out
 
-    def factored(band: np.ndarray, alpha: tuple[int, ...], beta: int, refinement):
+    def factored(band: np.ndarray, alpha: tuple[int, ...], beta: int) -> np.ndarray:
         # times its other factors; a copy where ``_rows`` pads nothing (r = 1)
         factors = (*alpha[1:], beta)
         for freq, order in zip(freqs[1:], factors):
@@ -677,27 +688,22 @@ def _refined_derivatives(
         return band.copy() if refinement == 1 and not any(factors) else band
 
     results = [None] * len(blocks)
-    heads = {}  # (refinement, alpha[0]) -> head
+    heads = {}  # alpha[0] -> head
     for i in sorted(
-        range(len(blocks)),
-        key=lambda i: (blocks[i][1], sorted({a[0] for a, _ in blocks[i][0]})),
+        range(len(blocks)), key=lambda i: sorted({a[0] for a, _ in blocks[i]})
     ):
-        orders, refinement = blocks[i]
-        keys = {(refinement, alpha[0]) for alpha, _ in orders}
+        keys = {alpha[0] for alpha, _ in blocks[i]}
         if not keys <= heads.keys():
             for key in heads.keys() - keys:
                 del heads[key]  # so it does not outlive the build
             for key in keys - heads.keys():
-                heads[key] = head(*key)
-        fine = [refinement * size for size in sizes]
-        rows = max(1, _SLAB_BYTES // (8 * int(np.prod(fine[1:]))))
+                heads[key] = head(key)
 
         def slab(start: int) -> Iterator[np.ndarray]:
-            for alpha, beta in orders:
-                band = heads[refinement, alpha[0]][:, start:start + rows]
+            for alpha, beta in blocks[i]:
+                band = heads[alpha[0]][:, start:start + rows]
                 for c in range(components):
-                    yield _rows(factored(band[c:c + 1], alpha, beta, refinement), fine)
+                    yield _rows(factored(band[c:c + 1], alpha, beta), fine)
 
-        starts = range(0, fine[0], rows)
         results[i] = _map(lambda start: consume(i, slab(start)), starts)
     return results

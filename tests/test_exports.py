@@ -236,3 +236,20 @@ def test_every_torus_function_taking_params_is_period_checked():
             ):
                 found.add(name)
     assert found == set(_TAKES_PARAMS)
+
+
+def test_one_refinement_per_quadrature_call():
+    # the norm quadrature decides its oversampling factor once per call, for
+    # all its blocks, and the streamed inverse takes that one factor: no
+    # block carries its own
+    calls = []  # (module, top-level definition) of each _auto_refine call
+    for path in sorted(Path(tpoe.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "_auto_refine" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    calls.append((path.stem, getattr(top, "name", None)))
+    assert calls == [("norms", "_block_norms")]
+    parameters = inspect.signature(tpoe.spectral._refined_derivatives).parameters
+    assert list(parameters) == ["coeff", "domain", "blocks", "refinement", "consume"]

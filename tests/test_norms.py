@@ -560,20 +560,24 @@ class TestQuadratureWork:
         shape = p.samples.shape
         self.assert_streamed(calls, transform_passes(("rfftn", shape)), shape, 2)
 
-    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize(
+        "lam, q", [(0.0, 1.4), (0.0, 1.2), (1.0, 1.4), (1.0, 1.2), (1.0, 4 / 3)]
+    )
     def test_steady_norm_shares_its_heads(
-        self, lam, record_transforms, transform_passes
+        self, lam, q, record_transforms, transform_passes
     ):
         # Stokes: blocks v, grad v, grad^2 v, with alpha[0] in {0}, {0, 1}
         # and {0, 1, 2} (6 heads if each block built its own); Oseen adds
-        # d1 v, alpha[0] = 1 (7).  At q = 1.4 no exponent is 2, so every
-        # block is refined by 2 and the slice's three heads serve them all.
+        # d1 v, alpha[0] = 1 (7).  The call is refined by 2, as at every
+        # admissible q (TestOneRefinementPerCall), so the slice's three heads
+        # serve every block; at q = 1.2 (Stokes) and 4/3 (Oseen) the
+        # gradient's exponent is the nearest double to 2.
         d = dom3(12, 12)
         v = random_band_limited_field(
             d, 3, np.random.default_rng(4), solenoidal=True,
             time_constant=True, zero_spatial_mean=True,
         )
-        (kind,) = steady_kinds(3, lam, 1.4)
+        (kind,) = steady_kinds(3, lam, q)
         calls = record_transforms()
         steady_norm(v, kind, lam)
         shape = (3,) + (d.N,) * 3
@@ -661,6 +665,68 @@ class TestQuadratureWork:
         finally:
             tracemalloc.stop()
         assert peak <= 96 * f.samples.nbytes
+
+
+class TestOneRefinementPerCall:
+    # _block_norms refines all the blocks of a call by one factor, which is 1
+    # only when every exponent is 2.  That changes no value as long as no
+    # steady block's exponent is 2 (each other norm passes one exponent, or
+    # shares one factor already); these tests pin that premise.
+    STEADY = [(3, 0.0), (3, 1.0), (2, 1.0)]  # (n, lam) of each steady family
+
+    @staticmethod
+    def exponents(tag, n, q):
+        """The exponents of ``steady_norm``'s blocks, in its order and by its
+        arithmetic, elementwise over the array ``q``."""
+        m = n if tag == NormTag.STEADY_STOKES else n + 1
+        out = [m * q / (m - 2 * q), m * q / (m - q), q]
+        if tag != NormTag.STEADY_STOKES:
+            out.insert(2, q)
+        if tag == NormTag.STEADY_OSEEN_2D:
+            out += [q, 2 * q / (2 - q)]
+        return out
+
+    @staticmethod
+    def doubles(center, below, above):
+        """The ``below`` doubles under ``center`` and ``above`` over it."""
+        bits = np.array([center]).view(np.int64)
+        return (bits + np.arange(-below, above + 1)).view(np.float64)
+
+    @pytest.mark.parametrize("n, lam", STEADY)
+    def test_exponents_are_formed_as_steady_norm_forms_them(
+        self, monkeypatch, n, lam
+    ):
+        seen = []
+
+        def record(samples, domain, blocks, per_slice=False):
+            seen.append([q for _, q in blocks])
+            return [0.0] * len(blocks)
+
+        monkeypatch.setattr(norms, "_block_norms", record)
+        v = SpaceTimeField.zeros(dom2(8, 8) if n == 2 else dom3(8, 8), n)
+        for q in self.doubles(1.2, 2, 2).tolist() + [4 / 3, 1.001]:
+            (kind,) = steady_kinds(n, lam, q)
+            seen.clear()
+            steady_norm(v, kind, lam)
+            want = [e[0] for e in self.exponents(kind.tag, n, np.array([q]))]
+            assert [e for call in seen for e in call] == want, (kind, q)
+
+    @pytest.mark.parametrize("n, lam", STEADY)
+    def test_no_admissible_q_gives_a_steady_exponent_of_two(self, n, lam):
+        # the gradient's exponent m q / (m - q) is 2 at q = 6/5 (m = 3) and
+        # q = 4/3 (m = 4) and monotone in q, and 4q/(4 - 2q) and 2q/(2 - q)
+        # are 2 at q = 1; so scan 10^6 doubles on each side of 6/5 and 4/3,
+        # and the first 10^6 above 1, within the family's range
+        (kind,) = steady_kinds(n, lam, 1.2)
+        bound = norms._exponent_bound(kind.tag, n, lam)
+        for q in (
+            self.doubles(6 / 5, 10**6, 10**6),
+            self.doubles(4 / 3, 10**6, 10**6),
+            self.doubles(1.0, 0, 10**6)[1:],
+        ):
+            q = q[(1.0 < q) & (q < bound)]
+            for exponent in self.exponents(kind.tag, n, q):
+                assert not np.any(exponent == 2.0), kind
 
 
 def report_hex(f, params):

@@ -115,10 +115,32 @@ class TestTransform:
         assert spec.get(DualIndex((-1, 0), -1))[0] == pytest.approx(0.5j, abs=1e-15)
         assert abs(spec.get(DualIndex((1, 0), -1))[0]) <= 1e-15
 
-    def test_dual_index_of_the_wrong_length_rejected(self):
+    @pytest.mark.parametrize(
+        "index, message",
+        [
+            (DualIndex((1, 0, 0), 1), "dimension mismatch"),
+            # unchecked, each read an aliased entry: the first two (1, 0), 1
+            (DualIndex((9, 0), 1), "off the dual grid"),
+            (DualIndex((1, 0), 9), "off the dual grid"),
+            (DualIndex((-5, 0), 0), "off the dual grid"),
+            (DualIndex((0, 0), -5), "off the dual grid"),
+        ],
+        ids=["length", "m-above", "k-above", "m-below", "k-below"],
+    )
+    def test_dual_index_of_the_wrong_length_rejected(self, index, message):
         spec = forward(SpaceTimeField.zeros(dom2(N=8, Nt=8), 1))
-        with pytest.raises(DomainMismatch, match="dual index dimension mismatch"):
-            spec.get(DualIndex((1, 0, 0), 1))
+        with pytest.raises(DomainMismatch, match=message):
+            spec.get(index)
+
+    def test_nyquist_index_reads_the_zeroed_entry(self):
+        # either sign of N/2 and Nt/2 is on the grid and reads a Nyquist
+        # entry, which forward zeroes (cos(4 x2) lives there on N = 8)
+        d = dom2(N=8, Nt=8)
+        _, x2, _ = d.meshgrid()
+        spec = forward(SpaceTimeField.scalar(d, 1.0 + np.cos(4 * x2)))
+        for *m, k in itertools.product((-4, 0, 4), repeat=3):
+            if any(m) or k:
+                assert spec.get(DualIndex(tuple(m), k))[0] == 0.0
 
     def test_arithmetic_needs_a_field_on_the_same_domain(self):
         d = dom2(N=8, Nt=8)
@@ -290,13 +312,18 @@ class TestDerivative:
 
 class TestPlancherel:
     @pytest.mark.parametrize("n", [2, 3])
-    def test_matches_quadrature_l2(self, n):
+    @pytest.mark.parametrize("amplitude", [1.0, 1e160, 1e-200])
+    def test_matches_quadrature_l2(self, n, amplitude):
+        # squaring 1e160 overflows and 1e-200 underflows unless the
+        # coefficients are scaled first
         d = TorusDomain(n=n, L=3.0, N=16, T=5.0, Nt=16)
         for seed in range(3):
-            f = random_band_limited_field(d, n, np.random.default_rng(seed))
+            f = amplitude * random_band_limited_field(
+                d, n, np.random.default_rng(seed)
+            )
             spectral = plancherel_norm(forward(f))
             physical = lq_norm(f, 2.0)
-            assert spectral == pytest.approx(physical, rel=1e-12)
+            assert spectral == pytest.approx(physical, rel=1e-12, abs=0.0)
 
 
 class TestRefine:
@@ -743,8 +770,9 @@ class TestMap:
 
 def streamed(coeff, domain, orders, refinement, consume=lambda i, slab: list(slab)):
     """The results of ``consume`` on each slab of the streamed inverse of one
-    block (orders, refinement), in slab order: by default the slab's arrays."""
-    (slabs,) = _refined_derivatives(coeff, domain, [(orders, refinement)], consume)
+    block ``orders`` at ``refinement``, in slab order: by default the slab's
+    arrays."""
+    (slabs,) = _refined_derivatives(coeff, domain, [orders], refinement, consume)
     return slabs
 
 
